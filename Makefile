@@ -11,10 +11,12 @@ FUZZ_TARGETS := \
 	./internal/pattern:FuzzClassify \
 	./internal/pattern:FuzzLabelSeries \
 	./internal/datasets:FuzzReadCSV \
-	./internal/engine:FuzzEngineMatch
+	./internal/engine:FuzzEngineMatch \
+	./internal/server:FuzzParseBatchRequest \
+	./internal/server:FuzzParsePushPoints
 FUZZTIME ?= 10s
 
-.PHONY: all lint lint-sarif test test-hammer bench bench-trace fuzz-smoke fmt-check tidy-check vuln
+.PHONY: all lint lint-sarif test test-hammer perfbench-test bench bench-trace fuzz-smoke fmt-check tidy-check vuln
 
 all: lint test
 
@@ -48,6 +50,13 @@ test:
 # or sharing changes.
 test-hammer:
 	$(GO) test -race -run Hammer ./...
+
+# perfbench-test: vet and self-test the repository benchmark, a module of
+# its own (perfbench/go.mod) that the root ./... does not reach. It
+# compiles against internal/server and internal/trace, so an API change
+# there that breaks the benchmark fails here.
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...

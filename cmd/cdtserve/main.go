@@ -49,21 +49,24 @@
 //	POST   /streams/{id}/reset         clear a session's window state
 //	DELETE /streams/{id}               close a session
 //	GET    /metrics                    Prometheus text exposition
-//	GET    /debug/vars                 expvar counters (map "cdtserve"); with
-//	                                   -slow-request, the last 32 over-threshold
-//	                                   requests under "cdtserve_slow_requests"
-//	GET    /debug/traces               recent sampled spans, newest first
-//	                                   (?trace=<id> filters to one request)
+//	GET    /debug/traces               recent traced requests' spans, newest
+//	                                   first (?trace=<id> filters to one)
 //
 // With -trace-sample > 0, that fraction of requests (plus any request
 // arriving with a sampled W3C traceparent header) records a span tree —
 // request, batch pool, per-series detect, per-scale sweeps, fusion —
-// into a bounded in-memory ring served at /debug/traces; -trace-export
-// additionally appends each finished span as a JSON line to a file.
+// into a bounded in-memory ring served at /debug/traces. With
+// -slow-request set, every other request at least that slow lands in
+// the same ring as a root-only "request" span (method, path,
+// request_id, endpoint, status, duration_ms); -slow-request alone still
+// builds a tracer, which then also traces requests that arrive with a
+// sampled traceparent. -trace-export additionally appends each finished
+// span as a JSON line to a file.
 //
 // With -debug-addr set, a second listener (keep it private — bind
 // loopback or a management network) additionally serves /debug/pprof/
-// profiles alongside /metrics, /debug/vars, and /debug/traces.
+// profiles and the Go runtime's /debug/vars alongside /metrics and
+// /debug/traces.
 package main
 
 import (
@@ -108,6 +111,12 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
+// publicHandler is what the public listener serves: the server's
+// handler behind the per-request timeout.
+func publicHandler(s *server.Server, timeout time.Duration) http.Handler {
+	return http.TimeoutHandler(s.Handler(), timeout, `{"error":"request timed out"}`)
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("cdtserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -123,15 +132,16 @@ func run(args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof, /metrics, and /debug/vars on this extra address (empty = disabled; keep it private)")
-	slowRequest := fs.Duration("slow-request", 0, "record requests slower than this into the /debug/vars exemplar ring (0 = disabled)")
-	traceSample := fs.Float64("trace-sample", 0, "fraction of requests to trace into /debug/traces (0 = disabled; inbound sampled traceparent headers always trace)")
-	traceExport := fs.String("trace-export", "", "append finished spans as JSON lines to this file (requires -trace-sample > 0)")
+	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof, the runtime's /debug/vars, /metrics, and /debug/traces on this extra address (empty = disabled; keep it private)")
+	slowRequest := fs.Duration("slow-request", 0, "keep requests at least this slow in /debug/traces even when unsampled (0 = disabled)")
+	traceSample := fs.Float64("trace-sample", 0, "fraction of requests to trace into /debug/traces (0 = disabled; with a tracer, inbound sampled traceparent headers always trace)")
+	traceExport := fs.String("trace-export", "", "append finished spans as JSON lines to this file (requires -trace-sample > 0 or -slow-request > 0)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *traceExport != "" && *traceSample <= 0 {
-		return fmt.Errorf("-trace-export requires -trace-sample > 0")
+	tracing := *traceSample > 0 || *slowRequest > 0
+	if *traceExport != "" && !tracing {
+		return fmt.Errorf("-trace-export requires -trace-sample > 0 or -slow-request > 0")
 	}
 	if (*models == "") == (*storeDir == "") {
 		return fmt.Errorf("exactly one of -models and -store is required")
@@ -145,16 +155,15 @@ func run(args []string) error {
 	}
 
 	cfg := server.Config{
-		ModelDir:             *models,
-		DriftWindow:          *driftWindow,
-		DriftBound:           *driftBound,
-		SessionTTL:           *sessionTTL,
-		Workers:              *workers,
-		AccessLog:            logger,
-		SlowRequestThreshold: *slowRequest,
+		ModelDir:    *models,
+		DriftWindow: *driftWindow,
+		DriftBound:  *driftBound,
+		SessionTTL:  *sessionTTL,
+		Workers:     *workers,
+		AccessLog:   logger,
 	}
-	if *traceSample > 0 {
-		tcfg := trace.Config{SampleRate: *traceSample}
+	if tracing {
+		tcfg := trace.Config{SampleRate: *traceSample, SlowThreshold: *slowRequest}
 		if *traceExport != "" {
 			f, err := os.OpenFile(*traceExport, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
@@ -183,7 +192,7 @@ func run(args []string) error {
 
 	httpServer := &http.Server{
 		Addr:              *addr,
-		Handler:           http.TimeoutHandler(s.Handler(), *timeout, `{"error":"request timed out"}`),
+		Handler:           publicHandler(s, *timeout),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *timeout + 10*time.Second,
 		WriteTimeout:      *timeout + 10*time.Second,

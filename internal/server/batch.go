@@ -187,8 +187,6 @@ func (s *Server) scoreBatch(ctx context.Context, name string, model cdt.Artifact
 				}
 			}
 			attr.apply(ruleCounts)
-			stats.Add("batch_series", 1)
-			stats.Add("detections", int64(len(dets)))
 			s.tel.batchSeries.Inc()
 			s.tel.batchDetections.Add(uint64(len(dets)))
 			windows := len(sp.Values) - omega

@@ -432,15 +432,23 @@ func parseBatchRequest(data []byte) (batchRequest, error) {
 			req.Series = nil
 			return nil
 		}
-		req.Series = []seriesPayload{}
-		return p.array(func() error {
-			var sp seriesPayload
-			if err := p.seriesPayload(&sp); err != nil {
-				return err
+		// Like encoding/json, a repeated key decodes into the earlier
+		// array's elements (up to its capacity), keeping fields the new
+		// objects omit.
+		series := req.Series[:0]
+		err := p.array(func() error {
+			if len(series) < cap(series) {
+				series = series[:len(series)+1]
+			} else {
+				series = append(series, seriesPayload{})
 			}
-			req.Series = append(req.Series, sp)
-			return nil
+			return p.seriesPayload(&series[len(series)-1])
 		})
+		if len(series) == 0 {
+			series = []seriesPayload{} // an empty array drops the old elements
+		}
+		req.Series = series
+		return err
 	})
 	if err != nil {
 		return req, err

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // refDecode reproduces readJSON's decode semantics with encoding/json:
@@ -43,6 +45,11 @@ var requestBodies = []string{
 	`{"series":[{"name":null,"values":null}]}`,
 	`{"series":[{},{"name":"empty"}]}`,
 	`{"series":[{"name":"dots","values":[0.5,123456789012345,0.000001,12345678901234567890]}]}`,
+	// A repeated key decodes its array into the earlier elements, which
+	// keep the fields the later ones omit.
+	`{"series":[{"name":"a","values":[1]},{"name":"b"}],"series":[{"values":[2]}],"series":[{},{}]}`,
+	`{"series":[{"name":"a"}],"series":null,"series":[{}]}`,
+	`{"series":[{"name":"a"}],"series":[],"series":[{}]}`,
 	// Malformed or rejected bodies.
 	``,
 	`   `,
@@ -69,75 +76,81 @@ var requestBodies = []string{
 	`nullx`,
 }
 
+// pushBodies extends the corpus with point-push shapes.
+var pushBodies = []string{
+	`{"points":[1,2,3]}`,
+	`{"points":[]}`,
+	`{"points":null}`,
+	`{"Points":[0.5,-0.5,1e2]}`,
+	`{}`,
+	`null`,
+	` { "points" : [ 42 ] } `,
+	`{"points":[1],"points":[2,3]}`,
+	`{"point":[1]}`,
+	`{"points":[1]} trailing`,
+	`{"points":[1}`,
+	`{"points":{"a":1}}`,
+	``,
+	`{nope`,
+}
+
+// checkDecodeParity fails t unless parse accepts exactly what readJSON
+// accepts on body, flags trailing data the same way, and decodes the
+// same value.
+func checkDecodeParity[T any](t *testing.T, body []byte, parse func([]byte) (T, error)) {
+	t.Helper()
+	var want T
+	trailing, refErr := refDecode(body, &want)
+	got, err := parse(body)
+	switch {
+	case trailing:
+		if !errors.Is(err, errTrailingData) {
+			t.Fatalf("reference flags trailing data, fast parser: %v", err)
+		}
+	case refErr != nil:
+		if err == nil {
+			t.Fatalf("reference rejects (%v), fast parser accepted %+v", refErr, got)
+		}
+	default:
+		if err != nil {
+			t.Fatalf("reference accepts, fast parser rejects: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parsed value diverged:\nfast: %+v\nref:  %+v", got, want)
+		}
+	}
+}
+
 func TestParseBatchRequestDifferential(t *testing.T) {
 	for _, body := range requestBodies {
-		t.Run(body, func(t *testing.T) {
-			var want batchRequest
-			trailing, refErr := refDecode([]byte(body), &want)
-			got, err := parseBatchRequest([]byte(body))
-			switch {
-			case trailing:
-				if !errors.Is(err, errTrailingData) {
-					t.Fatalf("reference flags trailing data, fast parser: %v", err)
-				}
-			case refErr != nil:
-				if err == nil {
-					t.Fatalf("reference rejects (%v), fast parser accepted %+v", refErr, got)
-				}
-			default:
-				if err != nil {
-					t.Fatalf("reference accepts, fast parser rejects: %v", err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("parsed value diverged:\nfast: %+v\nref:  %+v", got, want)
-				}
-			}
-		})
+		t.Run(body, func(t *testing.T) { checkDecodeParity(t, []byte(body), parseBatchRequest) })
 	}
 }
 
 func TestParsePushPointsDifferential(t *testing.T) {
-	bodies := []string{
-		`{"points":[1,2,3]}`,
-		`{"points":[]}`,
-		`{"points":null}`,
-		`{"Points":[0.5,-0.5,1e2]}`,
-		`{}`,
-		`null`,
-		` { "points" : [ 42 ] } `,
-		`{"points":[1],"points":[2,3]}`,
-		`{"point":[1]}`,
-		`{"points":[1]} trailing`,
-		`{"points":[1}`,
-		`{"points":{"a":1}}`,
-		``,
-		`{nope`,
-	}
-	for _, body := range bodies {
-		t.Run(body, func(t *testing.T) {
-			var want pushPointsRequest
-			trailing, refErr := refDecode([]byte(body), &want)
-			got, err := parsePushPoints([]byte(body))
-			switch {
-			case trailing:
-				if !errors.Is(err, errTrailingData) {
-					t.Fatalf("reference flags trailing data, fast parser: %v", err)
-				}
-			case refErr != nil:
-				if err == nil {
-					t.Fatalf("reference rejects (%v), fast parser accepted %+v", refErr, got)
-				}
-			default:
-				if err != nil {
-					t.Fatalf("reference accepts, fast parser rejects: %v", err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("parsed value diverged:\nfast: %+v\nref:  %+v", got, want)
-				}
-			}
-		})
+	for _, body := range pushBodies {
+		t.Run(body, func(t *testing.T) { checkDecodeParity(t, []byte(body), parsePushPoints) })
 	}
 }
+
+// fuzzDecodeParity runs checkDecodeParity over arbitrary bodies seeded
+// from both corpora. Invalid UTF-8 is skipped: passing it through
+// instead of substituting U+FFFD is a documented divergence.
+func fuzzDecodeParity[T any](f *testing.F, parse func([]byte) (T, error)) {
+	for _, body := range slices.Concat(requestBodies, pushBodies) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if !utf8.Valid(body) {
+			t.Skip("invalid UTF-8: documented divergence")
+		}
+		checkDecodeParity(t, body, parse)
+	})
+}
+
+func FuzzParseBatchRequest(f *testing.F) { fuzzDecodeParity(f, parseBatchRequest) }
+
+func FuzzParsePushPoints(f *testing.F) { fuzzDecodeParity(f, parsePushPoints) }
 
 // TestParseUnknownFieldMessage pins the unknown-field wording to
 // encoding/json's, so clients see identical 400 bodies on either path.

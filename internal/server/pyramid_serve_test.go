@@ -2,8 +2,8 @@ package server
 
 // End-to-end coverage for pyramid artifacts through the serving stack:
 // registry listing, batch scoring with anomaly-type tags and per-scale
-// breakdowns, streaming sessions over pyramid streams, shadow-start
-// rejection, and the slow-request exemplar ring.
+// breakdowns, streaming sessions over pyramid streams, and shadow-start
+// rejection.
 
 import (
 	"bytes"
@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	cdt "cdt"
 	"cdt/internal/modelstore"
@@ -360,28 +359,6 @@ func TestShadowStartRejectsPyramidCandidate(t *testing.T) {
 	if !strings.Contains(errResp.Error, "pyramid") {
 		t.Fatalf("error %q does not name the artifact kind", errResp.Error)
 	}
-}
-
-func TestSlowRequestRing(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{SlowRequestThreshold: time.Nanosecond})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	id := resp.Header.Get("X-Request-ID")
-	if id == "" {
-		t.Fatal("no request ID on response")
-	}
-	for _, e := range slowRequests.snapshot() {
-		if e.ID == id {
-			if e.Endpoint != "healthz" || e.Path != "/healthz" || e.Status != 200 || e.ElapsedMS <= 0 {
-				t.Fatalf("exemplar = %+v", e)
-			}
-			return
-		}
-	}
-	t.Fatalf("request %s missing from the slow-request ring", id)
 }
 
 // newHTTPServer wraps a prebuilt Server in an httptest frontend.

@@ -152,7 +152,6 @@ func (r *Registry) Reload() (int, error) {
 	r.models = models
 	r.versions = versions
 	r.mu.Unlock()
-	stats.Add("reloads", 1)
 	if r.reloads != nil {
 		r.reloads.Inc()
 	}

@@ -6,19 +6,18 @@
 // detection the server returns carries the fired rule predicates in
 // human-readable form, not just window indices.
 //
-// The package is stdlib-only (net/http, sync, context, expvar, log/slog)
-// plus the repo's internal/telemetry metrics core. Observability spans
-// two generations: the legacy expvar map at /debug/vars (kept for
-// back-compat) and the Prometheus registry at /metrics with per-endpoint
-// latency histograms, request IDs, and structured access logs
-// (telemetry.go).
+// The package is stdlib-only (net/http, sync, context, log/slog) plus
+// the repo's internal/telemetry and internal/trace layers. Each
+// observability concern has one surface: counts and latencies on
+// /metrics (telemetry.go), individual requests — head-sampled or slow —
+// in the tracer's span ring on /debug/traces (traces.go), and one
+// structured access-log line per request keyed by request ID.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -31,11 +30,6 @@ import (
 	"cdt/internal/modelstore"
 	"cdt/internal/trace"
 )
-
-// stats publishes the serving counters under the "cdtserve" expvar map
-// (visible at GET /debug/vars): requests, detections, batch_series,
-// active_sessions, sessions_evicted, reloads.
-var stats = expvar.NewMap("cdtserve")
 
 // Config tunes a Server.
 type Config struct {
@@ -64,11 +58,6 @@ type Config struct {
 	Workers int
 	// MaxBodyBytes caps request bodies (default 32 MiB).
 	MaxBodyBytes int64
-	// SlowRequestThreshold records requests slower than this into the
-	// slow-request exemplar ring on /debug/vars ("cdtserve_slow_requests":
-	// request ID, endpoint, path, status, latency). <= 0 disables
-	// recording (the default).
-	SlowRequestThreshold time.Duration
 	// AccessLog, when non-nil, receives one structured line per request
 	// (endpoint, status, latency, request ID). Nil disables access
 	// logging; metrics are collected either way. Background work (shadow
@@ -79,6 +68,8 @@ type Config struct {
 	// middleware makes the root sampling decision (honoring inbound W3C
 	// traceparent headers), spans thread through the scoring hot paths,
 	// and finished spans land in the tracer's ring on GET /debug/traces.
+	// Every finished request is handed back to the tracer, which also
+	// keeps unsampled ones slower than its trace.Config.SlowThreshold.
 	// Nil disables tracing entirely (the endpoint serves an empty list).
 	Tracer *trace.Tracer
 }
@@ -173,36 +164,33 @@ func (s *Server) routes() {
 	s.handle("POST /streams/{id}/reset", "stream_reset", s.handleResetStream)
 	s.handle("DELETE /streams/{id}", "stream_delete", s.handleDeleteStream)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
-	s.handle("GET /debug/vars", "debug_vars", expvar.Handler().ServeHTTP)
 	s.handle("GET /debug/traces", "debug_traces", s.handleTraces)
 }
 
 // Handler returns the HTTP surface. The middleware applies, to every
-// route: the legacy expvar request counter, body limiting, request-ID
-// assignment (honoring an inbound X-Request-ID) with context propagation
-// and the X-Request-ID response header, the root trace span (honoring an
-// inbound W3C traceparent, emitting the outbound header when sampled),
-// the in-flight gauge, and — when Config.AccessLog is set — one
-// structured access-log line.
+// route: body limiting, request-ID assignment (honoring an inbound
+// X-Request-ID) with context propagation and the X-Request-ID response
+// header, the root trace span (honoring an inbound W3C traceparent,
+// emitting the outbound header when sampled), the in-flight gauge, the
+// per-endpoint request counter and latency histogram (unmatched paths
+// count as endpoint "other"), the tracer's retention decision, and —
+// when Config.AccessLog is set — one structured access-log line.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		stats.Add("requests", 1)
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = nextRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		rec := &statusRecorder{ResponseWriter: w, endpoint: "other"}
+		rec := &statusRecorder{ResponseWriter: w, ep: s.tel.unmatched}
 		ctx := context.WithValue(r.Context(), ridKey{}, id)
 		var span *trace.Span
 		if s.tracer != nil {
 			// nil span (unsampled) leaves ctx untouched; every downstream
-			// instrumentation point no-ops on the missing span.
-			ctx, span = s.tracer.StartRequest(ctx, "request", r.Header.Get("traceparent"))
+			// instrumentation point no-ops on the missing span. The
+			// canonical header key spares Get a per-request allocation.
+			ctx, span = s.tracer.StartRequest(ctx, "request", r.Header.Get("Traceparent"))
 			if span != nil {
-				span.SetAttr("method", r.Method)
-				span.SetAttr("path", r.URL.Path)
-				span.SetAttr("request_id", id)
 				w.Header().Set("traceparent", span.Traceparent())
 			}
 		}
@@ -212,13 +200,24 @@ func (s *Server) Handler() http.Handler {
 		start := time.Now()
 		s.mux.ServeHTTP(rec, r)
 		s.tel.inFlight.Add(-1)
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			// Under http.TimeoutHandler (cdtserve's wrapper) an expired
+			// deadline means the client got the timeout reply, not what
+			// the route wrote into the discarded buffer. A route that
+			// finishes as its deadline passes can still win the wrapper's
+			// race and reach the client; it is counted as timed out.
+			rec.code = http.StatusServiceUnavailable
+		}
 		elapsed := time.Since(start)
-		if span != nil {
-			span.SetAttr("endpoint", rec.endpoint)
+		rec.ep.observe(rec.status(), elapsed)
+		if span = s.tracer.Retain(span, "request", start); span != nil {
+			span.SetAttr("method", r.Method)
+			span.SetAttr("path", r.URL.Path)
+			span.SetAttr("request_id", id)
+			span.SetAttr("endpoint", rec.ep.name)
 			span.SetAttr("status", strconv.Itoa(rec.status()))
 			span.End()
 		}
-		s.recordSlowRequest(r, rec, id, span.TraceID(), elapsed)
 		if s.logger != nil {
 			s.accessLog(r, rec, id, elapsed)
 		}
@@ -438,7 +437,6 @@ func (s *Server) handlePushPoints(w http.ResponseWriter, r *http.Request) {
 	for typ, n := range typeCounts {
 		s.tel.anomalyTypes.With(sess.Model, typ).Add(n)
 	}
-	stats.Add("detections", int64(len(dets)))
 	s.tel.streamDetections.Add(uint64(len(dets)))
 	bp := respBufPool.Get().(*[]byte)
 	buf := appendPushPointsResponse((*bp)[:0], resp)

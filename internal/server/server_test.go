@@ -354,30 +354,6 @@ func TestRegistryRejectsEmptyOrMissingDir(t *testing.T) {
 	}
 }
 
-func TestExpvarCounters(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	before := counterValue(t, ts, "requests")
-	doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
-	doJSON(t, "GET", ts.URL+"/healthz", nil, nil)
-	after := counterValue(t, ts, "requests")
-	// Other tests share the global map, so check the delta (the read
-	// that observes `after` has itself been counted by then).
-	if after < before+2 {
-		t.Fatalf("requests counter moved %d -> %d, want +>=2", before, after)
-	}
-}
-
-func counterValue(tb testing.TB, ts *httptest.Server, key string) int64 {
-	tb.Helper()
-	var vars struct {
-		Cdtserve map[string]int64 `json:"cdtserve"`
-	}
-	if code := doJSON(tb, "GET", ts.URL+"/debug/vars", nil, &vars); code != 200 {
-		tb.Fatalf("debug/vars = %d", code)
-	}
-	return vars.Cdtserve[key]
-}
-
 func TestBodyLimit(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{MaxBodyBytes: 1024})
 	big := batchRequest{Series: []seriesPayload{{Name: "big", Values: make([]float64, 4096)}}}

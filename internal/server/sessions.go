@@ -95,8 +95,6 @@ func (s *Sessions) evictIdle(now time.Time) {
 		sess.mu.Unlock()
 		if idle > s.ttl {
 			delete(s.m, id)
-			stats.Add("sessions_evicted", 1)
-			stats.Add("active_sessions", -1)
 			if s.tel != nil {
 				s.tel.sessionsEvicted.Inc()
 			}
@@ -154,7 +152,6 @@ func (s *Sessions) Create(name string, model cdt.Artifact, scale cdt.Scale, shad
 	s.mu.Lock()
 	s.m[sess.ID] = sess
 	s.mu.Unlock()
-	stats.Add("active_sessions", 1)
 	return sess, nil
 }
 
@@ -169,12 +166,9 @@ func (s *Sessions) Get(id string) (*Session, bool) {
 // Delete removes a session, reporting whether it existed.
 func (s *Sessions) Delete(id string) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	_, ok := s.m[id]
 	delete(s.m, id)
-	s.mu.Unlock()
-	if ok {
-		stats.Add("active_sessions", -1)
-	}
 	return ok
 }
 

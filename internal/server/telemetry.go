@@ -3,9 +3,9 @@ package server
 // Serving-side observability: per-endpoint request counters and latency
 // histograms, an in-flight gauge, request-ID propagation, structured
 // access logs, the GET /metrics Prometheus endpoint, and the opt-in
-// debug mux carrying net/http/pprof. The legacy expvar map ("cdtserve",
-// served at /debug/vars) stays alive for existing dashboards; the
-// telemetry registry is the forward-looking surface.
+// debug mux carrying net/http/pprof. /metrics is the one counter
+// surface; the Go runtime's own expvars (memstats, cmdline) stay on the
+// debug mux only.
 //
 // Instrumentation sits on the request hot path, so every per-request
 // metric is pre-resolved at route-registration time (no vector lookups
@@ -34,9 +34,10 @@ import (
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	requests *telemetry.CounterVec   // cdtserve_http_requests_total{endpoint,code}
-	latency  *telemetry.HistogramVec // cdtserve_http_request_seconds{endpoint}
-	inFlight *telemetry.Gauge        // cdtserve_http_in_flight
+	requests  *telemetry.CounterVec   // cdtserve_http_requests_total{endpoint,code}
+	latency   *telemetry.HistogramVec // cdtserve_http_request_seconds{endpoint}
+	unmatched *endpointMetrics        // endpoint="other": requests no route matches
+	inFlight  *telemetry.Gauge        // cdtserve_http_in_flight
 
 	batchSeries      *telemetry.Counter    // cdtserve_batch_series_total
 	batchDetections  *telemetry.Counter    // cdtserve_detections_total{source="batch"}
@@ -152,7 +153,35 @@ func newServerMetrics() *serverMetrics {
 		fn := c.fn
 		reg.CounterFunc(c.name, c.help, func() uint64 { return fn(cdt.CorpusCacheStats()) }, "cache", c.cache)
 	}
+	m.unmatched = m.endpoint("other")
 	return m
+}
+
+// endpointMetrics holds one endpoint's request instruments, resolved
+// once (at route registration, or in New for "other") rather than per
+// request.
+type endpointMetrics struct {
+	name    string
+	latency *telemetry.Histogram
+	codes   [len(codeClasses)]*telemetry.Counter
+}
+
+// endpoint resolves the request instruments of the named endpoint. The
+// metriclabel analyzer sees from the call graph that endpoint is only
+// reached at registration frequency (route registration and
+// newServerMetrics), so the With-in-loop below needs no suppression.
+func (m *serverMetrics) endpoint(name string) *endpointMetrics {
+	e := &endpointMetrics{name: name, latency: m.latency.With(name)}
+	for i, class := range codeClasses {
+		e.codes[i] = m.requests.With(name, class)
+	}
+	return e
+}
+
+// observe records one finished request.
+func (e *endpointMetrics) observe(status int, elapsed time.Duration) {
+	e.latency.Observe(elapsed.Seconds())
+	e.codes[classIndex(status)].Inc()
 }
 
 // --- request IDs -------------------------------------------------------
@@ -187,13 +216,13 @@ func RequestID(ctx context.Context) string {
 // --- per-request plumbing ----------------------------------------------
 
 // statusRecorder captures the response status and size for metrics and
-// access logs, and carries the endpoint name from the instrumented route
-// back out to the outer middleware.
+// access logs, and carries the matched route's endpoint instruments back
+// out to the outer middleware.
 type statusRecorder struct {
 	http.ResponseWriter
-	code     int // 0 until the first WriteHeader/Write
-	bytes    int64
-	endpoint string
+	code  int // 0 until the first WriteHeader/Write
+	bytes int64
+	ep    *endpointMetrics
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -245,29 +274,16 @@ func classIndex(status int) int {
 	}
 }
 
-// handle registers pattern on the mux with per-endpoint instrumentation:
-// a latency histogram observation and a status-class counter per
-// request, both resolved once here rather than per request. The
-// metriclabel analyzer sees from the call graph that handle is only
-// reached by plain static calls (routes' registrations), so the
-// With-in-loop below needs no suppression: it runs at registration
-// frequency by construction.
+// handle registers pattern on the mux under endpoint's request
+// instruments; the Handler middleware records into them once the
+// request has finished.
 func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
-	hist := s.tel.latency.With(endpoint)
-	var codes [len(codeClasses)]*telemetry.Counter
-	for i, class := range codeClasses {
-		codes[i] = s.tel.requests.With(endpoint, class)
-	}
+	ep := s.tel.endpoint(endpoint)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(start).Seconds())
-		status := http.StatusOK
 		if rec, ok := w.(*statusRecorder); ok {
-			rec.endpoint = endpoint
-			status = rec.status()
+			rec.ep = ep
 		}
-		codes[classIndex(status)].Inc()
+		h(w, r)
 	})
 }
 
@@ -280,9 +296,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // DebugHandler returns the operator debug surface — /debug/pprof/*,
-// /debug/vars, /debug/traces, and /metrics — as a handler separate from
-// Handler(). cdtserve serves it on the opt-in -debug-addr listener,
-// keeping profilers and allocation dumps off the public port.
+// /debug/vars (the Go runtime's memstats and cmdline), /debug/traces,
+// and /metrics — as a handler separate from Handler(). cdtserve serves
+// it on the opt-in -debug-addr listener, keeping profilers and
+// allocation dumps off the public port.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -304,7 +321,7 @@ func (s *Server) accessLog(r *http.Request, rec *statusRecorder, id string, elap
 		slog.String("id", id),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.String("endpoint", rec.endpoint),
+		slog.String("endpoint", rec.ep.name),
 		slog.Int("status", rec.status()),
 		slog.Int64("bytes", rec.bytes),
 		slog.Duration("elapsed", elapsed),

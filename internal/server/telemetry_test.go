@@ -30,12 +30,14 @@ func fetch(tb testing.TB, url string) (int, string, http.Header) {
 // TestMetricsScrape is the /metrics smoke the CI gate runs: after real
 // traffic (batch detect + a stream session), the Prometheus exposition
 // must carry the acceptance families — request latency histograms,
-// corpus cache counters, and stream session gauges — and /debug/vars
-// must still serve the legacy expvar map alongside it.
+// corpus cache counters, and stream session gauges — and count paths no
+// route matches under endpoint "other". /metrics is the only counter
+// surface: the public handler has no /debug/vars.
 func TestMetricsScrape(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 
-	// Traffic: one batch detect, one stream round trip, one 404.
+	// Traffic: one batch detect, one stream round trip, a 404 from a
+	// route, and two paths no route matches.
 	feed := spiky("feed", 300, []int{120, 240}, 99)
 	doJSON(t, "POST", ts.URL+"/models/spikes/detect",
 		batchRequest{Series: []seriesPayload{{Name: "feed", Values: feed.Values}}}, nil)
@@ -44,6 +46,12 @@ func TestMetricsScrape(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/streams/"+created.ID+"/points", pushPointsRequest{Points: feed.Values}, nil)
 	doJSON(t, "POST", ts.URL+"/models/nope/detect",
 		batchRequest{Series: []seriesPayload{{Name: "x", Values: []float64{1}}}}, nil)
+	if code, _, _ := fetch(t, ts.URL+"/no/such/route"); code != http.StatusNotFound {
+		t.Errorf("unmatched path = %d, want 404", code)
+	}
+	if code, _, _ := fetch(t, ts.URL+"/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("public /debug/vars = %d, want 404", code)
+	}
 
 	code, body, hdr := fetch(t, ts.URL+"/metrics")
 	if code != 200 {
@@ -55,6 +63,8 @@ func TestMetricsScrape(t *testing.T) {
 	for _, want := range []string{
 		`cdtserve_http_requests_total{code="2xx",endpoint="batch_detect"} 1`,
 		`cdtserve_http_requests_total{code="4xx",endpoint="batch_detect"} 1`,
+		`cdtserve_http_requests_total{code="4xx",endpoint="other"} 2`,
+		`cdtserve_http_request_seconds_count{endpoint="other"} 2`,
 		`cdtserve_http_request_seconds_bucket{endpoint="batch_detect",le="+Inf"} 2`,
 		`cdtserve_http_request_seconds_count{endpoint="stream_push"} 1`,
 		`cdtserve_http_in_flight 1`, // the /metrics request itself
@@ -73,12 +83,6 @@ func TestMetricsScrape(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-
-	// Legacy surface: /debug/vars still serves the expvar map.
-	code, vars, _ := fetch(t, ts.URL+"/debug/vars")
-	if code != 200 || !strings.Contains(vars, `"cdtserve"`) {
-		t.Errorf("/debug/vars = %d, body lacks cdtserve map", code)
 	}
 }
 
@@ -157,8 +161,9 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// TestDebugHandler: the opt-in debug surface serves pprof, expvar, and
-// the Prometheus exposition — and is not reachable through Handler().
+// TestDebugHandler: the opt-in debug surface serves pprof, the runtime's
+// expvars, and the Prometheus exposition — and is not reachable through
+// Handler().
 func TestDebugHandler(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{})
 	dbg := httptest.NewServer(s.DebugHandler())

@@ -3,9 +3,9 @@ package server
 // End-to-end coverage for request tracing and per-rule attribution:
 // traceparent honor/generate round-trips, the /debug/traces span-tree
 // shape for a sampled batch detect, rule/scale attribution metrics on
-// /metrics with bounded index labels, slow-request exemplars linking to
-// traces, drift naming its top rule on /healthz, and shadow-worker log
-// lines carrying the originating request ID.
+// /metrics with bounded index labels, tail retention of slow requests in
+// the same span ring, drift naming its top rule on /healthz, and
+// shadow-worker log lines carrying the originating request ID.
 
 import (
 	"bytes"
@@ -13,9 +13,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	cdt "cdt"
 	"cdt/internal/trace"
@@ -244,39 +247,122 @@ func TestRuleAttributionMetrics(t *testing.T) {
 	}
 }
 
-// TestSlowRequestExemplarCarriesTraceID checks the /debug/vars →
-// /debug/traces pivot: with a zero threshold every request is an
-// exemplar, and a sampled one records the trace ID an operator pastes
-// into ?trace=.
-func TestSlowRequestExemplarCarriesTraceID(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 1})
-	_, ts, _ := newTestServer(t, Config{Tracer: tr, SlowRequestThreshold: 1})
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	traceID, _, _, ok := trace.ParseTraceparent(resp.Header.Get("traceparent"))
-	if !ok {
-		t.Fatalf("no traceparent on response: %q", resp.Header.Get("traceparent"))
-	}
-
-	found := false
-	for _, e := range slowRequests.snapshot() {
-		if e.TraceID == traceID {
-			found = true
-			if e.Endpoint != "healthz" {
-				t.Errorf("exemplar endpoint = %q", e.Endpoint)
+// TestSlowRequestRing: with head sampling off, the tracer keeps exactly
+// the requests at least its SlowThreshold slow, each as a root-only
+// request span carrying what an operator needs to find it again.
+func TestSlowRequestRing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tracer *trace.Tracer
+		kept   bool
+	}{
+		{"slow", trace.New(trace.Config{SlowThreshold: time.Nanosecond}), true},
+		{"fast", trace.New(trace.Config{SlowThreshold: time.Hour}), false},
+		{"no tracer", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts, _ := newTestServer(t, Config{Tracer: tc.tracer})
+			_, _, hdr := fetch(t, ts.URL+"/healthz")
+			if tp := hdr.Get("traceparent"); tp != "" {
+				t.Errorf("unsampled request advertised traceparent %q", tp)
 			}
+			spans := getTraces(t, ts.URL, "")
+			if !tc.kept {
+				if len(spans) != 0 {
+					t.Fatalf("kept %d spans, want none: %+v", len(spans), spans)
+				}
+				return
+			}
+			if len(spans) != 1 {
+				t.Fatalf("kept %d spans, want the one request span: %+v", len(spans), spans)
+			}
+			sd := spans[0]
+			want := map[string]string{
+				"method": "GET", "path": "/healthz", "request_id": hdr.Get("X-Request-ID"),
+				"endpoint": "healthz", "status": "200",
+			}
+			if sd.Name != "request" || sd.ParentID != "" || len(sd.TraceID) != 32 || sd.DurationMS <= 0 {
+				t.Errorf("slow span = %+v, want a timed root request span with a trace ID", sd)
+			}
+			if !reflect.DeepEqual(sd.Attrs, want) {
+				t.Errorf("slow span attrs = %v, want %v", sd.Attrs, want)
+			}
+		})
+	}
+}
+
+// TestSlowRequestExemplarCarriesTraceID: a request both sampled and slow
+// is kept once, as its sampled span tree, under the trace ID its
+// traceparent response header advertised.
+func TestSlowRequestExemplarCarriesTraceID(t *testing.T) {
+	tr := trace.New(trace.Config{SampleRate: 1, SlowThreshold: time.Nanosecond})
+	_, ts, _ := newTestServer(t, Config{Tracer: tr})
+
+	_, _, hdr := fetch(t, ts.URL+"/healthz")
+	traceID, _, _, ok := trace.ParseTraceparent(hdr.Get("traceparent"))
+	if !ok {
+		t.Fatalf("no traceparent on response: %q", hdr.Get("traceparent"))
+	}
+	var roots []trace.SpanData
+	for _, sd := range getTraces(t, ts.URL, "") {
+		if sd.Name == "request" {
+			roots = append(roots, sd)
 		}
 	}
-	if !found {
-		t.Fatalf("no slow-request exemplar carries trace %s", traceID)
+	if len(roots) != 1 || roots[0].TraceID != traceID ||
+		roots[0].Attrs["request_id"] != hdr.Get("X-Request-ID") || roots[0].Attrs["endpoint"] != "healthz" {
+		t.Fatalf("request spans = %+v, want one under trace %s", roots, traceID)
 	}
-	if spans := getTraces(t, ts.URL, traceID); len(spans) == 0 {
-		t.Fatal("exemplar trace ID resolves to no spans")
+}
+
+// TestSlowRequestsStayPerServer: each Server keeps its slow requests in
+// its own tracer, so two servers in one process never see each other's
+// records on any surface, the debug mux's /debug/vars included.
+func TestSlowRequestsStayPerServer(t *testing.T) {
+	slow := func() Config {
+		return Config{Tracer: trace.New(trace.Config{SlowThreshold: time.Nanosecond})}
+	}
+	_, a, _ := newTestServer(t, slow())
+	sb, b, _ := newTestServer(t, slow())
+	dbg := httptest.NewServer(sb.DebugHandler())
+	defer dbg.Close()
+
+	_, _, hdr := fetch(t, a.URL+"/healthz")
+	id := hdr.Get("X-Request-ID")
+	if spans := getTraces(t, a.URL, ""); len(spans) != 1 || spans[0].Attrs["request_id"] != id {
+		t.Fatalf("server A kept %+v, want its request %s", spans, id)
+	}
+	for _, url := range []string{b.URL + "/debug/traces", b.URL + "/metrics", dbg.URL + "/debug/traces", dbg.URL + "/debug/vars"} {
+		if _, body, _ := fetch(t, url); strings.Contains(body, id) {
+			t.Errorf("server B's %s shows server A's request %s", url, id)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector, which
+// drops sync.Pool items at random and so makes allocation counts vary.
+var raceEnabled bool
+
+// TestUnkeptRequestAllocatesNothing: a tracer that neither samples nor
+// keeps a request adds no allocation to it.
+func TestUnkeptRequestAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	allocs := func(tr *trace.Tracer) float64 {
+		s, _, _ := newTestServer(t, Config{Tracer: tr})
+		h := s.Handler()
+		req := httptest.NewRequest("GET", "/healthz", nil)
+		// A fixed inbound ID: generated IDs of one hex digit skip an
+		// allocation, which would skew whichever run goes first.
+		req.Header.Set("X-Request-ID", "alloc-probe")
+		return testing.AllocsPerRun(200, func() {
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		})
+	}
+	untraced := allocs(nil)
+	if traced := allocs(trace.New(trace.Config{SlowThreshold: time.Hour})); traced != untraced {
+		t.Fatalf("unsampled fast request: %v allocs with a tracer, %v without", traced, untraced)
 	}
 }
 

@@ -1,9 +1,11 @@
 package server
 
 // GET /debug/traces: the in-memory span ring, newest-first — the
-// request-scoped view the aggregate /metrics histograms cannot give.
-// A slow-request exemplar on /debug/vars carries its trace ID; pasting
-// it into ?trace= narrows this endpoint to that one request's spans.
+// request-scoped view the aggregate /metrics histograms cannot give. It
+// holds head-sampled requests' span trees and, with a slow threshold
+// set on the tracer, every other slow request as a root "request" span;
+// pasting a span's trace ID into ?trace= narrows the list to that one
+// request.
 
 import (
 	"net/http"
@@ -14,7 +16,7 @@ import (
 // tracesResponse is the GET /debug/traces payload.
 type tracesResponse struct {
 	// Spans holds finished spans, newest first (bounded by the tracer's
-	// ring size). Empty when tracing is disabled or nothing sampled yet.
+	// ring size). Empty when tracing is disabled or nothing kept yet.
 	Spans []trace.SpanData `json:"spans"`
 }
 

@@ -272,10 +272,9 @@ func (r *Registry) histogram(name, help string, buckets []float64, labels string
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for counts maintained elsewhere (expvar back-compat,
-// the root package's corpus cache stats). labelPairs is an optional flat
-// list of label name/value pairs distinguishing multiple fns under one
-// family.
+// time — the bridge for counts maintained elsewhere (the root package's
+// corpus cache stats). labelPairs is an optional flat list of label
+// name/value pairs distinguishing multiple fns under one family.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labelPairs ...string) {
 	if len(labelPairs)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: %s: odd label pair list", name))

@@ -1,8 +1,10 @@
 // Package trace is the stdlib-only request-tracing layer for the
 // serving stack: explicit spans with parent links and attributes, W3C
-// traceparent propagation, head sampling, a lock-free bounded in-memory
-// span ring (served at GET /debug/traces), and optional JSONL export
-// for offline analysis.
+// traceparent propagation, head sampling plus tail retention of slow
+// requests, a lock-free bounded in-memory span ring (served at GET
+// /debug/traces), and optional JSONL export for offline analysis. The
+// Tracer owns the retention policy: which finished requests the ring
+// keeps.
 //
 // The design is shaped by the serving benchmarks' overhead gate: when a
 // request is not sampled, every span operation is a nil-receiver no-op
@@ -38,6 +40,10 @@ type Config struct {
 	// traceparents are always honored regardless of the rate; 0 traces
 	// nothing but still honors inbound sampled requests.
 	SampleRate float64
+	// SlowThreshold keeps requests the head sampler skipped when they
+	// run at least this long: Retain records each as a root-only span
+	// under a fresh trace ID. <= 0 keeps sampled requests only.
+	SlowThreshold time.Duration
 	// RingSize bounds the in-memory span ring (default 256).
 	RingSize int
 	// Export, when non-nil, receives one JSON line per finished span —
@@ -59,6 +65,7 @@ type Tracer struct {
 	// admission without math/rand in the hot path.
 	step uint64
 	acc  atomic.Uint64
+	slow time.Duration // Config.SlowThreshold
 
 	ring []atomic.Pointer[SpanData]
 	seq  atomic.Uint64 // ring write cursor (total spans recorded)
@@ -84,6 +91,7 @@ func New(cfg Config) *Tracer {
 	}
 	return &Tracer{
 		step:   uint64(rate * (1 << 32)),
+		slow:   cfg.SlowThreshold,
 		ring:   make([]atomic.Pointer[SpanData], size),
 		export: cfg.Export,
 	}
@@ -136,6 +144,18 @@ func newTraceID() string {
 		panic(fmt.Sprintf("trace: trace id: %v", err))
 	}
 	return hex.EncodeToString(b[:])
+}
+
+// newSpan starts a span of t's trace traceID.
+func (t *Tracer) newSpan(traceID, parentID, name string, start time.Time) *Span {
+	return &Span{
+		tracer:   t,
+		traceID:  traceID,
+		spanID:   t.newSpanID(),
+		parentID: parentID,
+		name:     name,
+		start:    start,
+	}
 }
 
 // Attr is one span attribute.
@@ -289,14 +309,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		tracer:   parent.tracer,
-		traceID:  parent.traceID,
-		spanID:   parent.tracer.newSpanID(),
-		parentID: parent.spanID,
-		name:     name,
-		start:    time.Now(),
-	}
+	s := parent.tracer.newSpan(parent.traceID, parent.spanID, name, time.Now())
 	return ContextWith(ctx, s), s
 }
 
@@ -323,15 +336,22 @@ func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (co
 	} else {
 		return ctx, nil
 	}
-	s := &Span{
-		tracer:   t,
-		traceID:  traceID,
-		spanID:   t.newSpanID(),
-		parentID: parentID,
-		name:     name,
-		start:    time.Now(),
-	}
+	s := t.newSpan(traceID, parentID, name, time.Now())
 	return ContextWith(ctx, s), s
+}
+
+// Retain is the tail half of the retention decision, made when a
+// request StartRequest began at start has finished. It returns the root
+// span to end: span itself when the request was sampled, a fresh
+// root-only span (new trace ID, no children, no traceparent sent) when
+// it was not but ran for at least Config.SlowThreshold, and nil when
+// the request is not kept. The unkept path allocates nothing. Safe on a
+// nil Tracer.
+func (t *Tracer) Retain(span *Span, name string, start time.Time) *Span {
+	if span != nil || t == nil || t.slow <= 0 || time.Since(start) < t.slow {
+		return span
+	}
+	return t.newSpan(newTraceID(), "", name, start)
 }
 
 // --- cross-goroutine links ----------------------------------------------
@@ -365,14 +385,7 @@ func (t *Tracer) StartLinked(ctx context.Context, link SpanContext, name string)
 	if t == nil || !link.Valid() {
 		return ctx, nil
 	}
-	s := &Span{
-		tracer:   t,
-		traceID:  link.TraceID,
-		spanID:   t.newSpanID(),
-		parentID: link.SpanID,
-		name:     name,
-		start:    time.Now(),
-	}
+	s := t.newSpan(link.TraceID, link.SpanID, name, time.Now())
 	return ContextWith(ctx, s), s
 }
 
