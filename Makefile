@@ -16,7 +16,7 @@ FUZZ_TARGETS := \
 	./internal/server:FuzzParsePushPoints
 FUZZTIME ?= 10s
 
-.PHONY: all lint lint-sarif test test-hammer perfbench-test bench bench-trace fuzz-smoke fmt-check tidy-check vuln
+.PHONY: all lint lint-sarif test test-hammer perfbench-test examples bench bench-trace fuzz-smoke fmt-check tidy-check vuln
 
 all: lint test
 
@@ -57,6 +57,14 @@ test-hammer:
 # there that breaks the benchmark fails here.
 perfbench-test:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
+# examples: run every program under examples/ end to end; a non-zero
+# exit from any of them fails the target. Their stdout is discarded.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "run $$d"; \
+		$(GO) run ./$$d > /dev/null; \
+	done
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...

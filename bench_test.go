@@ -15,6 +15,7 @@ package cdt_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -362,7 +363,7 @@ func BenchmarkPyramidDetect(b *testing.B) {
 	target := cdt.NewSeries("x", benchValues(5000, 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pm.DetectPyramid(target); err != nil {
+		if _, err := pm.DetectExplained(context.Background(), target); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,8 +26,12 @@
 // (deterministic logistic fit) from the training labels.
 //
 // Passing -dim additionally trains the pyramid over one column of a
-// multivariate CSV; detect and stream then read multivariate input and
-// score that column (a saved pyramid remembers its dimension).
+// multivariate CSV. The column is picked once, where the CSV is read:
+// train, detect and stream all hand the model that column's readings as
+// a univariate series. A saved pyramid remembers its column, so detect
+// and stream read multivariate input for it without -dim (a -dim that
+// disagrees is an error); for any other model, -dim just picks the
+// column to score.
 //
 // Univariate CSV files carry one "value[,is_anomaly]" row per point
 // after an optional header (the format written by cmd/datagen and
@@ -37,6 +41,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -93,19 +98,45 @@ func loadSeries(path string) (*timeseries.Series, error) {
 	return datasets.ReadCSV(f, path)
 }
 
-// loadMultiSeries reads a multivariate CSV (header required, optional
-// trailing is_anomaly column) as one feed.
-func loadMultiSeries(path string) (*cdt.MultiSeries, error) {
+// loadFeed reads the series a subcommand trains on or scores: the whole
+// univariate CSV when dim is negative, else column dim of a multivariate
+// CSV (header required, optional trailing is_anomaly column) carrying
+// the file's labels. columns is the file's value-column count.
+func loadFeed(cmd, path string, dim int) (s *cdt.Series, columns int, err error) {
+	if dim < 0 {
+		s, err = loadSeries(path)
+		return s, 1, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	dims, labels, err := datasets.ReadMultiCSV(f, path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return &cdt.MultiSeries{Name: path, Dims: dims, Anomalies: labels}, nil
+	if dim >= len(dims) {
+		return nil, 0, fmt.Errorf("%s: dimension %d, but %s has %d value columns", cmd, dim, path, len(dims))
+	}
+	ms := &cdt.MultiSeries{Name: path, Dims: dims, Anomalies: labels}
+	s, err = ms.Dimension(dim)
+	return s, len(dims), err
+}
+
+// scoredColumn resolves the column of a multivariate -in a loaded
+// artifact scores: a pyramid trained over a column (-dim at train time)
+// fixes it, and a -dim flag must then agree; otherwise -dim picks it
+// (negative: -in is univariate).
+func scoredColumn(cmd string, model cdt.Artifact, dim int) (int, error) {
+	pm, ok := model.(*cdt.PyramidModel)
+	if !ok || pm.Config.Dim == 0 {
+		return dim, nil
+	}
+	if dim >= 0 && dim != pm.Config.Dim {
+		return 0, fmt.Errorf("%s: -dim %d, but the pyramid was trained over dimension %d", cmd, dim, pm.Config.Dim)
+	}
+	return pm.Config.Dim, nil
 }
 
 func runLabel(args []string) error {
@@ -163,32 +194,16 @@ func runTrain(args []string) error {
 	if *dim >= 0 && *scales == "" {
 		return fmt.Errorf("train: -dim requires -scales (dimension selection is a pyramid feature)")
 	}
-	var s *cdt.Series
-	var ms *cdt.MultiSeries
-	var err error
-	if *dim >= 0 {
-		ms, err = loadMultiSeries(*in)
-		if err != nil {
-			return err
-		}
-		if ms.Anomalies == nil {
-			return fmt.Errorf("train: %s has no is_anomaly column", *in)
-		}
-		if *dim >= len(ms.Dims) {
-			return fmt.Errorf("train: -dim %d, but %s has %d value columns", *dim, *in, len(ms.Dims))
-		}
-	} else {
-		s, err = loadSeries(*in)
-		if err != nil {
-			return err
-		}
-		if !s.Labeled() {
-			return fmt.Errorf("train: %s has no is_anomaly column", *in)
-		}
+	s, columns, err := loadFeed("train", *in, *dim)
+	if err != nil {
+		return err
+	}
+	if !s.Labeled() {
+		return fmt.Errorf("train: %s has no is_anomaly column", *in)
 	}
 	if *scales != "" {
 		return trainPyramid(pyramidTrainArgs{
-			s: s, ms: ms,
+			s: s, columns: columns,
 			omega: *omega, delta: *delta, dim: *dim,
 			scales: *scales, agg: *agg, fusion: *fusion,
 			k: *quorum, threshold: *threshold,
@@ -251,11 +266,11 @@ func parseScales(spec string) ([]int, error) {
 	return out, nil
 }
 
-// pyramidTrainArgs carries `cdt train -scales ...` inputs: exactly one
-// of s (univariate) or ms (multivariate, -dim) is set.
+// pyramidTrainArgs carries `cdt train -scales ...` inputs: s is the
+// training series, column dim of a columns-wide CSV when dim >= 0.
 type pyramidTrainArgs struct {
 	s            *cdt.Series
-	ms           *cdt.MultiSeries
+	columns      int
 	omega, delta int
 	dim          int
 	scales       string
@@ -300,41 +315,25 @@ func trainPyramid(a pyramidTrainArgs) error {
 			learn = true
 		}
 	}
-	cfg := cdt.PyramidConfig{Factors: factors, Aggregator: a.agg, Fusion: fuse}
-	opts := cdt.Options{Omega: a.omega, Delta: a.delta}
-	var pm *cdt.PyramidModel
-	if a.ms != nil {
-		cfg.Dim = a.dim
-		pm, err = cdt.FitPyramidMulti([]*cdt.MultiSeries{a.ms}, opts, cfg)
-	} else {
-		pm, err = cdt.FitPyramid([]*cdt.Series{a.s}, opts, cfg)
-	}
+	cfg := cdt.PyramidConfig{Factors: factors, Aggregator: a.agg, Fusion: fuse, Dim: max(a.dim, 0)}
+	train := []*cdt.Series{a.s}
+	pm, err := cdt.FitPyramid(train, cdt.Options{Omega: a.omega, Delta: a.delta}, cfg)
 	if err != nil {
 		return err
 	}
 	if learn {
-		if a.ms != nil {
-			err = pm.TrainFusionMulti([]*cdt.MultiSeries{a.ms})
-		} else {
-			err = pm.TrainFusion([]*cdt.Series{a.s})
-		}
-		if err != nil {
+		if err := pm.TrainFusion(train); err != nil {
 			return err
 		}
 	}
-	var rep cdt.Report
-	if a.ms != nil {
-		rep, err = pm.EvaluateMulti([]*cdt.MultiSeries{a.ms})
-	} else {
-		rep, err = pm.Evaluate([]*cdt.Series{a.s})
-	}
+	rep, err := pm.Evaluate(train)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("trained CDT pyramid: omega=%d delta=%d scales=%s fusion=%s rules=%d\n",
 		a.omega, a.delta, a.scales, pm.Config.Fusion, pm.NumRules())
-	if a.ms != nil {
-		fmt.Printf("scoring dimension %d (%q) of %d\n", a.dim, a.ms.Dims[a.dim].Name, len(a.ms.Dims))
+	if a.dim >= 0 {
+		fmt.Printf("scoring dimension %d (%q) of %d\n", a.dim, a.s.Name, a.columns)
 	}
 	if learn {
 		switch policy {
@@ -368,7 +367,7 @@ func runDetect(args []string) error {
 	in := fs.String("in", "", "series to scan")
 	omega := fs.Int("omega", 5, "window size ω (with -train)")
 	delta := fs.Int("delta", 2, "magnitude granularity δ (with -train)")
-	dim := fs.Int("dim", -1, "treat -in as a multivariate CSV and score this 0-based column (must match a pyramid model's trained dimension)")
+	dim := fs.Int("dim", -1, "treat -in as a multivariate CSV and score this 0-based column (a pyramid trained with -dim fixes it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -399,43 +398,26 @@ func runDetect(args []string) error {
 			return err
 		}
 	}
-	// A pyramid trained over one dimension of a multivariate feed needs
-	// the whole feed (and remembers its dimension); otherwise -dim just
-	// selects a column to score univariately.
-	if pm, ok := model.(*cdt.PyramidModel); ok && (*dim >= 0 || pm.Config.Dim > 0) {
-		if *dim >= 0 && *dim != pm.Config.Dim {
-			return fmt.Errorf("detect: -dim %d, but the pyramid was trained over dimension %d", *dim, pm.Config.Dim)
-		}
-		return detectMulti(pm, *in)
-	}
-	var target *cdt.Series
-	if *dim >= 0 {
-		ms, err := loadMultiSeries(*in)
-		if err != nil {
-			return err
-		}
-		if *dim >= len(ms.Dims) {
-			return fmt.Errorf("detect: -dim %d, but %s has %d value columns", *dim, *in, len(ms.Dims))
-		}
-		target = ms.Dims[*dim]
-	} else {
-		var err error
-		target, err = loadSeries(*in)
-		if err != nil {
-			return err
-		}
-	}
-	// Every artifact kind flags points; pyramids additionally classify
-	// each fused detection, reported below the per-point listing.
-	pf, ok := model.(interface {
-		PointFlags(*cdt.Series) ([]bool, error)
-	})
-	if !ok {
-		return fmt.Errorf("detect: %q artifacts cannot flag points", model.Info().Kind)
-	}
-	flags, err := pf.PointFlags(target)
+	column, err := scoredColumn("detect", model, *dim)
 	if err != nil {
 		return err
+	}
+	target, _, err := loadFeed("detect", *in, column)
+	if err != nil {
+		return err
+	}
+	// Every artifact kind lists its flagged points — the union of the
+	// detection ranges, which is PointFlags — and pyramids additionally
+	// classify each fused detection, reported below the listing.
+	dets, err := model.DetectExplained(context.Background(), target)
+	if err != nil {
+		return err
+	}
+	flags := make([]bool, target.Len())
+	for _, d := range dets {
+		for p := d.Start; p <= d.End; p++ {
+			flags[p] = true
+		}
 	}
 	n := 0
 	for i, flagged := range flags {
@@ -444,45 +426,15 @@ func runDetect(args []string) error {
 			n++
 		}
 	}
-	fmt.Printf("%d/%d points flagged\n", n, len(flags))
-	if pm, ok := model.(*cdt.PyramidModel); ok {
-		dets, err := pm.DetectPyramid(target)
-		if err != nil {
-			return err
-		}
+	fmt.Printf("%d/%d points flagged", n, len(flags))
+	_, pyramid := model.(*cdt.PyramidModel)
+	if pyramid && column >= 0 {
+		fmt.Printf(" on dimension %d (%q)", column, target.Name)
+	}
+	fmt.Println()
+	if pyramid {
 		printPyramidDetections(dets)
 	}
-	return nil
-}
-
-// detectMulti scans a multivariate CSV with a pyramid, scoring the
-// model's configured dimension.
-func detectMulti(pm *cdt.PyramidModel, path string) error {
-	ms, err := loadMultiSeries(path)
-	if err != nil {
-		return err
-	}
-	if pm.Config.Dim >= len(ms.Dims) {
-		return fmt.Errorf("detect: pyramid scores dimension %d, but %s has %d value columns", pm.Config.Dim, path, len(ms.Dims))
-	}
-	scored := ms.Dims[pm.Config.Dim]
-	flags, err := pm.PointFlagsMulti(ms)
-	if err != nil {
-		return err
-	}
-	n := 0
-	for i, flagged := range flags {
-		if flagged {
-			fmt.Printf("anomaly at point %d (value %g)\n", i, scored.Values[i])
-			n++
-		}
-	}
-	fmt.Printf("%d/%d points flagged on dimension %d (%q)\n", n, len(flags), pm.Config.Dim, scored.Name)
-	dets, err := pm.DetectPyramidMulti(ms)
-	if err != nil {
-		return err
-	}
-	printPyramidDetections(dets)
 	return nil
 }
 
@@ -615,7 +567,7 @@ func runStream(args []string) error {
 	in := fs.String("in", "", "CSV feed to replay point-by-point")
 	min := fs.Float64("min", 0, "expected minimum sensor value")
 	max := fs.Float64("max", 0, "expected maximum sensor value")
-	dim := fs.Int("dim", -1, "treat -in as a multivariate CSV and stream this 0-based column (must match a pyramid model's trained dimension)")
+	dim := fs.Int("dim", -1, "treat -in as a multivariate CSV and stream this 0-based column (a pyramid trained with -dim fixes it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -631,31 +583,13 @@ func runStream(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Streaming is scalar by construction: a pyramid trained over one
-	// dimension streams that column's readings (the dimension selection
-	// happens at the feed boundary, not per push).
-	column := *dim
-	if pm, ok := model.(*cdt.PyramidModel); ok && pm.Config.Dim > 0 {
-		if column >= 0 && column != pm.Config.Dim {
-			return fmt.Errorf("stream: -dim %d, but the pyramid was trained over dimension %d", column, pm.Config.Dim)
-		}
-		column = pm.Config.Dim
+	column, err := scoredColumn("stream", model, *dim)
+	if err != nil {
+		return err
 	}
-	var feed *cdt.Series
-	if column >= 0 {
-		ms, err := loadMultiSeries(*in)
-		if err != nil {
-			return err
-		}
-		if column >= len(ms.Dims) {
-			return fmt.Errorf("stream: dimension %d, but %s has %d value columns", column, *in, len(ms.Dims))
-		}
-		feed = ms.Dims[column]
-	} else {
-		feed, err = loadSeries(*in)
-		if err != nil {
-			return err
-		}
+	feed, _, err := loadFeed("stream", *in, column)
+	if err != nil {
+		return err
 	}
 	scale := cdt.Scale{Min: *min, Max: *max}
 	if scale.Max <= scale.Min {

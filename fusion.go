@@ -1,19 +1,18 @@
 package cdt
 
 // The ensemble/fusion layer: one general mechanism for "several CDTs
-// vote on the same feed". A Member pairs a trained Model with the input
-// Transform that maps the ensemble's input to the series that member
-// scores — identity/dimension selection for multivariate fusion
-// (multivariate.go), a resampler for resolution pyramids (pyramid.go) —
-// and a Fusion policy turns per-member verdicts into one decision.
+// vote on the same feed". A Member is a named trained Model, and a
+// Fusion policy turns per-member verdicts into one decision.
 //
 // Two consumers share the layer:
 //
-//   - MultiModel fuses window-aligned members (one per dimension, same
-//     ω, same clock) through Ensemble.DetectAligned;
-//   - PyramidModel fuses members at different temporal resolutions,
-//     which are not window-aligned, by projecting each member's fired
-//     windows onto original-resolution points and fusing per point.
+//   - MultiModel fuses window-aligned members (member d scores input
+//     dimension d, same ω, same clock) through Ensemble.DetectAligned;
+//   - PyramidModel fuses members at different temporal resolutions
+//     (scale i scores the series resampled by its factor through
+//     ResampleTransform), which are not window-aligned, by projecting
+//     each member's fired windows onto original-resolution points and
+//     fusing per point.
 //
 // The fusion policies are shared verbatim by both.
 
@@ -180,37 +179,8 @@ func (f Fusion) String() string {
 	return f.Policy.String()
 }
 
-// Transform maps an ensemble input — a set of aligned series — to the
-// one series a member scores.
-type Transform interface {
-	// Apply selects or derives the member's series from the input
-	// dimensions.
-	Apply(dims []*Series) (*Series, error)
-	// String describes the transform for rule listings and artifacts.
-	String() string
-}
-
-// DimTransform selects one input dimension unchanged — the identity
-// transform of per-dimension multivariate fusion.
-type DimTransform struct {
-	// Dim is the 0-based input dimension.
-	Dim int
-}
-
-// Apply selects dimension Dim.
-func (t DimTransform) Apply(dims []*Series) (*Series, error) {
-	if t.Dim < 0 || t.Dim >= len(dims) {
-		return nil, fmt.Errorf("cdt: transform selects dimension %d of %d", t.Dim, len(dims))
-	}
-	return dims[t.Dim], nil
-}
-
-// String describes the transform.
-func (t DimTransform) String() string { return fmt.Sprintf("dim(%d)", t.Dim) }
-
 // ResampleTransform downsamples the first input dimension by Factor —
-// the per-scale transform of resolution pyramids. Factor 1 is the
-// identity.
+// the per-scale input of resolution pyramids. Factor 1 is the identity.
 type ResampleTransform struct {
 	// Factor is the downsample factor (>= 1).
 	Factor int
@@ -254,50 +224,6 @@ func (t ResampleTransform) Apply(dims []*Series) (*Series, error) {
 		return dims[0], nil
 	}
 	return timeseries.Downsample(dims[0], t.Factor, agg)
-}
-
-// String describes the transform.
-func (t ResampleTransform) String() string {
-	agg := t.Aggregator
-	if agg == "" {
-		agg = "mean"
-	}
-	return fmt.Sprintf("resample(%d,%s)", t.Factor, agg)
-}
-
-// ChainTransform composes transforms left to right, closing Transform
-// under composition: the first stage sees the full ensemble input, every
-// subsequent stage sees the previous stage's output as a single-
-// dimension input. ChainTransform{DimTransform{1}, ResampleTransform{4,
-// "max"}} selects dimension 1 and downsamples it — the member shape that
-// lets resolution pyramids ride multivariate feeds.
-type ChainTransform []Transform
-
-// Apply runs the stages in order.
-func (t ChainTransform) Apply(dims []*Series) (*Series, error) {
-	if len(t) == 0 {
-		return nil, fmt.Errorf("cdt: empty transform chain")
-	}
-	s, err := t[0].Apply(dims)
-	if err != nil {
-		return nil, err
-	}
-	for _, stage := range t[1:] {
-		s, err = stage.Apply([]*Series{s})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// String renders the stages left to right ("dim(1)|resample(4,max)").
-func (t ChainTransform) String() string {
-	parts := make([]string, len(t))
-	for i, stage := range t {
-		parts[i] = stage.String()
-	}
-	return strings.Join(parts, "|")
 }
 
 // validFusionSamples checks a labeled fire-indicator matrix and returns
@@ -454,15 +380,13 @@ func FitFusionK(fired [][]bool, truth []bool) (Fusion, error) {
 	return Fusion{Policy: FuseKOfN, K: bestK}, nil
 }
 
-// Member is one model in an ensemble plus the transform that feeds it.
+// Member is one named model in an ensemble.
 type Member struct {
 	// Name identifies the member in rule listings (a dimension name, a
 	// scale like "x4").
 	Name string
 	// Model is the member's trained CDT.
 	Model *Model
-	// Transform maps the ensemble input to this member's series.
-	Transform Transform
 }
 
 // Ensemble is a set of members with a fusion policy — the shared
@@ -484,33 +408,29 @@ func (e *Ensemble) Validate() error {
 		if m.Model == nil {
 			return fmt.Errorf("cdt: ensemble member %d has no model", i)
 		}
-		if m.Transform == nil {
-			return fmt.Errorf("cdt: ensemble member %d has no transform", i)
-		}
 		names[i] = m.Name
 	}
 	return e.Fuse.Validate("ensemble["+strings.Join(names, ",")+"]", len(e.Members))
 }
 
-// DetectAligned sweeps every member over its transformed input and
-// fuses verdicts per window. All members must produce the same window
-// count (same ω over same-length inputs) — the window-aligned fast path
+// DetectAligned sweeps member i over input dimension dims[i] and fuses
+// verdicts per window. All members must produce the same window count
+// (same ω over same-length inputs) — the window-aligned fast path
 // MultiModel runs on. Votes accumulate into per-window counts, so no
 // per-member flag slice is materialized.
 func (e *Ensemble) DetectAligned(dims []*Series) ([]bool, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
+	if len(dims) != len(e.Members) {
+		return nil, fmt.Errorf("cdt: feed has %d dimensions, model expects %d", len(dims), len(e.Members))
+	}
 	var (
 		counts  []int
 		weights []float64
 	)
 	for i, mem := range e.Members {
-		s, err := mem.Transform.Apply(dims)
-		if err != nil {
-			return nil, fmt.Errorf("cdt: member %d: %w", i, err)
-		}
-		marks, err := mem.Model.detectMarks(context.Background(), s)
+		marks, err := mem.Model.detectMarks(context.Background(), dims[i])
 		if err != nil {
 			return nil, fmt.Errorf("cdt: member %d: %w", i, err)
 		}

@@ -149,32 +149,6 @@ func TestFitFusionSampleValidation(t *testing.T) {
 	}
 }
 
-func TestChainTransformComposes(t *testing.T) {
-	dims := []*Series{
-		NewSeries("temp", []float64{0, 0, 0, 0}),
-		NewSeries("pressure", []float64{1, 3, 5, 7}),
-	}
-	chain := ChainTransform{DimTransform{Dim: 1}, ResampleTransform{Factor: 2, Aggregator: "max"}}
-	got, err := chain.Apply(dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Values, []float64{3, 7}) {
-		t.Errorf("chained values = %v, want [3 7]", got.Values)
-	}
-	if s := chain.String(); s != "dim(1)|resample(2,max)" {
-		t.Errorf("String() = %q", s)
-	}
-	if _, err := (ChainTransform{}).Apply(dims); err == nil {
-		t.Error("empty chain accepted")
-	}
-	// A failing stage surfaces its own error.
-	bad := ChainTransform{DimTransform{Dim: 5}, ResampleTransform{Factor: 2}}
-	if _, err := bad.Apply(dims); err == nil || !strings.Contains(err.Error(), "dimension 5") {
-		t.Errorf("out-of-range stage error = %v", err)
-	}
-}
-
 // TestFusionValidateNamesContext: a rejected fusion names whose fusion
 // is broken — the model store's audit log and the CLI relay these
 // verbatim, so "3 weights for 2 members" alone is not actionable.
@@ -218,8 +192,8 @@ func TestFusionValidateNamesContext(t *testing.T) {
 	// The ensemble surface threads member names into the context.
 	ens := &Ensemble{
 		Members: []Member{
-			{Name: "temp", Model: &Model{}, Transform: DimTransform{Dim: 0}},
-			{Name: "pressure", Model: &Model{}, Transform: DimTransform{Dim: 1}},
+			{Name: "temp", Model: &Model{}},
+			{Name: "pressure", Model: &Model{}},
 		},
 		Fuse: Fusion{Policy: FuseKOfN, K: 9},
 	}
@@ -230,8 +204,9 @@ func TestFusionValidateNamesContext(t *testing.T) {
 
 // trainedMultiPyramid trains a weighted pyramid over dimension 1 of a
 // two-dimensional feed and learns its fusion weights — the end-to-end
-// shape `cdt train -scales 1,2 -dim 1 -fusion weighted` drives.
-func trainedMultiPyramid(t *testing.T) (*PyramidModel, *MultiSeries) {
+// shape `cdt train -scales 1,2 -dim 1 -fusion weighted` drives. It
+// returns the pyramid and the training feed's scored column.
+func trainedMultiPyramid(t *testing.T) (*PyramidModel, *Series) {
 	t.Helper()
 	train := makeMultiFeed("train", 400, []int{60, 150, 250, 340}, 1, 11)
 	cfg := PyramidConfig{
@@ -240,14 +215,18 @@ func trainedMultiPyramid(t *testing.T) (*PyramidModel, *MultiSeries) {
 		Fusion:     Fusion{Policy: FuseWeighted, Threshold: 1},
 		Dim:        1,
 	}
-	pm, err := FitPyramidMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, cfg)
+	col, err := train.Dimension(cfg.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.TrainFusionMulti([]*MultiSeries{train}); err != nil {
+	pm, err := FitPyramid([]*Series{col}, Options{Omega: 5, Delta: 2}, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pm, train
+	if err := pm.TrainFusion([]*Series{col}); err != nil {
+		t.Fatal(err)
+	}
+	return pm, col
 }
 
 func TestPyramidMultiTrainsWeightedFusionEndToEnd(t *testing.T) {
@@ -261,22 +240,15 @@ func TestPyramidMultiTrainsWeightedFusionEndToEnd(t *testing.T) {
 	}
 	// Point-level scoring: a fired window covers ω points around each
 	// one-point spike, so recall is the meaningful gate here, not F1.
-	rep, err := pm.EvaluateMulti([]*MultiSeries{train})
+	rep, err := pm.Evaluate([]*Series{train})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Confusion.TP < 3 || rep.F1 <= 0 {
 		t.Errorf("training confusion = %+v (F1 %v) after learning weights", rep.Confusion, rep.F1)
 	}
-	// The member transforms select dimension 1 before resampling.
-	for i, f := range pm.Scales() {
-		want := "dim(1)|resample("
-		if got := pm.ens.Members[i].Transform.String(); !strings.HasPrefix(got, want) {
-			t.Errorf("scale x%d transform = %q, want prefix %q", f, got, want)
-		}
-	}
 	// Flags land on the annotated points of the anomalous dimension.
-	flags, err := pm.PointFlagsMulti(train)
+	flags, err := pm.PointFlags(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +281,11 @@ func TestPyramidDimWeightedPersistRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(restored.Config, pm.Config) {
 		t.Errorf("config diverged: %+v vs %+v", restored.Config, pm.Config)
 	}
-	want, err := pm.DetectPyramidMulti(train)
+	want, err := pm.DetectExplained(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.DetectPyramidMulti(train)
+	got, err := restored.DetectExplained(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,33 +355,6 @@ func TestLoadPyramidRejectsBadComposedDocuments(t *testing.T) {
 	}
 }
 
-// TestMultiModelChainTransformDifferential pins ChainTransform as a
-// drop-in for the transforms it composes: a MultiModel whose members
-// select their dimension through a one-stage chain must fuse
-// bit-identically to the plain DimTransform path.
-func TestMultiModelChainTransformDifferential(t *testing.T) {
-	train := makeMultiFeed("train", 400, []int{60, 150, 250, 340}, 1, 3)
-	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := makeMultiFeed("probe", 400, []int{80, 200, 320}, 1, 4)
-	want, err := mm.DetectWindows(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mm.ens.Members {
-		mm.ens.Members[i].Transform = ChainTransform{DimTransform{Dim: i}}
-	}
-	got, err := mm.DetectWindows(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("chained dimension selection diverged from the plain path")
-	}
-}
-
 // rangesOf extracts the [start, end] point ranges from explained
 // detections, in report order.
 func rangesOf(dets []WindowDetection) [][2]int {
@@ -457,7 +402,7 @@ func TestScoreRangesMatchesDetectExplained(t *testing.T) {
 	// Under FuseAny every fired scale window reaches a fused detection's
 	// breakdown, so the lean pre-fusion counts must agree with the
 	// distinct (scale, window) pairs the explained path reports.
-	dets, err := pm.DetectPyramid(probe)
+	dets, err := pm.DetectExplained(context.Background(), probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,11 +445,8 @@ func TestScoreRangesMatchesDetectExplained(t *testing.T) {
 	}
 	assertSame("pyramid/weighted", wpm, train)
 
-	// A dimension-scoring pyramid cannot score a univariate probe; the
-	// lean path must fail exactly where the explained path does, so a
-	// shadowed candidate records the same hard disagreements either way.
-	mpm, _ := trainedMultiPyramid(t)
-	if _, err := mpm.ScoreRanges(context.Background(), probe); err == nil {
-		t.Fatal("ScoreRanges accepted a univariate probe for a dim-scoring pyramid")
-	}
+	// A dimension-scoring pyramid scores its column's readings on every
+	// surface, the lean path included.
+	mpm, col := trainedMultiPyramid(t)
+	assertSame("pyramid/dim", mpm, col)
 }

@@ -48,7 +48,7 @@ func FuzzLoad(f *testing.F) {
 			f.Add(artifact[:len(artifact)/frac])
 		}
 	}
-	// Composed-transform / trainable-fusion documents: malformed weighted
+	// Dimension-scoring / trainable-fusion documents: malformed weighted
 	// and dim shapes must be rejected cleanly, and a real learned-weights
 	// artifact (plus truncations) must round-trip through the fuzz body.
 	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "weighted", "threshold": 0}, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
@@ -69,33 +69,12 @@ func FuzzLoad(f *testing.F) {
 			_ = art.RuleText()
 			_ = art.Info()
 			_ = art.TrainingAnomalyRate()
-			n := art.Info().Omega*4 + 8
-			if pm, ok := art.(*PyramidModel); ok && pm.Config.Dim > 0 {
-				// A dimension-scoring pyramid detects on multivariate
-				// feeds only; probe one just wide enough, capped so an
-				// accepted-but-large dim cannot drive huge allocations
-				// in the harness itself.
-				if width := pm.Config.Dim + 1; width*n <= 1<<22 {
-					dims := make([]*Series, width)
-					for d := range dims {
-						values := make([]float64, n)
-						for i := range values {
-							values[i] = float64((i + d) % 7)
-						}
-						dims[d] = NewSeries("fuzz", values)
-					}
-					if _, err := pm.DetectPyramidMulti(&MultiSeries{Name: "fuzz", Dims: dims}); err != nil {
-						t.Fatalf("accepted pyramid cannot detect multivariate: %v", err)
-					}
-				}
-			} else {
-				values := make([]float64, n)
-				for i := range values {
-					values[i] = float64(i % 7)
-				}
-				if _, err := art.DetectExplained(context.Background(), NewSeries("fuzz", values)); err != nil {
-					t.Fatalf("accepted artifact cannot detect: %v", err)
-				}
+			values := make([]float64, art.Info().Omega*4+8)
+			for i := range values {
+				values[i] = float64(i % 7)
+			}
+			if _, err := art.DetectExplained(context.Background(), NewSeries("fuzz", values)); err != nil {
+				t.Fatalf("accepted artifact cannot detect: %v", err)
 			}
 		}
 		m, err := Load(strings.NewReader(doc))
@@ -162,7 +141,11 @@ func savedWeightedPyramidJSON(f *testing.F) string {
 		Dims:      []*Series{NewSeries("quiet", quiet), NewSeries("noisy", noisy)},
 		Anomalies: anoms,
 	}
-	pm, err := FitPyramidMulti([]*MultiSeries{feed}, Options{Omega: 3, Delta: 2},
+	col, err := feed.Dimension(1)
+	if err != nil {
+		return ""
+	}
+	pm, err := FitPyramid([]*Series{col}, Options{Omega: 3, Delta: 2},
 		PyramidConfig{
 			Factors:    []int{1, 2},
 			Aggregator: "max",
@@ -172,7 +155,7 @@ func savedWeightedPyramidJSON(f *testing.F) string {
 	if err != nil {
 		return ""
 	}
-	if err := pm.TrainFusionMulti([]*MultiSeries{feed}); err != nil {
+	if err := pm.TrainFusion([]*Series{col}); err != nil {
 		return ""
 	}
 	var b strings.Builder

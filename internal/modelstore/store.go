@@ -26,11 +26,12 @@
 // renamed into place. The audit log is append-only by construction
 // (O_APPEND) and by contract: nothing in this package rewrites it.
 //
-// Concurrency: one Store value serializes all manifest and audit-log
-// mutations behind its mutex; loading model documents happens outside
-// the lock. Multiple processes should not share a store directory for
-// writing (single-writer, many-reader is the intended deployment, the
-// same contract as the serving registry's model directory).
+// Concurrency: one Store value serializes all blob, manifest and
+// audit-log mutations behind its mutex; loading model documents happens
+// outside the lock. Multiple processes should not share a store
+// directory for writing (single-writer, many-reader is the intended
+// deployment, the same contract as the serving registry's model
+// directory).
 package modelstore
 
 import (
@@ -181,8 +182,10 @@ func validName(name string) error {
 // (with the loader's field-path reason) is itself recorded in the audit
 // log.
 //
-// Publish takes s.mu for the manifest append and audit write; document
-// validation and the blob write happen before the lock.
+// Publish takes s.mu for the blob write, manifest append, and audit
+// write; document validation happens before the lock. Writing the blob
+// under the lock keeps two publishes of identical bytes off one temp
+// file and keeps GC from sweeping a blob before its manifest append.
 func (s *Store) Publish(name string, doc []byte, source, note string) (Version, error) {
 	if err := validName(name); err != nil {
 		return Version{}, err
@@ -196,12 +199,12 @@ func (s *Store) Publish(name string, doc []byte, source, note string) (Version, 
 	}
 	sum := sha256.Sum256(doc)
 	digest := "sha256-" + hex.EncodeToString(sum[:])
-	if err := s.writeBlob(digest, doc); err != nil {
-		return Version{}, err
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.writeBlobLocked(digest, doc); err != nil {
+		return Version{}, err
+	}
 	entry := s.man.Models[name]
 	if entry == nil {
 		entry = &modelEntry{}
@@ -244,9 +247,10 @@ func (s *Store) Publish(name string, doc []byte, source, note string) (Version, 
 	return v, nil
 }
 
-// writeBlob stores a content-addressed document if absent (tmp+rename,
-// so a crashed write never leaves a partial blob under its final name).
-func (s *Store) writeBlob(digest string, doc []byte) error {
+// writeBlobLocked stores a content-addressed document if absent
+// (tmp+rename, so a crashed write never leaves a partial blob under its
+// final name). Callers must hold s.mu.
+func (s *Store) writeBlobLocked(digest string, doc []byte) error {
 	path := s.blobPath(digest)
 	if _, err := os.Stat(path); err == nil {
 		return nil // identical content already stored

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"math/rand"
@@ -166,6 +167,86 @@ func TestServePyramidEndToEnd(t *testing.T) {
 	for _, d := range push.Detections {
 		if d.Scale < 1 || d.Type == "" {
 			t.Fatalf("stream detection %+v missing scale or type", d)
+		}
+	}
+}
+
+// dimFeed is a two-column feed whose "load" column is plateauSpiky's
+// series (labels included) beside a quiet seasonal column.
+func dimFeed(name string, spikes []int, pStart int, seed int64) *cdt.MultiSeries {
+	load := plateauSpiky(name, 600, spikes, pStart, 48, seed)
+	quiet := make([]float64, load.Len())
+	for i := range quiet {
+		quiet[i] = 10 + math.Sin(float64(i)/9)
+	}
+	return &cdt.MultiSeries{
+		Name:      name,
+		Dims:      []*cdt.Series{cdt.NewSeries("quiet", quiet), cdt.NewSeries("load", load.Values)},
+		Anomalies: load.Anomalies,
+	}
+}
+
+// TestServeDimPyramidBatchScoresColumn: a pyramid trained over column 1
+// of a multivariate feed, served from a model directory, batch-scores
+// that column's readings exactly as in-process DetectExplained does —
+// the same readings its stream sessions take.
+func TestServeDimPyramidBatchScoresColumn(t *testing.T) {
+	train, err := dimFeed("train", []int{90, 200, 430}, 300, 7).Dimension(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := cdt.FitPyramid([]*cdt.Series{train}, cdt.Options{Omega: 5, Delta: 2}, cdt.PyramidConfig{
+		Factors:    []int{1, 4},
+		Aggregator: "max",
+		Fusion:     cdt.Fusion{Policy: cdt.FuseWeighted, Threshold: 1},
+		Dim:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.TrainFusion([]*cdt.Series{train}); err != nil {
+		t.Fatal(err)
+	}
+	s, ts, dir := newTestServer(t, Config{})
+	writePyramid(t, dir, "dim", pm)
+	if _, err := s.Registry().Reload(); err != nil {
+		t.Fatal(err)
+	}
+
+	eval, err := dimFeed("eval", []int{150}, 380, 11).Dimension(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch struct {
+		Results []struct {
+			Detections []struct {
+				Start int `json:"start"`
+				End   int `json:"end"`
+			} `json:"detections"`
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	body := map[string]any{"series": []map[string]any{{"name": "eval", "values": eval.Values}}}
+	if code := doJSON(t, "POST", ts.URL+"/models/dim/detect", body, &batch); code != 200 {
+		t.Fatalf("batch detect = %d", code)
+	}
+	if len(batch.Results) != 1 || batch.Results[0].Error != "" {
+		t.Fatalf("batch results = %+v", batch.Results)
+	}
+	got := batch.Results[0].Detections
+	want, err := pm.DetectExplained(context.Background(), eval)
+	if err != nil {
+		t.Fatalf("in-process DetectExplained on the column: %v", err)
+	}
+	if len(want) == 0 {
+		t.Fatal("probe produced no detections; the comparison is vacuous")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batch returned %d detections, in-process %d", len(got), len(want))
+	}
+	for i, d := range want {
+		if got[i].Start != d.Start || got[i].End != d.End {
+			t.Errorf("detection %d: batch [%d,%d], in-process [%d,%d]", i, got[i].Start, got[i].End, d.Start, d.End)
 		}
 	}
 }

@@ -9,10 +9,9 @@ package cdt
 // whole point while covering multivariate feeds.
 //
 // MultiModel is the first consumer of the shared ensemble layer
-// (fusion.go): each dimension is a Member whose Transform selects its
-// dimension, and CombinePolicy maps onto the matching Fusion policy.
-// The fused verdicts are bit-identical to the pre-ensemble
-// implementation (pinned by TestMultiModelDifferential).
+// (fusion.go): member d scores dimension d, and CombinePolicy maps onto
+// the matching Fusion policy. The fused verdicts are bit-identical to
+// the pre-ensemble implementation (pinned by TestMultiModelDifferential).
 
 import (
 	"fmt"
@@ -49,6 +48,20 @@ func (ms *MultiSeries) Validate() error {
 		return fmt.Errorf("cdt: %q has %d anomaly flags for %d points", ms.Name, len(ms.Anomalies), n)
 	}
 	return nil
+}
+
+// Dimension validates the feed and returns dimension d as a series
+// carrying the feed's shared anomaly annotation: the series FitMulti
+// trains dimension d's model on, and the readings a pyramid trained
+// over column d (PyramidConfig.Dim) trains and scores on.
+func (ms *MultiSeries) Dimension(d int) (*Series, error) {
+	if err := ms.Validate(); err != nil {
+		return nil, err
+	}
+	if d < 0 || d >= len(ms.Dims) {
+		return nil, fmt.Errorf("cdt: dimension %d outside feed %q's %d dimensions", d, ms.Name, len(ms.Dims))
+	}
+	return NewLabeledSeries(ms.Dims[d].Name, ms.Dims[d].Values, ms.Anomalies), nil
 }
 
 // Len returns the number of time points.
@@ -129,10 +142,13 @@ func FitMulti(train []*MultiSeries, opts Options, policy CombinePolicy) (*MultiM
 	mm := &MultiModel{Opts: opts, Policy: policy}
 	mm.ens.Fuse = policy.fusion()
 	for d := 0; d < dims; d++ {
-		var perDim []*Series
-		for _, ms := range train {
-			// Attach the shared annotation to this dimension's values.
-			perDim = append(perDim, NewLabeledSeries(ms.Dims[d].Name, ms.Dims[d].Values, ms.Anomalies))
+		perDim := make([]*Series, len(train))
+		for i, ms := range train {
+			s, err := ms.Dimension(d)
+			if err != nil {
+				return nil, err
+			}
+			perDim[i] = s
 		}
 		// Per-variable training rides the shared Corpus pipeline like the
 		// univariate trainers do.
@@ -144,11 +160,7 @@ func FitMulti(train []*MultiSeries, opts Options, policy CombinePolicy) (*MultiM
 		if err != nil {
 			return nil, fmt.Errorf("cdt: dimension %d: %w", d, err)
 		}
-		mm.ens.Members = append(mm.ens.Members, Member{
-			Name:      train[0].Dims[d].Name,
-			Model:     model,
-			Transform: DimTransform{Dim: d},
-		})
+		mm.ens.Members = append(mm.ens.Members, Member{Name: train[0].Dims[d].Name, Model: model})
 		mm.names = append(mm.names, train[0].Dims[d].Name)
 	}
 	return mm, nil
@@ -164,9 +176,6 @@ func (mm *MultiModel) DimensionModel(d int) *Model { return mm.ens.Members[d].Mo
 func (mm *MultiModel) DetectWindows(ms *MultiSeries) ([]bool, error) {
 	if err := ms.Validate(); err != nil {
 		return nil, err
-	}
-	if len(ms.Dims) != len(mm.ens.Members) {
-		return nil, fmt.Errorf("cdt: feed has %d dimensions, model expects %d", len(ms.Dims), len(mm.ens.Members))
 	}
 	return mm.ens.DetectAligned(ms.Dims)
 }

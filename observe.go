@@ -11,7 +11,7 @@ import "context"
 
 // ScaleSweepObserver receives the wall-clock cost of one pyramid scale
 // sweep: the scale's index into ArtifactInfo.Scales, its downsample
-// factor, and the elapsed seconds (transform + label + engine sweep).
+// factor, and the elapsed seconds (resample + label + engine sweep).
 type ScaleSweepObserver func(scaleIndex, factor int, seconds float64)
 
 type sweepObserverKey struct{}

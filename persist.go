@@ -332,11 +332,7 @@ func pyramidFromDoc(doc pyramidDoc) (*PyramidModel, error) {
 			return nil, fmt.Errorf("cdt: scales[%d].model.options: (omega,delta)=(%d,%d) differs from scale 0's (%d,%d)",
 				i, m.Opts.Omega, m.Opts.Delta, pm.Opts.Omega, pm.Opts.Delta)
 		}
-		pm.ens.Members = append(pm.ens.Members, Member{
-			Name:      fmt.Sprintf("x%d", cfg.Factors[i]),
-			Model:     m,
-			Transform: cfg.memberTransform(cfg.Factors[i]),
-		})
+		pm.ens.Members = append(pm.ens.Members, Member{Name: fmt.Sprintf("x%d", cfg.Factors[i]), Model: m})
 	}
 	return pm, nil
 }

@@ -2,6 +2,7 @@ package cdt
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -271,11 +272,11 @@ func TestPyramidSaveLoadRoundTrip(t *testing.T) {
 	if restored.RuleText() != pm.RuleText() {
 		t.Error("rule text diverged after reload")
 	}
-	want, err := pm.DetectPyramid(train)
+	want, err := pm.DetectExplained(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.DetectPyramid(train)
+	got, err := restored.DetectExplained(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cdt/internal/engine"
 	"cdt/internal/evalmetrics"
 	"cdt/internal/telemetry"
 	"cdt/internal/trace"
@@ -86,11 +87,11 @@ type PyramidConfig struct {
 	// Fusion combines per-scale point coverage into the fused verdict.
 	// The zero value is FuseAny: any scale firing flags the point.
 	Fusion Fusion
-	// Dim is the input dimension the pyramid scores when the feed is
-	// multivariate: every member's transform selects it before
-	// resampling (a ChainTransform). Zero keeps the univariate shape —
-	// members resample the first dimension directly, and existing
-	// artifacts stay byte-stable.
+	// Dim is the column of a multivariate feed the pyramid was trained
+	// over. The choice is made once, at the feed boundary
+	// (MultiSeries.Dimension): training and every scoring surface take
+	// that column's readings as their univariate series. Zero is also
+	// the univariate default, so such artifacts stay byte-stable.
 	Dim int
 }
 
@@ -130,22 +131,9 @@ func (cfg PyramidConfig) Validate() error {
 	return cfg.Fusion.Validate(fmt.Sprintf("pyramid scales %v", cfg.Factors), len(cfg.Factors))
 }
 
-// memberTransform builds scale f's input transform: a resampler,
-// prefixed by a dimension selection when the pyramid scores one
-// dimension of a multivariate feed. Dim 0 keeps the bare resampler
-// (which reads the first dimension anyway), so univariate pyramids —
-// and their persisted documents — are untouched by the composition.
-func (cfg PyramidConfig) memberTransform(f int) Transform {
-	rt := ResampleTransform{Factor: f, Aggregator: cfg.Aggregator}
-	if cfg.Dim > 0 {
-		return ChainTransform{DimTransform{Dim: cfg.Dim}, rt}
-	}
-	return rt
-}
-
 // PyramidModel is one trained CDT per resolution scale plus the fusion
-// policy — an Ensemble whose members resample instead of selecting
-// dimensions.
+// policy — an Ensemble whose members score the series resampled by
+// their factor.
 type PyramidModel struct {
 	// Opts is the shared per-scale training configuration.
 	Opts Options
@@ -158,7 +146,9 @@ type PyramidModel struct {
 // FitPyramid trains one CDT per resolution scale over the training
 // series. Each scale trains on the series downsampled by its factor
 // (anomaly annotations survive: a bucket is anomalous when any covered
-// point was), all sharing ω, δ, ε.
+// point was), all sharing ω, δ, ε. For a pyramid over one column of
+// multivariate feeds (cfg.Dim), train holds that column of each feed
+// (MultiSeries.Dimension).
 func FitPyramid(train []*Series, opts Options, cfg PyramidConfig) (*PyramidModel, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("cdt: no training series")
@@ -192,37 +182,9 @@ func (c *Corpus) FitPyramid(opts Options, cfg PyramidConfig) (*PyramidModel, err
 		if err != nil {
 			return nil, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
 		}
-		pm.ens.Members = append(pm.ens.Members, Member{
-			Name:      fmt.Sprintf("x%d", f),
-			Model:     model,
-			Transform: cfg.memberTransform(f),
-		})
+		pm.ens.Members = append(pm.ens.Members, Member{Name: fmt.Sprintf("x%d", f), Model: model})
 	}
 	return pm, nil
-}
-
-// FitPyramidMulti trains a resolution pyramid over one dimension of
-// aligned multivariate feeds: dimension cfg.Dim of every feed, carrying
-// the feed's shared anomaly annotation, rides the same per-scale Corpus
-// pipeline as univariate pyramids, and every member's transform selects
-// the dimension before resampling, so the trained pyramid detects
-// directly on multivariate input (DetectPyramidMulti).
-func FitPyramidMulti(train []*MultiSeries, opts Options, cfg PyramidConfig) (*PyramidModel, error) {
-	if len(train) == 0 {
-		return nil, fmt.Errorf("cdt: no training feeds")
-	}
-	perDim := make([]*Series, len(train))
-	for i, ms := range train {
-		if err := ms.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Dim < 0 || cfg.Dim >= len(ms.Dims) {
-			return nil, fmt.Errorf("cdt: pyramid dim %d outside feed %q's %d dimensions", cfg.Dim, ms.Name, len(ms.Dims))
-		}
-		d := ms.Dims[cfg.Dim]
-		perDim[i] = NewLabeledSeries(d.Name, d.Values, ms.Anomalies)
-	}
-	return FitPyramid(perDim, opts, cfg)
 }
 
 // NumScales returns the number of resolution scales.
@@ -317,31 +279,25 @@ func (pm *PyramidModel) classifyScales(scales []ScaleDetection) AnomalyType {
 	return TypeContextual
 }
 
-// detect is the univariate batch back end: the series becomes the sole
-// input dimension of detectDims.
-func (pm *PyramidModel) detect(ctx context.Context, s *Series) ([]WindowDetection, []bool, error) {
-	ns, err := ensureNormalized(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pm.detectDims(ctx, []*Series{ns})
-}
-
-// scaleCoverage sweeps every scale over the (already normalized) input
-// dimensions and projects fired windows onto original-resolution
-// points: per-scale coverage flags plus the per-scale detections.
-// Shared by fused detection and fusion-weight training, which needs the
-// raw per-scale indicators before any policy is applied. Each scale's
-// sweep gets a "scale_sweep" span on a sampled ctx and is timed for the
-// context's ScaleSweepObserver (the serving layer's per-scale latency
-// histograms); timing goes through telemetry.Stopwatch, the sanctioned
-// wall-clock boundary for this detfloat-guarded package.
-func (pm *PyramidModel) scaleCoverage(ctx context.Context, dims []*Series) ([][]bool, [][]ScaleDetection, int, error) {
+// sweep is the one per-scale pass every pyramid scoring surface runs
+// over a normalized series: scale i resamples ns by its factor (after
+// normalizing — mean and max keep [0,1], so the derived series is not
+// re-stretched, the same order training applies through AtResolution),
+// sweeps its model's engine, and projects each fired window onto the
+// original-resolution points it covers. It returns the per-scale
+// coverage flags and swept window counts; onFired, when non-nil, also
+// sees every fired window w of scale i with its projected range and the
+// scale's marks. Each scale's sweep gets a "scale_sweep" span on a
+// sampled ctx and is timed for the context's ScaleSweepObserver (the
+// serving layer's per-scale latency histograms); timing goes through
+// telemetry.Stopwatch, the sanctioned wall-clock boundary for this
+// detfloat-guarded package.
+func (pm *PyramidModel) sweep(ctx context.Context, ns *Series, onFired func(i, w, start, end int, marks *engine.Marks)) ([][]bool, []int, error) {
 	obs := scaleSweepObserver(ctx)
-	n := dims[0].Len()
+	n := ns.Len()
 	numScales := len(pm.ens.Members)
 	coverage := make([][]bool, numScales)
-	perScale := make([][]ScaleDetection, numScales)
+	windows := make([]int, numScales)
 	for i, mem := range pm.ens.Members {
 		f := pm.Config.Factors[i]
 		var sw telemetry.Stopwatch
@@ -350,40 +306,31 @@ func (pm *PyramidModel) scaleCoverage(ctx context.Context, dims []*Series) ([][]
 		}
 		sctx, span := trace.StartSpan(ctx, "scale_sweep")
 		span.SetAttr("factor", strconv.Itoa(f))
-		// Downsample after normalizing (mean/max keep [0,1], so the
-		// derived series is not re-stretched) — the same order training
-		// applies through AtResolution.
-		ds, err := mem.Transform.Apply(dims)
-		if err != nil {
-			span.End()
-			return nil, nil, 0, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
+		ds, err := ResampleTransform{Factor: f, Aggregator: pm.Config.Aggregator}.Apply([]*Series{ns})
+		var marks *engine.Marks
+		if err == nil {
+			marks, err = mem.Model.detectMarks(sctx, ds)
 		}
-		marks, err := mem.Model.detectMarks(sctx, ds)
 		if err != nil {
 			span.End()
-			return nil, nil, 0, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
+			return nil, nil, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
 		}
 		cov := make([]bool, n)
-		var idxs []int
+		windows[i] = marks.NumWindows()
 		for w := 0; w < marks.NumWindows(); w++ {
 			if !marks.Fired(w) {
 				continue
 			}
-			idxs = marks.AppendFired(idxs[:0], w)
 			start := (w + 1) * f
 			end := (w+pm.Opts.Omega+1)*f - 1
 			if end >= n {
 				end = n - 1
 			}
-			perScale[i] = append(perScale[i], ScaleDetection{
-				Factor: f,
-				Window: w,
-				Start:  start,
-				End:    end,
-				Fired:  mem.Model.firedFromIndices(idxs),
-			})
 			for p := start; p <= end; p++ {
 				cov[p] = true
+			}
+			if onFired != nil {
+				onFired(i, w, start, end, marks)
 			}
 		}
 		coverage[i] = cov
@@ -392,15 +339,21 @@ func (pm *PyramidModel) scaleCoverage(ctx context.Context, dims []*Series) ([][]
 			obs(i, f, sw.Elapsed().Seconds())
 		}
 	}
-	return coverage, perScale, n, nil
+	return coverage, windows, nil
 }
 
 // fusePoints applies the fusion policy per original-resolution point
-// over the per-scale coverage flags.
-func (pm *PyramidModel) fusePoints(coverage [][]bool, n int) []bool {
+// over the per-scale coverage flags, under a "fusion_decide" span.
+func (pm *PyramidModel) fusePoints(ctx context.Context, coverage [][]bool) []bool {
+	_, span := trace.StartSpan(ctx, "fusion_decide")
+	if span != nil {
+		// String formats weighted and k-of-n policies: pay for it only
+		// when the span records.
+		span.SetAttr("policy", pm.ens.Fuse.String())
+	}
 	numScales := len(pm.ens.Members)
-	flags := make([]bool, n)
-	for p := 0; p < n; p++ {
+	flags := make([]bool, len(coverage[0]))
+	for p := range flags {
 		count, weight := 0, 0.0
 		for i := range coverage {
 			if coverage[i][p] {
@@ -410,36 +363,60 @@ func (pm *PyramidModel) fusePoints(coverage [][]bool, n int) []bool {
 		}
 		flags[p] = pm.ens.Fuse.decide(count, weight, numScales)
 	}
+	span.End()
 	return flags
 }
 
-// detectDims is the shared batch back end over normalized input
-// dimensions: per-scale sweeps projected onto original-resolution
-// points, fused per point, merged into ranges. On a sampled ctx the
-// whole scoring runs under a "detect" span with a "scale_sweep" child
-// per scale and a "fusion_decide" child over the point-level fusion.
-func (pm *PyramidModel) detectDims(ctx context.Context, dims []*Series) ([]WindowDetection, []bool, error) {
+// nextRun returns the next maximal run [start, end] of set flags at or
+// after p, with ok false when none is left.
+func nextRun(flags []bool, p int) (start, end int, ok bool) {
+	for p < len(flags) && !flags[p] {
+		p++
+	}
+	if p == len(flags) {
+		return 0, 0, false
+	}
+	start = p
+	for p < len(flags) && flags[p] {
+		p++
+	}
+	return start, p - 1, true
+}
+
+// DetectExplained runs every scale over the series and returns the
+// fused detections. Each detection covers one maximal run of
+// fused-flagged points (Start/End are original-resolution indices,
+// Window is the detection's ordinal), carries the anomaly-type tag, the
+// per-scale breakdown in Scales, and the fastest firing scale's
+// predicates as the headline Fired set. ctx carries request-scoped
+// instrumentation: on a sampled ctx the scoring runs under a "detect"
+// span with a "scale_sweep" child per scale and a "fusion_decide" child
+// over the point-level fusion.
+func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]WindowDetection, error) {
+	ns, err := ensureNormalized(s)
+	if err != nil {
+		return nil, err
+	}
 	ctx, span := trace.StartSpan(ctx, "detect")
-	coverage, perScale, n, err := pm.scaleCoverage(ctx, dims)
+	perScale := make([][]ScaleDetection, len(pm.ens.Members))
+	var idxs []int
+	coverage, _, err := pm.sweep(ctx, ns, func(i, w, start, end int, marks *engine.Marks) {
+		idxs = marks.AppendFired(idxs[:0], w)
+		perScale[i] = append(perScale[i], ScaleDetection{
+			Factor: pm.Config.Factors[i],
+			Window: w,
+			Start:  start,
+			End:    end,
+			Fired:  pm.ens.Members[i].Model.firedFromIndices(idxs),
+		})
+	})
 	if err != nil {
 		span.End()
-		return nil, nil, err
+		return nil, err
 	}
-	_, fspan := trace.StartSpan(ctx, "fusion_decide")
-	fspan.SetAttr("policy", pm.ens.Fuse.String())
-	flags := pm.fusePoints(coverage, n)
-	fspan.End()
+	flags := pm.fusePoints(ctx, coverage)
 	var out []WindowDetection
-	for p := 0; p < n; {
-		if !flags[p] {
-			p++
-			continue
-		}
-		start := p
-		for p < n && flags[p] {
-			p++
-		}
-		end := p - 1
+	for start, end, ok := nextRun(flags, 0); ok; start, end, ok = nextRun(flags, end+1) {
 		var scales []ScaleDetection
 		for i := range perScale {
 			for _, sd := range perScale[i] {
@@ -465,26 +442,7 @@ func (pm *PyramidModel) detectDims(ctx context.Context, dims []*Series) ([]Windo
 	}
 	span.SetAttr("fired", strconv.Itoa(len(out)))
 	span.End()
-	return out, flags, nil
-}
-
-// DetectPyramid runs every scale over the series and returns the fused
-// detections. Each detection covers one maximal run of fused-flagged
-// points (Start/End are original-resolution indices, Window is the
-// detection's ordinal), carries the anomaly-type tag, the per-scale
-// breakdown in Scales, and the fastest firing scale's predicates as the
-// headline Fired set.
-func (pm *PyramidModel) DetectPyramid(s *Series) ([]WindowDetection, error) {
-	out, _, err := pm.detect(context.Background(), s)
-	return out, err
-}
-
-// DetectExplained is DetectPyramid under the shared Artifact surface, so
-// batch serving scores pyramids and plain models through one call. ctx
-// carries request-scoped instrumentation (spans, sweep observer).
-func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]WindowDetection, error) {
-	out, _, err := pm.detect(ctx, s)
-	return out, err
+	return out, nil
 }
 
 // ScoreRanges reports the same fused point ranges DetectExplained would
@@ -498,60 +456,17 @@ func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats,
 	if err != nil {
 		return RangeStats{}, err
 	}
-	dims := []*Series{ns}
-	n := ns.Len()
-	numScales := len(pm.ens.Members)
-	coverage := make([][]bool, numScales)
-	st := RangeStats{
-		ScaleFired:   make([]int, numScales),
-		ScaleWindows: make([]int, numScales),
+	st := RangeStats{ScaleFired: make([]int, len(pm.ens.Members))}
+	coverage, windows, err := pm.sweep(ctx, ns, func(i, _, _, _ int, _ *engine.Marks) {
+		st.ScaleFired[i]++
+	})
+	if err != nil {
+		return RangeStats{}, err
 	}
-	for i, mem := range pm.ens.Members {
-		f := pm.Config.Factors[i]
-		sctx, sspan := trace.StartSpan(ctx, "scale_sweep")
-		sspan.SetAttr("factor", strconv.Itoa(f))
-		ds, err := mem.Transform.Apply(dims)
-		if err != nil {
-			sspan.End()
-			return RangeStats{}, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
-		}
-		marks, err := mem.Model.detectMarks(sctx, ds)
-		if err != nil {
-			sspan.End()
-			return RangeStats{}, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
-		}
-		cov := make([]bool, n)
-		st.ScaleWindows[i] = marks.NumWindows()
-		for w := 0; w < marks.NumWindows(); w++ {
-			if !marks.Fired(w) {
-				continue
-			}
-			st.ScaleFired[i]++
-			start := (w + 1) * f
-			end := (w+pm.Opts.Omega+1)*f - 1
-			if end >= n {
-				end = n - 1
-			}
-			for p := start; p <= end; p++ {
-				cov[p] = true
-			}
-		}
-		coverage[i] = cov
-		sspan.End()
-	}
-	_, fspan := trace.StartSpan(ctx, "fusion_decide")
-	flags := pm.fusePoints(coverage, n)
-	fspan.End()
-	for p := 0; p < n; {
-		if !flags[p] {
-			p++
-			continue
-		}
-		start := p
-		for p < n && flags[p] {
-			p++
-		}
-		st.Ranges = append(st.Ranges, [2]int{start, p - 1})
+	st.ScaleWindows = windows
+	flags := pm.fusePoints(ctx, coverage)
+	for start, end, ok := nextRun(flags, 0); ok; start, end, ok = nextRun(flags, end+1) {
+		st.Ranges = append(st.Ranges, [2]int{start, end})
 	}
 	return st, nil
 }
@@ -559,102 +474,15 @@ func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats,
 // PointFlags returns the fused per-point anomaly flags — with a single
 // scale and the FuseAny default, exactly Model.PointFlags.
 func (pm *PyramidModel) PointFlags(s *Series) ([]bool, error) {
-	_, flags, err := pm.detect(context.Background(), s)
-	return flags, err
-}
-
-// normalizedDims validates a multivariate feed against the pyramid's
-// configured dimension and normalizes every dimension independently —
-// the same per-dimension normalization training applies through the
-// Corpus pipeline.
-func (pm *PyramidModel) normalizedDims(ms *MultiSeries) ([]*Series, error) {
-	if err := ms.Validate(); err != nil {
-		return nil, err
-	}
-	if pm.Config.Dim >= len(ms.Dims) {
-		return nil, fmt.Errorf("cdt: pyramid scores dimension %d, feed %q has %d", pm.Config.Dim, ms.Name, len(ms.Dims))
-	}
-	dims := make([]*Series, len(ms.Dims))
-	for d, s := range ms.Dims {
-		ns, err := ensureNormalized(s)
-		if err != nil {
-			return nil, err
-		}
-		dims[d] = ns
-	}
-	return dims, nil
-}
-
-// DetectPyramidMulti runs the fused detection over one multivariate
-// feed: the member transforms select the configured dimension and
-// resample it, so the returned detections have exactly the shape of
-// DetectPyramid over that dimension.
-func (pm *PyramidModel) DetectPyramidMulti(ms *MultiSeries) ([]WindowDetection, error) {
-	dims, err := pm.normalizedDims(ms)
+	ns, err := ensureNormalized(s)
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := pm.detectDims(context.Background(), dims)
-	return out, err
-}
-
-// PointFlagsMulti returns the fused per-point flags over one
-// multivariate feed — PointFlags with the member transforms selecting
-// the configured dimension.
-func (pm *PyramidModel) PointFlagsMulti(ms *MultiSeries) ([]bool, error) {
-	dims, err := pm.normalizedDims(ms)
+	coverage, _, err := pm.sweep(context.Background(), ns, nil)
 	if err != nil {
 		return nil, err
 	}
-	_, flags, err := pm.detectDims(context.Background(), dims)
-	return flags, err
-}
-
-// trainableFusion reports whether TrainFusion has parameters to learn
-// for the configured policy.
-func (pm *PyramidModel) trainableFusion() bool {
-	p := pm.Config.Fusion.Policy
-	return p == FuseWeighted || p == FuseKOfN
-}
-
-// applyFusionFit fits the configured trainable policy over accumulated
-// fire-indicator samples and installs the result.
-func (pm *PyramidModel) applyFusionFit(fired [][]bool, truth []bool) error {
-	var fu Fusion
-	var err error
-	switch pm.Config.Fusion.Policy {
-	case FuseWeighted:
-		fu, err = FitFusionWeights(fired, truth)
-	case FuseKOfN:
-		fu, err = FitFusionK(fired, truth)
-	default:
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	pm.Config.Fusion = fu
-	pm.ens.Fuse = fu
-	return nil
-}
-
-// fusionSamples appends one fire-indicator row and label per point of a
-// normalized input to the accumulators: the per-scale point-coverage
-// indicators detection fuses over, against the point annotations.
-func (pm *PyramidModel) fusionSamples(dims []*Series, anomalies []bool, fired [][]bool, truth []bool) ([][]bool, []bool, error) {
-	coverage, _, n, err := pm.scaleCoverage(context.Background(), dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	for p := 0; p < n; p++ {
-		row := make([]bool, len(coverage))
-		for i := range coverage {
-			row[i] = coverage[i][p]
-		}
-		fired = append(fired, row)
-		truth = append(truth, anomalies[p])
-	}
-	return fired, truth, nil
+	return pm.fusePoints(context.Background(), coverage), nil
 }
 
 // TrainFusion learns the pyramid's fusion parameters from labeled
@@ -666,7 +494,13 @@ func (pm *PyramidModel) fusionSamples(dims []*Series, anomalies []bool, fired []
 // point-level F1 (FitFusionK), overwriting any hand-set parameters.
 // Policies without trainable parameters return unchanged.
 func (pm *PyramidModel) TrainFusion(train []*Series) error {
-	if !pm.trainableFusion() {
+	var fit func(fired [][]bool, truth []bool) (Fusion, error)
+	switch pm.Config.Fusion.Policy {
+	case FuseWeighted:
+		fit = FitFusionWeights
+	case FuseKOfN:
+		fit = FitFusionK
+	default:
 		return nil
 	}
 	var fired [][]bool
@@ -679,35 +513,26 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 		if err != nil {
 			return err
 		}
-		if fired, truth, err = pm.fusionSamples([]*Series{ns}, s.Anomalies, fired, truth); err != nil {
-			return err
-		}
-	}
-	return pm.applyFusionFit(fired, truth)
-}
-
-// TrainFusionMulti is TrainFusion over labeled multivariate feeds: the
-// member transforms select the configured dimension, the feeds' shared
-// annotations are the labels.
-func (pm *PyramidModel) TrainFusionMulti(train []*MultiSeries) error {
-	if !pm.trainableFusion() {
-		return nil
-	}
-	var fired [][]bool
-	var truth []bool
-	for _, ms := range train {
-		if ms.Anomalies == nil {
-			return fmt.Errorf("cdt: feed %q is unlabeled", ms.Name)
-		}
-		dims, err := pm.normalizedDims(ms)
+		coverage, _, err := pm.sweep(context.Background(), ns, nil)
 		if err != nil {
 			return err
 		}
-		if fired, truth, err = pm.fusionSamples(dims, ms.Anomalies, fired, truth); err != nil {
-			return err
+		for p := 0; p < ns.Len(); p++ {
+			row := make([]bool, len(coverage))
+			for i := range coverage {
+				row[i] = coverage[i][p]
+			}
+			fired = append(fired, row)
+			truth = append(truth, s.Anomalies[p])
 		}
 	}
-	return pm.applyFusionFit(fired, truth)
+	fu, err := fit(fired, truth)
+	if err != nil {
+		return err
+	}
+	pm.Config.Fusion = fu
+	pm.ens.Fuse = fu
+	return nil
 }
 
 // Evaluate scores the fused detection on labeled series. Unlike
@@ -731,33 +556,6 @@ func (pm *PyramidModel) Evaluate(eval []*Series) (Report, error) {
 		}
 		for p := range flags {
 			conf.Add(flags[p], s.Anomalies[p])
-		}
-	}
-	return Report{
-		Confusion: conf,
-		F1:        conf.F1(),
-		NumRules:  pm.NumRules(),
-	}, nil
-}
-
-// EvaluateMulti is Evaluate over labeled multivariate feeds: fused
-// point flags on the configured dimension against each feed's shared
-// annotations.
-func (pm *PyramidModel) EvaluateMulti(eval []*MultiSeries) (Report, error) {
-	if len(eval) == 0 {
-		return Report{}, fmt.Errorf("cdt: no evaluation feeds")
-	}
-	var conf evalmetrics.Confusion
-	for _, ms := range eval {
-		if ms.Anomalies == nil {
-			return Report{}, fmt.Errorf("cdt: feed %q is unlabeled", ms.Name)
-		}
-		flags, err := pm.PointFlagsMulti(ms)
-		if err != nil {
-			return Report{}, err
-		}
-		for p := range flags {
-			conf.Add(flags[p], ms.Anomalies[p])
 		}
 	}
 	return Report{
@@ -807,10 +605,9 @@ type PyramidStream struct {
 
 // NewStream starts an online pyramid detector. The scale semantics are
 // those of Model.NewStream; every resolution shares the value range.
-// For a pyramid trained over one dimension of a multivariate feed
-// (Config.Dim), push that dimension's readings: streaming is scalar by
-// construction, and the member transforms' dimension selection happens
-// at the feed boundary, not per push.
+// For a pyramid trained over one column of a multivariate feed
+// (Config.Dim), push that column's readings, as every other pyramid
+// surface takes them.
 // Normalize-then-aggregate (batch) and aggregate-then-normalize
 // (streaming) agree for mean and max under an affine scale; out-of-range
 // values clamp after aggregation here, per-point in batch.

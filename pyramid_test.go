@@ -1,6 +1,8 @@
 package cdt
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -122,7 +124,7 @@ func TestPyramidSingleScaleGolden(t *testing.T) {
 		// Fused detections are exactly the maximal runs of the model's
 		// point flags, and the headline predicates come from the base
 		// scale's firings.
-		dets, err := pm.DetectPyramid(s)
+		dets, err := pm.DetectExplained(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +173,7 @@ func TestPyramidMultiScaleDetectsAndTypes(t *testing.T) {
 		t.Fatalf("Scales() = %v", got)
 	}
 
-	dets, err := pm.DetectPyramid(train)
+	dets, err := pm.DetectExplained(context.Background(), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,5 +369,130 @@ func TestPyramidReusesCorpusCache(t *testing.T) {
 	after := r1.Stats()
 	if after.WindowMisses != stats.WindowMisses {
 		t.Errorf("repeat fit recomputed windows: misses %d -> %d", stats.WindowMisses, after.WindowMisses)
+	}
+}
+
+// scaleWindow keys one fired scale window in original-resolution points
+// — the comparison unit between a pyramid stream's detections and the
+// per-scale breakdowns of batch DetectExplained.
+type scaleWindow struct {
+	factor, start, end int
+	fired              string
+}
+
+func firedKey(fired []FiredPredicate) string {
+	idx := make([]int, len(fired))
+	for i, fp := range fired {
+		idx[i] = fp.Index
+	}
+	return fmt.Sprint(idx)
+}
+
+// assertStreamMatchesBatch compares the scale windows a pyramid stream
+// emits over probe (scaled by the probe's own min/max) with the
+// per-scale breakdowns batch DetectExplained reports. Batch windows
+// whose successor bucket is partial are left out: the stream never
+// scores a partial bucket. It returns how many windows matched at
+// factors above 1.
+func assertStreamMatchesBatch(t *testing.T, name string, pm *PyramidModel, probe *Series) (matched, coarse int) {
+	t.Helper()
+	n := probe.Len()
+	batch := make(map[scaleWindow]bool)
+	dets, err := pm.DetectExplained(context.Background(), probe)
+	if err != nil {
+		t.Fatalf("%s: DetectExplained: %v", name, err)
+	}
+	for _, d := range dets {
+		for _, sd := range d.Scales {
+			if (sd.Window+pm.Opts.Omega+2)*sd.Factor > n {
+				continue
+			}
+			batch[scaleWindow{sd.Factor, sd.Start, sd.End, firedKey(sd.Fired)}] = true
+		}
+	}
+	lo, hi, err := probe.MinMax()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := pm.NewStream(Scale{Min: lo, Max: hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make(map[scaleWindow]bool)
+	for _, v := range probe.Values {
+		for _, d := range ps.Push(v) {
+			stream[scaleWindow{d.Scale, d.WindowStart, d.WindowEnd, firedKey(d.Fired)}] = true
+		}
+	}
+	for w := range stream {
+		if !batch[w] {
+			t.Fatalf("%s: stream emitted %+v, batch did not", name, w)
+		}
+	}
+	for w := range batch {
+		if !stream[w] {
+			t.Fatalf("%s: batch fired %+v, stream did not", name, w)
+		}
+		if w.factor > 1 {
+			coarse++
+		}
+	}
+	return len(batch), coarse
+}
+
+// TestPyramidStreamMatchesBatchRandomized holds stream ≡ batch for
+// pyramids on random probes whose values lie outside [0,1] (so batch
+// normalizes them): three-scale FuseAny pyramids over max and mean
+// buckets, and a pyramid trained over dimension 1 of a multivariate
+// feed, which streams and batch-scores that column's readings.
+func TestPyramidStreamMatchesBatchRandomized(t *testing.T) {
+	opts := Options{Omega: 5, Delta: 2}
+	train := plateauSeries("train", 960, []int{50, 150, 250, 600, 800}, 350, 64, 7)
+	pyramids := map[string]*PyramidModel{}
+	for _, agg := range []string{"max", "mean"} {
+		pm, err := FitPyramid([]*Series{train}, opts, PyramidConfig{Factors: []int{1, 4, 16}, Aggregator: agg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pyramids[agg] = pm
+	}
+	col, err := makeMultiFeed("train", 600, []int{60, 150, 151, 152, 250, 340, 480}, 1, 11).Dimension(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim, err := FitPyramid([]*Series{col}, opts, PyramidConfig{Factors: []int{1, 4}, Aggregator: "max", Dim: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	const probes = 300
+	matched := map[string]int{}
+	coarse := map[string]int{}
+	for i := 0; i < probes; i++ {
+		n := 120 + rng.Intn(400)
+		var spikes []int
+		for k := rng.Intn(5); k > 0; k-- {
+			spikes = append(spikes, rng.Intn(n))
+		}
+		probe := plateauSeries("probe", n, spikes, rng.Intn(n), 8+rng.Intn(40), rng.Int63())
+		for _, agg := range []string{"max", "mean"} {
+			m, c := assertStreamMatchesBatch(t, fmt.Sprintf("probe %d/%s", i, agg), pyramids[agg], probe)
+			matched[agg] += m
+			coarse[agg] += c
+		}
+		feed := makeMultiFeed("probe", n, spikes, 1, rng.Int63())
+		column, err := feed.Dimension(dim.Config.Dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, c := assertStreamMatchesBatch(t, fmt.Sprintf("probe %d/dim", i), dim, column)
+		matched["dim"] += m
+		coarse["dim"] += c
+	}
+	for _, name := range []string{"max", "mean", "dim"} {
+		if matched[name] == 0 || coarse[name] == 0 {
+			t.Errorf("%s: %d windows matched, %d above factor 1; the property is vacuous", name, matched[name], coarse[name])
+		}
 	}
 }
