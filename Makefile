@@ -13,10 +13,11 @@ FUZZ_TARGETS := \
 	./internal/datasets:FuzzReadCSV \
 	./internal/engine:FuzzEngineMatch \
 	./internal/server:FuzzParseBatchRequest \
-	./internal/server:FuzzParsePushPoints
+	./internal/server:FuzzParsePushPoints \
+	./internal/server:FuzzHandlers
 FUZZTIME ?= 10s
 
-.PHONY: all lint lint-sarif test test-hammer perfbench-test examples bench bench-trace fuzz-smoke fmt-check tidy-check vuln
+.PHONY: all lint lint-sarif test test-hammer perfbench-test examples bench bench-trace fuzz-smoke fmt-check tidy-check vuln loc
 
 all: lint test
 
@@ -84,6 +85,15 @@ fuzz-smoke:
 		echo "fuzz $$pkg $$fn"; \
 		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$pkg; \
 	done
+
+# loc: non-test Go lines per package, the count CHANGES.md quotes
+# (`cat $(ls <dir>/*.go | grep -v _test.go) | wc -l`), then the total.
+loc:
+	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./... ./tools/...); do \
+		files=$$(ls $$d/*.go | grep -v _test.go) || continue; \
+		n=$$(cat $$files | wc -l); total=$$((total + n)); \
+		rel=$${d#$(CURDIR)}; rel=$${rel#/}; printf '%7d  %s\n' $$n "$${rel:-.}"; \
+	done; printf '%7d  total\n' $$total
 
 # vuln: advisory scan; requires network to fetch govulncheck and the
 # vulnerability database, so it is gated on availability.

@@ -39,7 +39,7 @@ func BenchmarkServerBatchDetect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out batchResponse
+		var out wireBatch
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkServerBatchDetectTelemetry(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out batchResponse
+		var out wireBatch
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkServerBatchDetectTraced(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out batchResponse
+		var out wireBatch
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkServerBatchDetectPyramid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out batchResponse
+		var out wireBatch
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func BenchmarkServerBatchDetectShadow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out batchResponse
+		var out wireBatch
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func BenchmarkServerBatchDetectPyramidShadow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out batchResponse
+		var out wireBatch
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func BenchmarkServerSessionPush(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out pushPointsResponse
+		var out wirePush
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestConcurrentBatchDetectReloadAndStreams(t *testing.T) {
 					{Name: "a", Values: feed.Values},
 					{Name: "b", Values: feed.Values[:200]},
 				}}
-				var resp batchResponse
+				var resp wireBatch
 				if code := doJSON(t, "POST", ts.URL+"/models/spikes/detect", req, &resp); code != 200 {
 					batchFailures.Add(1)
 					continue
@@ -91,7 +91,7 @@ func TestConcurrentBatchDetectReloadAndStreams(t *testing.T) {
 			chunk := len(feed.Values) / streamChunks
 			for i := 0; i < streamChunks; i++ {
 				points := feed.Values[i*chunk : (i+1)*chunk]
-				var resp pushPointsResponse
+				var resp wirePush
 				if code := doJSON(t, "POST", url, pushPointsRequest{Points: points}, &resp); code != 200 {
 					t.Errorf("client %d: push = %d", c, code)
 					return
@@ -118,8 +118,8 @@ func TestConcurrentBatchDetectReloadAndStreams(t *testing.T) {
 // concurrency-safe, so this is the guard the session handle exists for.
 func TestConcurrentPushesToOneSession(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})
-	model, _ := s.registry.Get("spikes")
-	sess, err := s.sessions.Create("spikes", model, cdt.Scale{Min: 60, Max: 420}, nil, nil, nil)
+	m, _ := s.registry.Get("spikes")
+	sess, err := s.sessions.Create("spikes", m.art, cdt.Scale{Min: 60, Max: 420}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

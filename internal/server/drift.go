@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 
 	cdt "cdt"
@@ -34,20 +33,21 @@ const driftBuckets = 16
 
 // driftBucket accumulates one ring slot's worth of scored windows.
 // rules holds per-rule firing counts aligned with the model's
-// attribution label table (nil when attribution is off), so a stale
-// transition can name the rule driving the drift, not just the model.
+// attribution label table, so a stale transition can name the rule
+// driving the drift, not just the model.
 type driftBucket struct {
 	windows uint64
 	fired   uint64
 	rules   []uint64
 }
 
-// driftTracker follows one model's live fire rate.
+// driftTracker follows one served record's live fire rate; the record's
+// mutex guards it.
 type driftTracker struct {
 	baseline float64 // training-time anomaly rate
 	ring     [driftBuckets]driftBucket
 	cur      int
-	stale    bool   // sticky until the tracker is reset
+	stale    bool   // sticky for the record's lifetime
 	rule     string // top firing rule label at the stale transition
 }
 
@@ -81,7 +81,37 @@ func (t *driftTracker) topRule() int {
 	return best
 }
 
-// drift owns the per-model trackers and the single-flight retrain state.
+// add folds one scored sample into the ring and reports whether it
+// tripped the bound: the tracker has seen at least window windows and
+// its live fire rate is more than bound away from the baseline.
+func (t *driftTracker) add(windows, fired int, ruleCounts []uint64, window int, bound float64) bool {
+	b := &t.ring[t.cur]
+	b.windows += uint64(windows)
+	b.fired += uint64(fired)
+	for i, n := range ruleCounts {
+		if n == 0 {
+			continue
+		}
+		if i >= len(b.rules) {
+			b.rules = append(b.rules, make([]uint64, i+1-len(b.rules))...)
+		}
+		b.rules[i] += n
+	}
+	if b.windows >= uint64(window/driftBuckets+1) {
+		t.cur = (t.cur + 1) % driftBuckets
+		t.ring[t.cur] = driftBucket{}
+	}
+	total, totalFired := t.totals()
+	if t.stale || total < uint64(window) {
+		return false
+	}
+	live := float64(totalFired) / float64(total)
+	delta := live - t.baseline
+	return delta > bound || delta < -bound
+}
+
+// drift holds the drift configuration and the single-flight retrain
+// state; each served record carries its own tracker.
 type drift struct {
 	window    int     // minimum windows tracked before evaluating
 	bound     float64 // absolute |live − baseline| trigger; <= 0 disables
@@ -91,7 +121,6 @@ type drift struct {
 	logger    *slog.Logger // nil-safe: retrain outcomes log only when set
 
 	mu         sync.Mutex
-	trackers   map[string]*driftTracker
 	retraining map[string]bool // models with a retrain in flight
 }
 
@@ -106,91 +135,73 @@ func newDrift(window int, bound float64, store *modelstore.Store, retrainer Retr
 		retrainer:  retrainer,
 		tel:        tel,
 		logger:     logger,
-		trackers:   make(map[string]*driftTracker),
 		retraining: make(map[string]bool),
 	}
 }
 
-// observe folds one scored sample (windows swept, detections fired) for
-// name into its sliding window and evaluates the drift bound. Takes
-// d.mu; any retrain it triggers runs on a separate goroutine outside
-// the lock. Pyramid artifacts are tracked like plain models (their
-// baseline is the base scale's training rate) but never retrained
-// automatically — the retrainer only knows how to re-fit plain models,
-// so a drifted pyramid gets a stale mark and an audit note instead.
+// observe folds one scored sample (windows swept, detections fired) of
+// m into m's sliding window and evaluates the drift bound. A retired
+// record is ignored: its readings were scored by an artifact no longer
+// serving under the name. Takes m.mu for the tracker and d.mu for the
+// retrain flag, never both at once; any retrain it triggers runs on a
+// separate goroutine outside both. Pyramid artifacts
+// are tracked like plain models (their baseline is the base scale's
+// training rate) but never retrained automatically — the retrainer only
+// knows how to re-fit plain models, so a drifted pyramid gets a stale
+// mark and an audit note instead.
 //
 // ruleCounts is the sample's per-rule firing breakdown (the attribution
-// accumulation array; nil when attribution is off). It feeds a per-rule
-// window alongside the aggregate one, so a stale transition names the
-// rule driving the drift — the paper's rules are the interpretable unit,
-// and "model spikes is stale because x4.r2 tripled its fire rate" is
-// actionable where "model spikes is stale" is not. ctx carries the
-// request ID into retrain log lines.
-func (d *drift) observe(ctx context.Context, name string, model cdt.Artifact, attr *modelAttr, windows, fired int, ruleCounts []uint64) {
+// accumulation array). It feeds a per-rule window alongside the
+// aggregate one, so a stale transition names the rule driving the drift
+// — the paper's rules are the interpretable unit, and "model spikes is
+// stale because x4.r2 tripled its fire rate" is actionable where "model
+// spikes is stale" is not. ctx carries the request ID into retrain log
+// lines.
+func (d *drift) observe(ctx context.Context, m *servedModel, windows, fired int, ruleCounts []uint64) {
 	if d.bound <= 0 || windows <= 0 {
 		return
 	}
-	d.mu.Lock()
-	t := d.trackers[name]
-	if t == nil {
-		t = &driftTracker{baseline: model.TrainingAnomalyRate()}
-		d.trackers[name] = t
+	m.mu.Lock()
+	if m.retired {
+		m.mu.Unlock()
+		return
 	}
-	b := &t.ring[t.cur]
-	b.windows += uint64(windows)
-	b.fired += uint64(fired)
-	for i, n := range ruleCounts {
-		if n == 0 {
-			continue
+	t := &m.drift
+	trigger := t.add(windows, fired, ruleCounts, d.window, d.bound)
+	if trigger {
+		t.stale = true
+		if idx := t.topRule(); idx >= 0 {
+			t.rule = m.ruleLabel(idx)
 		}
-		if i >= len(b.rules) {
-			b.rules = append(b.rules, make([]uint64, i+1-len(b.rules))...)
-		}
-		b.rules[i] += n
-	}
-	if b.windows >= uint64(d.window/driftBuckets+1) {
-		t.cur = (t.cur + 1) % driftBuckets
-		t.ring[t.cur] = driftBucket{}
-	}
-	total, totalFired := t.totals()
-	trigger := false
-	if !t.stale && total >= uint64(d.window) {
-		live := float64(totalFired) / float64(total)
-		if delta := live - t.baseline; delta > d.bound || delta < -d.bound {
-			t.stale = true
-			if idx := t.topRule(); idx >= 0 {
-				t.rule = attr.ruleLabel(idx)
-			}
-			trigger = true
-		}
+		m.stale.Set(1)
 	}
 	rule := t.rule
-	launch := trigger && d.store != nil && d.retrainer != nil && !d.retraining[name]
-	if launch {
-		d.retraining[name] = true
+	m.mu.Unlock()
+	if !trigger {
+		return
 	}
-	d.mu.Unlock()
 
 	rid := RequestID(ctx)
-	if trigger {
-		d.tel.staleModels.With(name).Set(1)
-		if d.logger != nil {
-			d.logger.Warn("model drift detected",
-				"model", name, "top_rule", rule, "request_id", rid)
-		}
+	if d.logger != nil {
+		d.logger.Warn("model drift detected",
+			"model", m.name, "top_rule", rule, "request_id", rid)
 	}
+	if d.store == nil || d.retrainer == nil {
+		return
+	}
+	incumbent, ok := m.art.(*cdt.Model)
+	if !ok {
+		d.tel.retrains.With("skipped").Inc()
+		_ = d.store.Note(modelstore.EventRetrain, m.name, 0,
+			fmt.Sprintf("skipped: incumbent is a %q artifact; automatic retraining supports plain models only", m.info.Kind))
+		return
+	}
+	d.mu.Lock()
+	launch := !d.retraining[m.name]
+	d.retraining[m.name] = true
+	d.mu.Unlock()
 	if launch {
-		incumbent, ok := model.(*cdt.Model)
-		if !ok {
-			d.mu.Lock()
-			delete(d.retraining, name)
-			d.mu.Unlock()
-			d.tel.retrains.With("skipped").Inc()
-			_ = d.store.Note(modelstore.EventRetrain, name, 0,
-				fmt.Sprintf("skipped: incumbent is a %q artifact; automatic retraining supports plain models only", model.Info().Kind))
-			return
-		}
-		go d.retrain(name, incumbent, rid)
+		go d.retrain(m.name, incumbent, rid)
 	}
 }
 
@@ -230,58 +241,4 @@ func (d *drift) retrain(name string, incumbent *cdt.Model, rid string) {
 		d.logger.Info("drift retrain published candidate",
 			"model", name, "version", v.Version, "request_id", rid)
 	}
-}
-
-// reset clears name's tracker and stale flag — called when a promote,
-// rollback, or reload changes what is serving under the name. Takes d.mu.
-func (d *drift) reset(name string) {
-	d.mu.Lock()
-	delete(d.trackers, name)
-	d.mu.Unlock()
-	d.tel.staleModels.With(name).Set(0)
-}
-
-// resetAll clears every tracker (full registry reload). Takes d.mu.
-func (d *drift) resetAll() {
-	d.mu.Lock()
-	names := make([]string, 0, len(d.trackers))
-	for name := range d.trackers {
-		names = append(names, name)
-	}
-	d.trackers = make(map[string]*driftTracker)
-	d.mu.Unlock()
-	for _, name := range names {
-		//cdtlint:ignore metriclabel cold path: resetAll runs once per full registry reload, not per observation
-		d.tel.staleModels.With(name).Set(0)
-	}
-}
-
-// staleModels lists models currently marked stale, sorted for stable
-// /healthz output. Takes d.mu.
-func (d *drift) staleModels() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	for name, t := range d.trackers {
-		if t.stale {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// staleRules maps each stale model to the rule label that fired most
-// over the drift window at the stale transition ("" when attribution
-// was off). Surfaced as "stale_rules" on /healthz. Takes d.mu.
-func (d *drift) staleRules() map[string]string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]string)
-	for name, t := range d.trackers {
-		if t.stale && t.rule != "" {
-			out[name] = t.rule
-		}
-	}
-	return out
 }

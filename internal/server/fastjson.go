@@ -36,6 +36,8 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	cdt "cdt"
 )
 
 // errTrailingData flags non-whitespace bytes after a valid JSON body.
@@ -554,99 +556,94 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// appendFiredRules encodes fired predicates as the "rules" array, which
+// is never null: an empty set is [].
+//
 //cdtlint:hotpath
-func appendFiredRules(dst []byte, rules []firedRule) []byte {
-	if rules == nil {
-		return append(dst, "null"...)
-	}
+func appendFiredRules(dst []byte, fired []cdt.FiredPredicate) []byte {
 	dst = append(dst, '[')
-	for i, fr := range rules {
+	for i := range fired {
+		f := &fired[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"index":`...)
-		dst = strconv.AppendInt(dst, int64(fr.Index), 10)
+		dst = strconv.AppendInt(dst, int64(f.Index), 10)
 		dst = append(dst, `,"text":`...)
-		dst = appendJSONString(dst, fr.Text)
-		if fr.Description != "" {
+		dst = appendJSONString(dst, f.Text)
+		if f.Description != "" {
 			dst = append(dst, `,"description":`...)
-			dst = appendJSONString(dst, fr.Description)
+			dst = appendJSONString(dst, f.Description)
 		}
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
 }
 
-// appendBatchResponse encodes a batchResponse exactly as encoding/json
-// would (modulo indentation): nil slices render as null, and Error
-// keeps its omitempty behavior.
+// appendBatchResponse encodes the POST /models/{name}/detect response:
+// {"model","results":[{"name","detections",["error"]}]}. A series'
+// detections are an array, null only next to its error; each carries
+// window, start, end and rules, and pyramid detections add their
+// "type" and per-scale "scales" breakdown.
 //
 //cdtlint:hotpath
-func appendBatchResponse(dst []byte, v batchResponse) []byte {
+func appendBatchResponse(dst []byte, model string, results []seriesResult) []byte {
 	dst = append(dst, `{"model":`...)
-	dst = appendJSONString(dst, v.Model)
-	dst = append(dst, `,"results":`...)
-	if v.Results == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range v.Results {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendSeriesResult(dst, &v.Results[i])
+	dst = appendJSONString(dst, model)
+	dst = append(dst, `,"results":[`...)
+	for i := range results {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		dst = append(dst, ']')
+		dst = appendSeriesResult(dst, &results[i])
 	}
-	return append(dst, '}', '\n')
+	return append(dst, ']', '}', '\n')
 }
 
 //cdtlint:hotpath
 func appendSeriesResult(dst []byte, r *seriesResult) []byte {
 	dst = append(dst, `{"name":`...)
-	dst = appendJSONString(dst, r.Name)
-	dst = append(dst, `,"detections":`...)
-	if r.Detections == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, d := range r.Detections {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"window":`...)
-			dst = strconv.AppendInt(dst, int64(d.Window), 10)
-			dst = append(dst, `,"start":`...)
-			dst = strconv.AppendInt(dst, int64(d.Start), 10)
-			dst = append(dst, `,"end":`...)
-			dst = strconv.AppendInt(dst, int64(d.End), 10)
-			dst = append(dst, `,"rules":`...)
-			dst = appendFiredRules(dst, d.Rules)
-			if d.Type != "" {
-				dst = append(dst, `,"type":`...)
-				dst = appendJSONString(dst, d.Type)
-			}
-			if len(d.Scales) > 0 {
-				dst = append(dst, `,"scales":`...)
-				dst = appendScaleDetails(dst, d.Scales)
-			}
-			dst = append(dst, '}')
+	dst = appendJSONString(dst, r.name)
+	if r.err != "" {
+		dst = append(dst, `,"detections":null,"error":`...)
+		dst = appendJSONString(dst, r.err)
+		return append(dst, '}')
+	}
+	dst = append(dst, `,"detections":[`...)
+	for i := range r.detections {
+		d := &r.detections[i]
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		dst = append(dst, ']')
+		dst = append(dst, `{"window":`...)
+		dst = strconv.AppendInt(dst, int64(d.Window), 10)
+		dst = append(dst, `,"start":`...)
+		dst = strconv.AppendInt(dst, int64(d.Start), 10)
+		dst = append(dst, `,"end":`...)
+		dst = strconv.AppendInt(dst, int64(d.End), 10)
+		dst = append(dst, `,"rules":`...)
+		dst = appendFiredRules(dst, d.Fired)
+		if d.Type != "" {
+			dst = append(dst, `,"type":`...)
+			dst = appendJSONString(dst, string(d.Type))
+		}
+		if len(d.Scales) > 0 {
+			dst = append(dst, `,"scales":`...)
+			dst = appendScaleDetections(dst, d.Scales)
+		}
+		dst = append(dst, '}')
 	}
-	if r.Error != "" {
-		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, r.Error)
-	}
-	return append(dst, '}')
+	return append(dst, ']', '}')
 }
 
-// appendScaleDetails encodes a pyramid detection's per-scale breakdown.
+// appendScaleDetections encodes a pyramid detection's per-scale
+// breakdown.
 //
 //cdtlint:hotpath
-func appendScaleDetails(dst []byte, scales []scaleDetail) []byte {
+func appendScaleDetections(dst []byte, scales []cdt.ScaleDetection) []byte {
 	dst = append(dst, '[')
-	for i, sd := range scales {
+	for i := range scales {
+		sd := &scales[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -659,47 +656,44 @@ func appendScaleDetails(dst []byte, scales []scaleDetail) []byte {
 		dst = append(dst, `,"end":`...)
 		dst = strconv.AppendInt(dst, int64(sd.End), 10)
 		dst = append(dst, `,"rules":`...)
-		dst = appendFiredRules(dst, sd.Rules)
+		dst = appendFiredRules(dst, sd.Fired)
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
 }
 
-// appendPushPointsResponse encodes a pushPointsResponse like
-// encoding/json would (modulo indentation).
+// appendPushPointsResponse encodes the POST /streams/{id}/points
+// response: {"detections":[...],"points_consumed","ready"}. Detections
+// are always an array; each carries window_start, window_end and rules,
+// and pyramid sessions add the firing "scale" and the "type".
 //
 //cdtlint:hotpath
-func appendPushPointsResponse(dst []byte, v pushPointsResponse) []byte {
-	dst = append(dst, `{"detections":`...)
-	if v.Detections == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, d := range v.Detections {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"window_start":`...)
-			dst = strconv.AppendInt(dst, int64(d.WindowStart), 10)
-			dst = append(dst, `,"window_end":`...)
-			dst = strconv.AppendInt(dst, int64(d.WindowEnd), 10)
-			dst = append(dst, `,"rules":`...)
-			dst = appendFiredRules(dst, d.Rules)
-			if d.Scale != 0 {
-				dst = append(dst, `,"scale":`...)
-				dst = strconv.AppendInt(dst, int64(d.Scale), 10)
-			}
-			if d.Type != "" {
-				dst = append(dst, `,"type":`...)
-				dst = appendJSONString(dst, d.Type)
-			}
-			dst = append(dst, '}')
+func appendPushPointsResponse(dst []byte, dets []cdt.Detection, consumed int, ready bool) []byte {
+	dst = append(dst, `{"detections":[`...)
+	for i := range dets {
+		d := &dets[i]
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		dst = append(dst, ']')
+		dst = append(dst, `{"window_start":`...)
+		dst = strconv.AppendInt(dst, int64(d.WindowStart), 10)
+		dst = append(dst, `,"window_end":`...)
+		dst = strconv.AppendInt(dst, int64(d.WindowEnd), 10)
+		dst = append(dst, `,"rules":`...)
+		dst = appendFiredRules(dst, d.Fired)
+		if d.Scale != 0 {
+			dst = append(dst, `,"scale":`...)
+			dst = strconv.AppendInt(dst, int64(d.Scale), 10)
+		}
+		if d.Type != "" {
+			dst = append(dst, `,"type":`...)
+			dst = appendJSONString(dst, string(d.Type))
+		}
+		dst = append(dst, '}')
 	}
-	dst = append(dst, `,"points_consumed":`...)
-	dst = strconv.AppendInt(dst, int64(v.PointsConsumed), 10)
+	dst = append(dst, `],"points_consumed":`...)
+	dst = strconv.AppendInt(dst, int64(consumed), 10)
 	dst = append(dst, `,"ready":`...)
-	dst = strconv.AppendBool(dst, v.Ready)
+	dst = strconv.AppendBool(dst, ready)
 	return append(dst, '}', '\n')
 }

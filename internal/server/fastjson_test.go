@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	cdt "cdt"
 )
 
 // refDecode reproduces readJSON's decode semantics with encoding/json:
@@ -166,84 +168,171 @@ func TestParseUnknownFieldMessage(t *testing.T) {
 	}
 }
 
+// The hot endpoints' wire schema as encoding/json structs: the
+// reference the appenders are checked against, and the decode types
+// the tests read responses into.
+type (
+	wireRule struct {
+		Index       int    `json:"index"`
+		Text        string `json:"text"`
+		Description string `json:"description,omitempty"`
+	}
+	wireScale struct {
+		Factor int        `json:"factor"`
+		Window int        `json:"window"`
+		Start  int        `json:"start"`
+		End    int        `json:"end"`
+		Rules  []wireRule `json:"rules"`
+	}
+	wireDetection struct {
+		Window int         `json:"window"`
+		Start  int         `json:"start"`
+		End    int         `json:"end"`
+		Rules  []wireRule  `json:"rules"`
+		Type   string      `json:"type,omitempty"`
+		Scales []wireScale `json:"scales,omitempty"`
+	}
+	wireSeries struct {
+		Name       string          `json:"name"`
+		Detections []wireDetection `json:"detections"`
+		Error      string          `json:"error,omitempty"`
+	}
+	wireBatch struct {
+		Model   string       `json:"model"`
+		Results []wireSeries `json:"results"`
+	}
+	wireStreamDetection struct {
+		WindowStart int        `json:"window_start"`
+		WindowEnd   int        `json:"window_end"`
+		Rules       []wireRule `json:"rules"`
+		Scale       int        `json:"scale,omitempty"`
+		Type        string     `json:"type,omitempty"`
+	}
+	wirePush struct {
+		Detections     []wireStreamDetection `json:"detections"`
+		PointsConsumed int                   `json:"points_consumed"`
+		Ready          bool                  `json:"ready"`
+	}
+)
+
+// The wire* builders convert cdt results the way the handlers did
+// before the appenders encoded cdt types directly: rules and stream
+// detections always non-nil, a series' detections nil only when it
+// errored, scales nil when empty.
+func wireRules(fired []cdt.FiredPredicate) []wireRule {
+	out := make([]wireRule, len(fired))
+	for i, f := range fired {
+		out[i] = wireRule{Index: f.Index, Text: f.Text, Description: f.Description}
+	}
+	return out
+}
+
+func wireBatchOf(model string, results []seriesResult) wireBatch {
+	out := wireBatch{Model: model, Results: make([]wireSeries, len(results))}
+	for i, r := range results {
+		ws := wireSeries{Name: r.name, Error: r.err}
+		if r.err == "" {
+			ws.Detections = make([]wireDetection, len(r.detections))
+		}
+		for j, d := range r.detections {
+			wd := wireDetection{Window: d.Window, Start: d.Start, End: d.End, Rules: wireRules(d.Fired), Type: string(d.Type)}
+			for _, sd := range d.Scales {
+				wd.Scales = append(wd.Scales, wireScale{
+					Factor: sd.Factor, Window: sd.Window, Start: sd.Start, End: sd.End, Rules: wireRules(sd.Fired),
+				})
+			}
+			ws.Detections[j] = wd
+		}
+		out.Results[i] = ws
+	}
+	return out
+}
+
+func wirePushOf(dets []cdt.Detection, consumed int, ready bool) wirePush {
+	out := wirePush{Detections: make([]wireStreamDetection, len(dets)), PointsConsumed: consumed, Ready: ready}
+	for i, d := range dets {
+		out.Detections[i] = wireStreamDetection{
+			WindowStart: d.WindowStart, WindowEnd: d.WindowEnd, Rules: wireRules(d.Fired), Scale: d.Scale, Type: string(d.Type),
+		}
+	}
+	return out
+}
+
+// checkEncoding fails t unless raw is valid JSON, decodes back to want,
+// and equals encoding/json's compact encoding of want byte for byte, so
+// an appender can never drift from the declared wire schema.
+func checkEncoding[T any](t *testing.T, raw []byte, want T) {
+	t.Helper()
+	if !json.Valid(raw) {
+		t.Fatalf("invalid JSON emitted: %s", raw)
+	}
+	var back T
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("round trip failed: %v\nbody: %s", err, raw)
+	}
+	if !reflect.DeepEqual(back, want) {
+		t.Fatalf("round trip changed value:\nin:  %+v\nout: %+v", want, back)
+	}
+	ref, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSuffix(string(raw), "\n"); got != string(ref) {
+		t.Fatalf("encoding diverged:\nfast: %s\nref:  %s", got, ref)
+	}
+}
+
 func TestAppendBatchResponseRoundTrip(t *testing.T) {
-	resps := []batchResponse{
-		{Model: "m", Results: []seriesResult{
-			{Name: "plain", Detections: []batchDetection{
-				{Window: 3, Start: 4, End: 11, Rules: []firedRule{
+	exists := []cdt.FiredPredicate{{Index: 1, Text: "exists"}}
+	cases := []struct {
+		model   string
+		results []seriesResult
+	}{
+		{"m", []seriesResult{
+			{name: "plain", detections: []cdt.WindowDetection{
+				{Window: 3, Start: 4, End: 11, Fired: []cdt.FiredPredicate{
 					{Index: 1, Text: `exists "PP[H,H]"`, Description: "spike, δ-scaled"},
 					{Index: 2, Text: "t\nwo\tlines"},
 				}},
 			}},
-			{Name: `quote " backslash \ control` + "\x01", Detections: []batchDetection{}},
-			{Name: "errored", Error: `labels: "weird" failure`},
-			{Name: "unicode éé€😀"},
-			{Name: "pyramid", Detections: []batchDetection{
-				{Window: 0, Start: 6, End: 13, Type: "collective",
-					Rules: []firedRule{{Index: 1, Text: "exists"}},
-					Scales: []scaleDetail{
-						{Factor: 1, Window: 5, Start: 6, End: 13, Rules: []firedRule{{Index: 1, Text: "exists"}}},
-						{Factor: 4, Window: 0, Start: 4, End: 27, Rules: []firedRule{}},
+			{name: `quote " backslash \ control` + "\x01", detections: []cdt.WindowDetection{}},
+			{name: "errored", err: `labels: "weird" failure`},
+			{name: "unicode éé€😀"}, // no detections: DetectExplained returns nil
+			{name: "pyramid", detections: []cdt.WindowDetection{
+				{Window: 0, Start: 6, End: 13, Type: cdt.TypeCollective, Fired: exists,
+					Scales: []cdt.ScaleDetection{
+						{Factor: 1, Window: 5, Start: 6, End: 13, Fired: exists},
+						{Factor: 4, Window: 0, Start: 4, End: 27, Fired: []cdt.FiredPredicate{}},
 					}},
-				{Window: 1, Start: 30, End: 37, Type: "point",
-					Rules:  []firedRule{},
-					Scales: []scaleDetail{{Factor: 1, Window: 29, Start: 30, End: 37, Rules: nil}}},
+				{Window: 1, Start: 30, End: 37, Type: cdt.TypePoint,
+					Scales: []cdt.ScaleDetection{{Factor: 1, Window: 29, Start: 30, End: 37}}},
 			}},
 		}},
-		{Model: ""},
-		{Model: "empty", Results: []seriesResult{}},
+		{"", nil},
+		{"empty", []seriesResult{}},
 	}
-	for _, resp := range resps {
-		raw := appendBatchResponse(nil, resp)
-		if !json.Valid(raw) {
-			t.Fatalf("invalid JSON emitted: %s", raw)
-		}
-		var back batchResponse
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatalf("round trip failed: %v\nbody: %s", err, raw)
-		}
-		if !reflect.DeepEqual(back, resp) {
-			t.Fatalf("round trip changed value:\nin:  %+v\nout: %+v", resp, back)
-		}
-		// Byte-for-byte match with encoding/json's compact form, so the
-		// appender can never drift from the declared wire schema.
-		want, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.TrimSuffix(string(raw), "\n"); got != string(want) {
-			t.Fatalf("encoding diverged:\nfast: %s\nref:  %s", got, want)
-		}
+	for _, tc := range cases {
+		checkEncoding(t, appendBatchResponse(nil, tc.model, tc.results), wireBatchOf(tc.model, tc.results))
 	}
 }
 
 func TestAppendPushPointsResponseRoundTrip(t *testing.T) {
-	resps := []pushPointsResponse{
-		{Detections: []streamDetection{
-			{WindowStart: 7, WindowEnd: 14, Rules: []firedRule{{Index: 1, Text: "r"}}},
-			{WindowStart: 20, WindowEnd: 27, Rules: []firedRule{}},
-		}, PointsConsumed: 128, Ready: true},
-		{Detections: []streamDetection{}, PointsConsumed: 0, Ready: false},
-		{Detections: []streamDetection{
-			{WindowStart: 8, WindowEnd: 31, Rules: []firedRule{{Index: 2, Text: "p"}}, Scale: 4, Type: "contextual"},
-			{WindowStart: 40, WindowEnd: 47, Rules: []firedRule{}, Scale: 1, Type: "point"},
-		}, PointsConsumed: 64, Ready: true},
+	cases := []struct {
+		dets     []cdt.Detection
+		consumed int
+		ready    bool
+	}{
+		{[]cdt.Detection{
+			{WindowStart: 7, WindowEnd: 14, Fired: []cdt.FiredPredicate{{Index: 1, Text: "r"}}},
+			{WindowStart: 20, WindowEnd: 27, Fired: []cdt.FiredPredicate{}},
+		}, 128, true},
+		{nil, 0, false},
+		{[]cdt.Detection{
+			{WindowStart: 8, WindowEnd: 31, Fired: []cdt.FiredPredicate{{Index: 2, Text: "p \"q\""}}, Scale: 4, Type: cdt.TypeContextual},
+			{WindowStart: 40, WindowEnd: 47, Scale: 1, Type: cdt.TypePoint},
+		}, 64, true},
 	}
-	for _, resp := range resps {
-		raw := appendPushPointsResponse(nil, resp)
-		var back pushPointsResponse
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatalf("round trip failed: %v\nbody: %s", err, raw)
-		}
-		if !reflect.DeepEqual(back, resp) {
-			t.Fatalf("round trip changed value:\nin:  %+v\nout: %+v", resp, back)
-		}
-		want, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.TrimSuffix(string(raw), "\n"); got != string(want) {
-			t.Fatalf("encoding diverged:\nfast: %s\nref:  %s", got, want)
-		}
+	for _, tc := range cases {
+		checkEncoding(t, appendPushPointsResponse(nil, tc.dets, tc.consumed, tc.ready), wirePushOf(tc.dets, tc.consumed, tc.ready))
 	}
 }

@@ -10,10 +10,11 @@ package server
 //	POST   /models/{name}/rollback                  undo last promote
 //
 // Promote is atomic from the traffic's point of view: the store pointer
-// moves first, then the registry reloads and swaps its model map in one
-// write; if the reload fails the pointer is rolled back, so serving
-// state and store state never diverge. Live stream sessions pin the
-// model they were created with, so promotion never disturbs them.
+// moves first, then the registry swaps in a fresh record for the model
+// in one write; if loading it fails the pointer is rolled back, so
+// serving state and store state never diverge. Live stream sessions pin
+// the model they were created with, so promotion never disturbs them;
+// their readings stop feeding drift, which now tracks the new record.
 
 import (
 	"fmt"
@@ -51,8 +52,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown model %q", name)
 		return
 	}
-	serving, _ := s.registry.Version(name)
-	if req.Version == serving {
+	if req.Version == incumbent.version {
 		writeError(w, http.StatusBadRequest,
 			"version %d is already serving as %q", req.Version, name)
 		return
@@ -67,7 +67,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 	// one artifact kind (two plain models compare window ranges, two
 	// pyramids fused point ranges) but not across kinds — a fused run and
 	// a single window describe different things even when they overlap.
-	if ck, ik := candidate.Info().Kind, incumbent.Info().Kind; ck != ik {
+	if ck, ik := candidate.Info().Kind, incumbent.info.Kind; ck != ik {
 		writeError(w, http.StatusBadRequest,
 			"shadow evaluation requires a candidate of the serving kind %q; version %d of %q is a %q artifact",
 			ik, req.Version, name, ck)
@@ -75,7 +75,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 	}
 	sh := s.shadows.Start(name, req.Version, candidate)
 	_ = st.Note(modelstore.EventShadow, name, req.Version,
-		fmt.Sprintf("shadow started against serving version %d", serving))
+		fmt.Sprintf("shadow started against serving version %d", incumbent.version))
 	writeJSON(w, http.StatusCreated, sh.summary())
 }
 
@@ -112,12 +112,15 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	previous, _ := s.registry.Version(name)
+	var previous int
+	if m, ok := s.registry.Get(name); ok {
+		previous = m.version
+	}
 	if err := st.Promote(name, req.Version); err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	if _, err := s.registry.Reload(); err != nil {
+	if err := s.registry.reloadModel(name); err != nil {
 		// The new pointer does not load; put the old one back so the store
 		// and the (unchanged) serving set stay in agreement.
 		if _, rbErr := st.Rollback(name); rbErr != nil {
@@ -134,7 +137,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		s.shadows.Stop(name)
 		_ = st.Note(modelstore.EventShadow, name, req.Version, "shadow stopped: candidate promoted")
 	}
-	s.drift.reset(name)
 	s.tel.promotes.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":    name,
@@ -154,7 +156,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	if _, err := s.registry.Reload(); err != nil {
+	if err := s.registry.reloadModel(name); err != nil {
 		// Symmetric to promote: restore the pointer we just moved.
 		if _, rbErr := st.Rollback(name); rbErr != nil {
 			writeError(w, http.StatusInternalServerError,
@@ -165,7 +167,6 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 			"rollback undone: reloading previous version: %v", err)
 		return
 	}
-	s.drift.reset(name)
 	s.tel.rollbacks.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"model":   name,

@@ -71,7 +71,7 @@ func newStoreServer(tb testing.TB, cfg Config) (*Server, *httptest.Server, *mode
 }
 
 // batchDetect posts one batch request of n series against model name.
-func batchDetect(tb testing.TB, ts *httptest.Server, name string, n int, seed int64) batchResponse {
+func batchDetect(tb testing.TB, ts *httptest.Server, name string, n int, seed int64) wireBatch {
 	tb.Helper()
 	req := batchRequest{}
 	for i := 0; i < n; i++ {
@@ -89,7 +89,7 @@ func batchDetect(tb testing.TB, ts *httptest.Server, name string, n int, seed in
 		tb.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out batchResponse
+	var out wireBatch
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		tb.Fatal(err)
 	}
@@ -203,8 +203,8 @@ func TestModelLifecycleEndToEnd(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/models/spikes/promote", versionRequest{Version: 2}, &promoted); code != 200 {
 		t.Fatalf("promote: status %d (%v)", code, promoted)
 	}
-	if v, _ := s.registry.Version("spikes"); v != 2 {
-		t.Fatalf("serving version after promote = %d", v)
+	if m, _ := s.registry.Get("spikes"); m.version != 2 {
+		t.Fatalf("serving version after promote = %d", m.version)
 	}
 	if code := doJSON(t, "GET", ts.URL+"/models/spikes/shadow", nil, nil); code != 404 {
 		t.Fatal("shadow still active after its candidate was promoted")
@@ -220,8 +220,8 @@ func TestModelLifecycleEndToEnd(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/models/spikes/rollback", nil, &rolled); code != 200 {
 		t.Fatalf("rollback: status %d (%v)", code, rolled)
 	}
-	if v, _ := s.registry.Version("spikes"); v != 1 {
-		t.Fatalf("serving version after rollback = %d", v)
+	if m, _ := s.registry.Get("spikes"); m.version != 1 {
+		t.Fatalf("serving version after rollback = %d", m.version)
 	}
 
 	// Every transition is in the audit log, in order.
@@ -361,7 +361,7 @@ func TestDriftMarksStaleAndRetrains(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	if stale := s.drift.staleModels(); len(stale) != 1 || stale[0] != "spikes" {
+	if stale, _ := s.registry.stale(); len(stale) != 1 || stale[0] != "spikes" {
 		t.Fatalf("stale models = %v", stale)
 	}
 	var health map[string]any
@@ -401,15 +401,15 @@ func TestDriftMarksStaleAndRetrains(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if v, _ := s.registry.Version("spikes"); v != 1 {
-		t.Fatalf("serving version changed to %d during drift", v)
+	if m, _ := s.registry.Get("spikes"); m.version != 1 {
+		t.Fatalf("serving version changed to %d during drift", m.version)
 	}
 
 	// Reload clears the stale flag (new baseline epoch).
 	if code := doJSON(t, "POST", ts.URL+"/models/reload", nil, nil); code != 200 {
 		t.Fatal("reload failed")
 	}
-	if stale := s.drift.staleModels(); len(stale) != 0 {
+	if stale, _ := s.registry.stale(); len(stale) != 0 {
 		t.Fatalf("stale after reload: %v", stale)
 	}
 	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); code != 200 || health["status"] != "ok" {
@@ -478,5 +478,161 @@ func TestConcurrentShadowPromoteHammer(t *testing.T) {
 	}
 	if s.registry.Len() != 1 {
 		t.Fatalf("registry lost its model: %d", s.registry.Len())
+	}
+}
+
+// denseSpikes is a 300-reading feed with a spike every ten points: its
+// fire rate sits far above the ~1% training baseline of trainModel and
+// trainVariant, so a tight drift bound trips on it.
+func denseSpikes() []float64 {
+	spikes := make([]int, 0, 30)
+	for i := 10; i < 300; i += 10 {
+		spikes = append(spikes, i)
+	}
+	return spiky("hot", 300, spikes, 3).Values
+}
+
+// TestDriftIgnoresSessionsOnReplacedVersion: a stream session opened on
+// v1 keeps scoring v1 after v2 is promoted, but its readings describe
+// v1's rules against v1's baseline and must not mark v2 stale.
+func TestDriftIgnoresSessionsOnReplacedVersion(t *testing.T) {
+	_, ts, _ := newStoreServer(t, Config{DriftWindow: 64, DriftBound: 0.02})
+	var old createStreamResponse
+	if code := doJSON(t, "POST", ts.URL+"/streams", createStreamRequest{Model: "spikes", Min: 60, Max: 420}, &old); code != 201 {
+		t.Fatalf("create stream: status %d", code)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/models/spikes/promote", versionRequest{Version: 2}, nil); code != 200 {
+		t.Fatalf("promote: status %d", code)
+	}
+	fired := 0
+	for i := 0; i < 4; i++ {
+		var push struct {
+			Detections []json.RawMessage `json:"detections"`
+		}
+		if code := doJSON(t, "POST", ts.URL+"/streams/"+old.ID+"/points", pushPointsRequest{Points: denseSpikes()}, &push); code != 200 {
+			t.Fatalf("push to the v1 session: status %d", code)
+		}
+		fired += len(push.Detections)
+	}
+	if fired == 0 {
+		t.Fatal("the v1 session never fired; the test is vacuous")
+	}
+	var health map[string]any
+	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); code != 200 || health["status"] != "ok" {
+		t.Fatalf("healthz after v1-session traffic = %v, want ok", health)
+	}
+	if !strings.Contains(metricsText(t, ts), `cdtserve_model_stale{model="spikes"} 0`) {
+		t.Error(`cdtserve_model_stale{model="spikes"} is not 0`)
+	}
+}
+
+// TestRegistryReloadClearsStale: cdtserve's SIGHUP handler calls
+// Registry().Reload() directly, and that reload must clear drift state
+// exactly as POST /models/reload does.
+func TestRegistryReloadClearsStale(t *testing.T) {
+	s, ts, _ := newStoreServer(t, Config{DriftWindow: 64, DriftBound: 0.02})
+	body, err := json.Marshal(batchRequest{Series: []seriesPayload{{Name: "hot", Values: denseSpikes()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		resp, err := http.Post(ts.URL+"/models/spikes/detect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	var health map[string]any
+	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); code != 200 || health["status"] != "degraded" {
+		t.Fatalf("healthz before reload = %v, want degraded", health)
+	}
+
+	if _, err := s.Registry().Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); code != 200 || health["status"] != "ok" {
+		t.Fatalf("healthz after Registry().Reload() = %v, want ok", health)
+	}
+	if !strings.Contains(metricsText(t, ts), `cdtserve_model_stale{model="spikes"} 0`) {
+		t.Error(`cdtserve_model_stale{model="spikes"} is not 0 after Registry().Reload()`)
+	}
+}
+
+// TestDriftReloadHammer races drift-tracked batch and stream traffic
+// against full reloads, promote/rollback flips and /healthz reads, so
+// the race detector sees every path that touches a served record's
+// tracker: observation, retirement, and the stale listing.
+func TestDriftReloadHammer(t *testing.T) {
+	s, ts, _ := newStoreServer(t, Config{DriftWindow: 64, DriftBound: 0.02})
+	post := func(path string, v any) int {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var sess createStreamResponse
+	if code := doJSON(t, "POST", ts.URL+"/streams", createStreamRequest{Model: "spikes", Min: 60, Max: 420}, &sess); code != 201 {
+		t.Fatalf("create stream: status %d", code)
+	}
+	hot := denseSpikes()
+
+	const iters = 20
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if code := post("/models/spikes/detect", batchRequest{Series: []seriesPayload{{Name: "hot", Values: hot}}}); code != 200 {
+				t.Errorf("batch detect: status %d", code)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if code := post("/streams/"+sess.ID+"/points", pushPointsRequest{Points: hot[:100]}); code != 200 {
+				t.Errorf("push: status %d", code)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if _, err := s.Registry().Reload(); err != nil {
+				t.Error(err)
+			}
+			post("/models/spikes/promote", versionRequest{Version: 2})
+			post("/models/spikes/rollback", nil)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	wg.Wait()
+
+	if _, err := s.Registry().Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if stale, _ := s.registry.stale(); len(stale) != 0 {
+		t.Fatalf("stale after a final reload: %v", stale)
 	}
 }

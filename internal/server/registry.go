@@ -10,30 +10,30 @@ import (
 
 	cdt "cdt"
 	"cdt/internal/modelstore"
-	"cdt/internal/telemetry"
 )
 
 // Registry serves trained models loaded from one of two backends: a
 // directory of versioned JSON artifacts (one `<name>.json` per model,
 // the format written by Model.Save), or a modelstore.Store, where each
 // model resolves through its "current" promotion pointer and carries a
-// version number. Lookups take a read lock; Reload builds a complete
-// new model set off to the side and swaps it in atomically under the
-// write lock, so in-flight requests keep the cdt.Artifact they
-// already resolved — artifacts are immutable after load, which makes
-// hot-reload (and store promotes/rollbacks, which are just reloads of
-// moved pointers) safe without draining traffic. Immutability includes
-// each model's compiled rule engine (internal/engine): Load compiles it
+// version number. Each served artifact lives in one servedModel record
+// built at load. Lookups take a read lock; Reload builds a complete new
+// record set off to the side and swaps it in under the write lock, and
+// a promote or rollback swaps in a fresh record for one name. The
+// records they replace are retired: requests and stream sessions keep
+// the record they already resolved — artifacts are immutable after
+// load, which makes hot-reload safe without draining traffic — but a
+// retired record no longer feeds drift. Immutability includes each
+// model's compiled rule engine (internal/engine): Load compiles it
 // once, and every request against the model — batch detects and stream
 // sessions alike — matches through that one shared read-only engine.
 type Registry struct {
-	dir     string
-	store   *modelstore.Store  // nil in directory mode
-	reloads *telemetry.Counter // set by server.New; nil for a bare registry
+	dir   string
+	store *modelstore.Store // nil in directory mode
+	tel   *serverMetrics
 
-	mu       sync.RWMutex
-	models   map[string]cdt.Artifact
-	versions map[string]int // store mode: serving version per name; nil in dir mode
+	mu     sync.RWMutex
+	models map[string]*servedModel
 }
 
 // ModelInfo summarizes one registered model for listings.
@@ -58,38 +58,43 @@ type ModelInfo struct {
 	FusionWeights []float64 `json:"fusion_weights,omitempty"`
 }
 
-// NewRegistry loads every model in dir. The directory must exist and
-// every *.json file in it must be a loadable model — a serving process
-// should fail fast on a bad artifact rather than come up partial.
-func NewRegistry(dir string) (*Registry, error) {
-	models, err := loadModelDir(dir)
+// newRegistry loads the backend: every model in dir, or every
+// promoted "current" pointer in st. A directory's *.json files must all
+// load, and a store must have at least one promoted model — a serving
+// process should fail fast rather than come up partial or empty.
+func newRegistry(dir string, st *modelstore.Store, tel *serverMetrics) (*Registry, error) {
+	r := &Registry{dir: dir, store: st, tel: tel}
+	models, err := r.load()
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{dir: dir, models: models}, nil
+	r.models = models
+	return r, nil
 }
 
-// NewStoreRegistry resolves every promoted "current" pointer in the
-// store. At least one model must be promoted — a serving process over
-// an empty store has nothing to serve.
-func NewStoreRegistry(st *modelstore.Store) (*Registry, error) {
-	models, versions, err := loadStore(st)
-	if err != nil {
+// load resolves the backend into a fresh record set.
+func (r *Registry) load() (map[string]*servedModel, error) {
+	var (
+		arts     map[string]cdt.Artifact
+		versions map[string]int // nil in directory mode
+		err      error
+	)
+	if r.store != nil {
+		arts, versions, err = r.store.CurrentModels()
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		if len(arts) == 0 {
+			return nil, fmt.Errorf("server: no promoted models in store %s", r.store.Dir())
+		}
+	} else if arts, err = loadModelDir(r.dir); err != nil {
 		return nil, err
 	}
-	return &Registry{store: st, models: models, versions: versions}, nil
-}
-
-// loadStore resolves the store's promoted models.
-func loadStore(st *modelstore.Store) (map[string]cdt.Artifact, map[string]int, error) {
-	models, versions, err := st.CurrentModels()
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: %w", err)
+	models := make(map[string]*servedModel, len(arts))
+	for name, art := range arts {
+		models[name] = newServedModel(r.tel, name, art, versions[name])
 	}
-	if len(models) == 0 {
-		return nil, nil, fmt.Errorf("server: no promoted models in store %s", st.Dir())
-	}
-	return models, versions, nil
+	return models, nil
 }
 
 // loadModelDir reads every *.json artifact in dir, keyed by basename.
@@ -121,9 +126,10 @@ func loadModelDir(dir string) (map[string]cdt.Artifact, error) {
 	return models, nil
 }
 
-// Get resolves a model by name. The returned artifact stays valid
-// across reloads (it is immutable; the registry only swaps the map).
-func (r *Registry) Get(name string) (cdt.Artifact, bool) {
+// Get resolves the record serving under name. The record stays valid
+// after a reload replaces it (its artifact is immutable); it only stops
+// feeding drift.
+func (r *Registry) Get(name string) (*servedModel, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	m, ok := r.models[name]
@@ -131,40 +137,66 @@ func (r *Registry) Get(name string) (cdt.Artifact, bool) {
 }
 
 // Reload re-resolves the backend (directory contents or store "current"
-// pointers) and atomically replaces the whole model set. On any load
-// error the previous set stays untouched, so a corrupt artifact can
-// never take down serving. Returns the number of models now live.
+// pointers) and replaces every record, retiring the old ones. On any
+// load error the previous set stays untouched, so a corrupt artifact
+// can never take down serving. Returns the number of models now live.
 func (r *Registry) Reload() (int, error) {
-	var (
-		models   map[string]cdt.Artifact
-		versions map[string]int
-		err      error
-	)
-	if r.store != nil {
-		models, versions, err = loadStore(r.store)
-	} else {
-		models, err = loadModelDir(r.dir)
-	}
+	models, err := r.load()
 	if err != nil {
 		return 0, err
 	}
 	r.mu.Lock()
-	r.models = models
-	r.versions = versions
-	r.mu.Unlock()
-	if r.reloads != nil {
-		r.reloads.Inc()
+	for _, m := range r.models {
+		m.retire()
 	}
+	r.models = models
+	r.mu.Unlock()
+	r.tel.reloads.Inc()
 	return len(models), nil
 }
 
-// Version returns the store version serving as name (0, false in
-// directory mode or for unknown names).
-func (r *Registry) Version(name string) (int, bool) {
+// reloadModel replaces name's record with its store's current version,
+// retiring the old record — the promote and rollback path, which moves
+// one pointer and so reloads one model. On a load error the old record
+// keeps serving.
+func (r *Registry) reloadModel(name string) error {
+	art, v, err := r.store.LoadCurrent(name)
+	if err != nil {
+		return err
+	}
+	m := newServedModel(r.tel, name, art, v.Version)
+	r.mu.Lock()
+	if old := r.models[name]; old != nil {
+		old.retire()
+	}
+	r.models[name] = m
+	r.mu.Unlock()
+	r.tel.reloads.Inc()
+	return nil
+}
+
+// stale lists the serving models marked stale, sorted for stable
+// /healthz output, and the rule label each was marked under (when the
+// model has labeled rules).
+func (r *Registry) stale() ([]string, map[string]string) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	v, ok := r.versions[name]
-	return v, ok
+	var names []string
+	rules := make(map[string]string)
+	for name, m := range r.models {
+		m.mu.Lock()
+		stale, rule := m.drift.stale, m.drift.rule
+		m.mu.Unlock()
+		if !stale {
+			continue
+		}
+		names = append(names, name)
+		if rule != "" {
+			rules[name] = rule
+		}
+	}
+	sort.Strings(names)
+	return names, rules
 }
 
 // Store returns the backing model store (nil in directory mode).
@@ -196,13 +228,13 @@ func (r *Registry) List() []ModelInfo {
 	defer r.mu.RUnlock()
 	out := make([]ModelInfo, 0, len(r.models))
 	for name, m := range r.models {
-		info := m.Info()
+		info := m.info
 		mi := ModelInfo{
 			Name:     name,
 			Omega:    info.Omega,
 			Delta:    info.Delta,
 			NumRules: info.NumRules,
-			Version:  r.versions[name],
+			Version:  m.version,
 		}
 		// Plain models keep the pre-pyramid listing shape (no kind field).
 		if info.Kind != cdt.KindModel {

@@ -96,7 +96,6 @@ type Server struct {
 	sessions *Sessions
 	shadows  *Shadows
 	drift    *drift
-	attr     *attribution  // per-model rule-attribution cache
 	sem      chan struct{} // batch worker-pool slots
 	mux      *http.ServeMux
 	tel      *serverMetrics
@@ -108,30 +107,20 @@ type Server struct {
 // serving stack.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	var (
-		reg *Registry
-		err error
-	)
-	if cfg.Store != nil {
-		if cfg.ModelDir != "" {
-			return nil, fmt.Errorf("server: Config.ModelDir and Config.Store are mutually exclusive")
-		}
-		reg, err = NewStoreRegistry(cfg.Store)
-	} else {
-		reg, err = NewRegistry(cfg.ModelDir)
+	if cfg.Store != nil && cfg.ModelDir != "" {
+		return nil, fmt.Errorf("server: Config.ModelDir and Config.Store are mutually exclusive")
 	}
+	tel := newServerMetrics()
+	reg, err := newRegistry(cfg.ModelDir, cfg.Store, tel)
 	if err != nil {
 		return nil, err
 	}
-	tel := newServerMetrics()
-	reg.reloads = tel.reloads
 	s := &Server{
 		cfg:      cfg,
 		registry: reg,
 		sessions: NewSessions(cfg.SessionTTL, tel),
 		shadows:  NewShadows(tel, cfg.Workers, cfg.AccessLog, cfg.Tracer),
 		drift:    newDrift(cfg.DriftWindow, cfg.DriftBound, cfg.Store, cfg.Retrainer, tel, cfg.AccessLog),
-		attr:     newAttribution(tel),
 		sem:      make(chan struct{}, cfg.Workers),
 		mux:      http.NewServeMux(),
 		tel:      tel,
@@ -273,23 +262,6 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// --- rule DTOs ---------------------------------------------------------
-
-// firedRule is the wire form of a fired rule predicate.
-type firedRule struct {
-	Index       int    `json:"index"`
-	Text        string `json:"text"`
-	Description string `json:"description,omitempty"`
-}
-
-func firedRules(fired []cdt.FiredPredicate) []firedRule {
-	out := make([]firedRule, len(fired))
-	for i, f := range fired {
-		out[i] = firedRule{Index: f.Index, Text: f.Text, Description: f.Description}
-	}
-	return out
-}
-
 // --- operational handlers ----------------------------------------------
 
 // handleHealthz is the readiness view: it verifies the model backend is
@@ -310,10 +282,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"models":          s.registry.Len(),
 		"active_sessions": s.sessions.Len(),
 	}
-	if stale := s.drift.staleModels(); len(stale) > 0 {
+	if stale, rules := s.registry.stale(); len(stale) > 0 {
 		body["status"] = "degraded"
 		body["stale_models"] = stale
-		if rules := s.drift.staleRules(); len(rules) > 0 {
+		if len(rules) > 0 {
 			// Name the rule driving each drift — the actionable half of
 			// the stale signal for a rule-based detector.
 			body["stale_rules"] = rules
@@ -332,9 +304,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "reload failed (previous models still serving): %v", err)
 		return
 	}
-	// What serves under each name may have changed; drift baselines from
-	// the previous artifacts no longer apply.
-	s.drift.resetAll()
 	writeJSON(w, http.StatusOK, map[string]any{"models": n})
 }
 
@@ -357,14 +326,13 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	model, ok := s.registry.Get(req.Model)
+	m, ok := s.registry.Get(req.Model)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown model %q", req.Model)
 		return
 	}
-	sess, err := s.sessions.Create(req.Model, model,
-		cdt.Scale{Min: req.Min, Max: req.Max}, s.shadows.Get(req.Model), s.drift,
-		s.attr.forModel(req.Model, model))
+	sess, err := s.sessions.Create(req.Model, m.art,
+		cdt.Scale{Min: req.Min, Max: req.Max}, s.shadows.Get(req.Model), s.drift, m)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -374,23 +342,6 @@ func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 
 type pushPointsRequest struct {
 	Points []float64 `json:"points"`
-}
-
-type streamDetection struct {
-	WindowStart int         `json:"window_start"`
-	WindowEnd   int         `json:"window_end"`
-	Rules       []firedRule `json:"rules"`
-	// Scale and Type are set only by pyramid sessions: the downsample
-	// factor of the scale that fired and the live anomaly-type tag.
-	// Plain-model sessions keep their pre-pyramid response shape.
-	Scale int    `json:"scale,omitempty"`
-	Type  string `json:"type,omitempty"`
-}
-
-type pushPointsResponse struct {
-	Detections     []streamDetection `json:"detections"`
-	PointsConsumed int               `json:"points_consumed"`
-	Ready          bool              `json:"ready"`
 }
 
 func (s *Server) handlePushPoints(w http.ResponseWriter, r *http.Request) {
@@ -416,30 +367,9 @@ func (s *Server) handlePushPoints(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dets, consumed, ready := sess.Push(r.Context(), req.Points)
-	resp := pushPointsResponse{
-		Detections:     make([]streamDetection, len(dets)),
-		PointsConsumed: consumed,
-		Ready:          ready,
-	}
-	typeCounts := map[string]uint64{}
-	for i, d := range dets {
-		resp.Detections[i] = streamDetection{
-			WindowStart: d.WindowStart,
-			WindowEnd:   d.WindowEnd,
-			Rules:       firedRules(d.Fired),
-			Scale:       d.Scale,
-			Type:        string(d.Type),
-		}
-		if d.Type != "" {
-			typeCounts[string(d.Type)]++
-		}
-	}
-	for typ, n := range typeCounts {
-		s.tel.anomalyTypes.With(sess.Model, typ).Add(n)
-	}
 	s.tel.streamDetections.Add(uint64(len(dets)))
 	bp := respBufPool.Get().(*[]byte)
-	buf := appendPushPointsResponse((*bp)[:0], resp)
+	buf := appendPushPointsResponse((*bp)[:0], dets, consumed, ready)
 	writeRawJSON(w, http.StatusOK, buf)
 	*bp = buf[:0]
 	respBufPool.Put(bp)

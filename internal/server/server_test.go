@@ -140,7 +140,7 @@ func TestBatchDetectReturnsRuleText(t *testing.T) {
 		{Name: "feed", Values: feed.Values},
 		{Name: "quiet", Values: spiky("quiet", 200, nil, 5).Values},
 	}}
-	var resp batchResponse
+	var resp wireBatch
 	if code := doJSON(t, "POST", ts.URL+"/models/spikes/detect", req, &resp); code != 200 {
 		t.Fatalf("detect = %d", code)
 	}
@@ -191,9 +191,9 @@ func TestStreamSessionRoundTrip(t *testing.T) {
 	// Replay a synthetic SGE feed with live incidents in two chunks.
 	feed := spiky("live", 300, []int{120, 240}, 3)
 	streamURL := ts.URL + "/streams/" + created.ID
-	var total []streamDetection
+	var total []wireStreamDetection
 	for _, chunk := range [][]float64{feed.Values[:150], feed.Values[150:]} {
-		var resp pushPointsResponse
+		var resp wirePush
 		if code := doJSON(t, "POST", streamURL+"/points", pushPointsRequest{Points: chunk}, &resp); code != 200 {
 			t.Fatalf("push = %d", code)
 		}
@@ -215,7 +215,7 @@ func TestStreamSessionRoundTrip(t *testing.T) {
 	if code := doJSON(t, "POST", streamURL+"/reset", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("reset = %d", code)
 	}
-	var after pushPointsResponse
+	var after wirePush
 	if code := doJSON(t, "POST", streamURL+"/points", pushPointsRequest{Points: feed.Values[:3]}, &after); code != 200 {
 		t.Fatalf("push after reset = %d", code)
 	}
@@ -319,7 +319,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 	// The previous model set must still serve.
 	req := batchRequest{Series: []seriesPayload{{Name: "f", Values: spiky("f", 300, []int{120}, 1).Values}}}
-	var resp batchResponse
+	var resp wireBatch
 	if code := doJSON(t, "POST", ts.URL+"/models/spikes/detect", req, &resp); code != 200 {
 		t.Fatalf("detect after failed reload = %d", code)
 	}
@@ -346,10 +346,10 @@ func TestSessionTTLEviction(t *testing.T) {
 }
 
 func TestRegistryRejectsEmptyOrMissingDir(t *testing.T) {
-	if _, err := NewRegistry(t.TempDir()); err == nil {
+	if _, err := newRegistry(t.TempDir(), nil, newServerMetrics()); err == nil {
 		t.Error("empty model dir accepted")
 	}
-	if _, err := NewRegistry(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, err := newRegistry(filepath.Join(t.TempDir(), "nope"), nil, newServerMetrics()); err == nil {
 		t.Error("missing model dir accepted")
 	}
 }

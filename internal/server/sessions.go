@@ -38,9 +38,8 @@ type Session struct {
 	Omega int
 	tel   *serverMetrics // nil in unit tests that build Sessions bare
 
-	model cdt.Artifact // pinned incumbent (drift baseline source); may be nil in bare tests
-	drift *drift       // nil disables drift tracking (bare tests)
-	attr  *modelAttr   // nil disables per-rule attribution (bare tests)
+	served *servedModel // registry record: attribution and drift; nil in bare sessions
+	drift  *drift       // nil disables drift tracking (bare sessions)
 
 	mu       sync.Mutex
 	stream   cdt.StreamHandle
@@ -119,10 +118,11 @@ func newSessionID() string {
 
 // Create opens a stream on model (named name in the registry) and
 // registers it. The session pins the model it was created with, so a
-// registry reload — or a store promote, which is a reload — does not
-// disturb live streams. shadow, drift, and attr may be nil (bare unit
-// tests, or no candidate shadowing at creation time).
-func (s *Sessions) Create(name string, model cdt.Artifact, scale cdt.Scale, shadow *Shadow, drift *drift, attr *modelAttr) (*Session, error) {
+// registry reload, promote or rollback does not disturb live streams;
+// once served (the registry record model came from) is replaced, the
+// session's readings stop feeding drift. shadow, drift, and served may
+// be nil (bare sessions, or no candidate shadowing at creation time).
+func (s *Sessions) Create(name string, model cdt.Artifact, scale cdt.Scale, shadow *Shadow, drift *drift, served *servedModel) (*Session, error) {
 	stream, err := model.OpenStream(scale)
 	if err != nil {
 		return nil, err
@@ -136,14 +136,19 @@ func (s *Sessions) Create(name string, model cdt.Artifact, scale cdt.Scale, shad
 			shadow = nil
 		}
 	}
+	var omega int
+	if served != nil {
+		omega = served.info.Omega
+	} else {
+		omega = model.Info().Omega // a bare session has no record to read it from
+	}
 	sess := &Session{
 		ID:           newSessionID(),
 		Model:        name,
-		Omega:        model.Info().Omega,
+		Omega:        omega,
 		tel:          s.tel,
-		model:        model,
+		served:       served,
 		drift:        drift,
-		attr:         attr,
 		stream:       stream,
 		shadow:       shadow,
 		shadowStream: shadowStream,
@@ -213,16 +218,19 @@ func (sess *Session) Push(ctx context.Context, values []float64) ([]cdt.Detectio
 		agree, incOnly, candOnly := compareRanges(detectionRanges(out), detectionRanges(candDets))
 		sess.shadow.record(windows, agree, incOnly, candOnly)
 	}
-	var ruleCounts []uint64
-	if sess.attr != nil && len(out) > 0 {
-		ruleCounts = sess.attr.newCounts()
-		for _, d := range out {
-			sess.attr.tallyStream(ruleCounts, d)
+	if m := sess.served; m != nil {
+		var ruleCounts []uint64
+		if len(out) > 0 {
+			ruleCounts = m.newCounts()
+			for _, d := range out {
+				m.tally(ruleCounts, d.Scale, d.Fired)
+				m.countType(d.Type)
+			}
+			m.apply(ruleCounts)
 		}
-		sess.attr.apply(ruleCounts)
-	}
-	if sess.drift != nil {
-		sess.drift.observe(ctx, sess.Model, sess.model, sess.attr, windows, len(out), ruleCounts)
+		if sess.drift != nil {
+			sess.drift.observe(ctx, m, windows, len(out), ruleCounts)
+		}
 	}
 	sess.lastUsed = time.Now()
 	if sess.tel != nil {

@@ -47,8 +47,9 @@ type serverMetrics struct {
 	sessionsEvicted  *telemetry.Counter    // cdtserve_stream_sessions_evicted_total
 	reloads          *telemetry.Counter    // cdtserve_model_reloads_total
 
-	// Per-rule attribution (attribution.go): children are resolved into
-	// the per-model modelAttr cache, never on the scoring path.
+	// Per-model children (rule fires, scale sweeps, anomaly types, the
+	// stale gauge) are resolved into each servedModel record at load
+	// (served.go), never on the scoring path.
 	ruleFired  *telemetry.CounterVec   // cdtserve_rule_fired_total{model,rule}
 	scaleSweep *telemetry.HistogramVec // cdtserve_scale_sweep_seconds{model,scale}
 

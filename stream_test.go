@@ -1,7 +1,10 @@
 package cdt
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -223,5 +226,80 @@ func TestStreamStats(t *testing.T) {
 	want = StreamStats{Points: target.Len(), Detections: firstRun + secondRun, Resets: 1}
 	if st != want {
 		t.Fatalf("after replay: stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestStreamMatchesBatchRandomized holds stream ≡ batch for plain models
+// on random feeds: random lengths, readings past both ends of the
+// stream's scale (which clamp), and Reset at random points. Every run
+// between resets must report exactly the windows — point ranges and
+// fired rule indices — that DetectExplained finds over the run's
+// stream-normalized readings.
+func TestStreamMatchesBatchRandomized(t *testing.T) {
+	model, _ := trainedModel(t, Options{Omega: 5, Delta: 2})
+	omega := model.Opts.Omega
+	scale := Scale{Min: 45, Max: 120} // spikes (200) clamp to 1, troughs and dips to 0
+	stream, err := model.NewStream(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type window struct {
+		start, end int
+		fired      []int
+	}
+	indexes := func(fired []FiredPredicate) []int {
+		out := make([]int, len(fired))
+		for i, f := range fired {
+			out[i] = f.Index
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(42))
+	matched := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		var spikes []int
+		for k := rng.Intn(6); k > 0; k-- {
+			spikes = append(spikes, rng.Intn(n))
+		}
+		feed := spikySeries("probe", n, spikes, rng.Int63()).Values
+		for k := rng.Intn(3); k > 0; k-- {
+			feed[rng.Intn(n)] = -50
+		}
+		var cuts []int
+		for k := rng.Intn(3); k > 0; k-- {
+			cuts = append(cuts, rng.Intn(n))
+		}
+		sort.Ints(cuts)
+		start := 0
+		for _, end := range append(cuts, n) {
+			run := feed[start:end]
+			start = end
+			stream.Reset()
+			var got, want []window
+			norm := make([]float64, len(run))
+			for i, v := range run {
+				norm[i] = scale.normalize(v)
+				for _, d := range stream.Push(v) {
+					got = append(got, window{d.WindowStart, d.WindowEnd, indexes(d.Fired)})
+				}
+			}
+			if len(run) >= omega+2 {
+				dets, err := model.DetectExplained(context.Background(), NewSeries("run", norm))
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				for _, d := range dets {
+					want = append(want, window{d.Start, d.End, indexes(d.Fired)})
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, run of %d readings: stream %v, batch %v", trial, len(run), got, want)
+			}
+			matched += len(want)
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no window fired in any trial; the property is vacuous")
 	}
 }
