@@ -12,6 +12,7 @@ FUZZ_TARGETS := \
 	./internal/pattern:FuzzLabelSeries \
 	./internal/datasets:FuzzReadCSV \
 	./internal/engine:FuzzEngineMatch \
+	./internal/modelstore:FuzzOpen \
 	./internal/server:FuzzParseBatchRequest \
 	./internal/server:FuzzParsePushPoints \
 	./internal/server:FuzzHandlers
@@ -42,8 +43,11 @@ tidy-check:
 	$(GO) mod tidy -diff
 	cd tools && $(GO) mod tidy -diff
 
+# test: the race run skips the allocation tests (the race detector drops
+# sync.Pool items at random), so they run again without it.
 test:
 	$(GO) test -race ./...
+	$(GO) test -run Allocates ./...
 	$(GO) test ./tools/...
 
 # test-hammer: only the concurrency hammer tests (corpus sharing,

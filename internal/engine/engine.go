@@ -309,8 +309,6 @@ func (e *Engine) NewCursor() *Cursor {
 // 0-based indices of the rule predicates matching that window, in rule
 // order (empty when the window is normal, valid only until the next
 // Step).
-//
-//cdtlint:hotpath
 func (c *Cursor) Step(l pattern.Label) (fired []int, complete bool) {
 	e := c.e
 	if e.mode == core.MatchContiguous {
@@ -388,8 +386,6 @@ func (c *Cursor) Reset() {
 // Sweep evaluates every sliding ω-window of one labeled series in a
 // single pass, returning per-window marks. Window w covers
 // labels[w : w+ω]; a series shorter than ω yields zero windows.
-//
-//cdtlint:hotpath loops
 func (e *Engine) Sweep(labels []pattern.Label) *Marks {
 	n := len(labels) - e.omega + 1
 	if n < 0 {
@@ -413,8 +409,6 @@ func (e *Engine) Sweep(labels []pattern.Label) *Marks {
 // index i corresponds to obs[i]. Observations whose length differs from
 // ω (not produced by the pooling, but legal for direct callers) are
 // evaluated standalone with whole-window semantics.
-//
-//cdtlint:hotpath loops
 func (e *Engine) SweepObservations(obs []core.Observation) *Marks {
 	m := newMarks(e.numPreds, len(obs))
 	cur := e.NewCursor()
@@ -448,8 +442,6 @@ func (e *Engine) SweepObservations(obs []core.Observation) *Marks {
 // cursor path it makes no assumption that len(labels) == ω: public
 // callers (Model.FiredPredicates) accept windows of any length, where
 // compositions longer than ω may still match. Safe for concurrent use.
-//
-//cdtlint:hotpath
 func (e *Engine) EvalWindow(labels []pattern.Label, dst []int) []int {
 	s := e.scratch.Get().(*matchState)
 	base := s.pos

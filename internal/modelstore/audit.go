@@ -6,12 +6,13 @@ package modelstore
 // refused" — and the compliance artifact the paper's human-sign-off
 // story implies. Nothing in this package rewrites or truncates it;
 // sequence numbers are strictly increasing across process restarts
-// (Open resumes from the last line).
+// (Open resumes after the highest intact record).
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -62,30 +63,9 @@ func (s *Store) Audit(limit int) ([]Event, error) {
 	// Serialize against writers so a read never sees a torn final line.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := os.Open(s.auditPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("modelstore: %w", err)
-	}
-	defer f.Close()
 	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("modelstore: corrupt audit line %q: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("modelstore: %w", err)
+	if _, err := scanAudit(s.auditPath(), func(e Event) { out = append(out, e) }); err != nil {
+		return nil, err
 	}
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
@@ -114,35 +94,58 @@ func (s *Store) appendAuditLocked(e Event) error {
 	return nil
 }
 
-// lastAuditSeq reads the final record's sequence number so a reopened
-// store keeps the sequence strictly increasing.
-func lastAuditSeq(path string) (uint64, error) {
+// scanAudit calls fn on every record of the audit log at path, in
+// append order, skipping any line that does not parse: a record torn by
+// a crash mid-append. torn reports whether the log ends without a
+// newline. A missing log has no records.
+func scanAudit(path string, fn func(Event)) (torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return false, nil
 		}
-		return 0, fmt.Errorf("modelstore: %w", err)
+		return false, fmt.Errorf("modelstore: %w", err)
 	}
 	defer f.Close()
-	var last uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	r := bufio.NewReader(f)
+	for {
+		line, err := r.ReadBytes('\n')
 		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn final line from a crash mid-append: keep the last
-			// intact sequence and let the next append continue past it.
-			continue
+		if json.Unmarshal(line, &e) == nil {
+			fn(e)
 		}
-		last = e.Seq
+		if err == io.EOF {
+			return len(line) > 0, nil
+		}
+		if err != nil {
+			return false, fmt.Errorf("modelstore: %w", err)
+		}
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// resumeAudit returns the audit log's last sequence number, so a
+// reopened store keeps the sequence strictly increasing. When a crash
+// left the final record without its newline, resumeAudit ends that line
+// so the next record starts its own instead of extending the torn one.
+func resumeAudit(path string) (uint64, error) {
+	var last uint64
+	torn, err := scanAudit(path, func(e Event) { last = max(last, e.Seq) })
+	if err != nil {
+		return 0, err
+	}
+	if !torn {
+		return last, nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		return 0, fmt.Errorf("modelstore: %w", err)
+	}
+	_, err = f.Write([]byte{'\n'})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, fmt.Errorf("modelstore: ending torn audit record: %w", err)
 	}
 	return last, nil
 }

@@ -24,7 +24,9 @@
 // renamed, so a torn write can never corrupt the published manifest and
 // leftover .tmp files are ignored on Open. Blobs are immutable once
 // renamed into place. The audit log is append-only by construction
-// (O_APPEND) and by contract: nothing in this package rewrites it.
+// (O_APPEND) and by contract: nothing in this package rewrites it. A
+// record torn by a crash mid-append is skipped on read, and Open ends
+// it with a newline so the next record starts its own line.
 //
 // Concurrency: one Store value serializes all blob, manifest and
 // audit-log mutations behind its mutex; loading model documents happens
@@ -40,6 +42,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,9 +120,10 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir. A missing
-// manifest means an empty store; a present but unparseable manifest is
-// an error — serving must not come up quietly ignoring its index.
-// Leftover manifest.json.tmp files from a crashed write are ignored.
+// manifest means an empty store; a present but unparseable or invalid
+// manifest (see validate) is an error — serving must not come up
+// quietly ignoring its index. Leftover manifest.json.tmp files from a
+// crashed write are ignored.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
@@ -139,17 +143,58 @@ func Open(dir string) (*Store, error) {
 		if man.Format != manifestFormat {
 			return nil, fmt.Errorf("modelstore: manifest format %d, this build reads %d", man.Format, manifestFormat)
 		}
+		if err := man.validate(); err != nil {
+			return nil, fmt.Errorf("modelstore: invalid manifest %s: %w", s.manifestPath(), err)
+		}
 		if man.Models == nil {
 			man.Models = make(map[string]*modelEntry)
 		}
 		s.man = man
 	}
-	seq, err := lastAuditSeq(s.auditPath())
+	seq, err := resumeAudit(s.auditPath())
 	if err != nil {
 		return nil, err
 	}
 	s.seq = seq
 	return s, nil
+}
+
+// validate rejects what the store never writes and later calls trip
+// over: a null model entry, versions not strictly ascending from 1, a
+// digest other than "sha256-" and 64 lowercase hex digits (it names a
+// file under blobs/), and a current or previous pointer that is
+// neither 0 nor a listed version.
+func (m *manifest) validate() error {
+	for name, entry := range m.Models {
+		if entry == nil {
+			return fmt.Errorf("model %q: null entry", name)
+		}
+		last := 0
+		for _, v := range entry.Versions {
+			if v.Version <= last {
+				return fmt.Errorf("model %q: version %d after %d, want strictly ascending from 1", name, v.Version, last)
+			}
+			last = v.Version
+			if !validDigest(v.Digest) {
+				return fmt.Errorf("model %q v%d: digest %q is not sha256-<64 lowercase hex>", name, v.Version, v.Digest)
+			}
+		}
+		if _, ok := findVersion(entry, entry.Current); entry.Current != 0 && !ok {
+			return fmt.Errorf("model %q: current version %d is not listed", name, entry.Current)
+		}
+		if _, ok := findVersion(entry, entry.Previous); entry.Previous != 0 && !ok {
+			return fmt.Errorf("model %q: previous version %d is not listed", name, entry.Previous)
+		}
+	}
+	return nil
+}
+
+// validDigest reports whether d is a content address as Publish writes
+// it.
+func validDigest(d string) bool {
+	h, ok := strings.CutPrefix(d, "sha256-")
+	sum, err := hex.DecodeString(h)
+	return ok && err == nil && len(sum) == sha256.Size && hex.EncodeToString(sum) == h
 }
 
 // Dir returns the store's root directory.
@@ -202,17 +247,21 @@ func (s *Store) Publish(name string, doc []byte, source, note string) (Version, 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	entry := s.man.Models[name]
+	next := 1
+	if entry != nil && len(entry.Versions) > 0 {
+		last := entry.Versions[len(entry.Versions)-1].Version
+		if last == math.MaxInt {
+			return Version{}, fmt.Errorf("modelstore: model %q has no version number after %d", name, last)
+		}
+		next = last + 1
+	}
 	if err := s.writeBlobLocked(digest, doc); err != nil {
 		return Version{}, err
 	}
-	entry := s.man.Models[name]
 	if entry == nil {
 		entry = &modelEntry{}
 		s.man.Models[name] = entry
-	}
-	next := 1
-	if n := len(entry.Versions); n > 0 {
-		next = entry.Versions[n-1].Version + 1
 	}
 	if source == "" {
 		source = "publish"

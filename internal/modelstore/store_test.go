@@ -303,6 +303,83 @@ func TestCrashSafety(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsInvalidManifest: Open refuses, naming the model, a
+// parseable manifest the store never writes, instead of handing GC and
+// Publish entries they trip over (a null entry panicked GC).
+func TestOpenRejectsInvalidManifest(t *testing.T) {
+	digest := `"sha256-` + strings.Repeat("0f", 32) + `"`
+	v := func(n int, d string) string { return fmt.Sprintf(`{"version":%d,"digest":%s}`, n, d) }
+	for _, models := range []string{
+		`{"x":null}`,
+		`{"x":{"versions":[` + v(0, digest) + `]}}`,
+		`{"x":{"versions":[` + v(-3, digest) + `]}}`,
+		`{"x":{"versions":[` + v(2, digest) + `,` + v(1, digest) + `]}}`,
+		`{"x":{"versions":[` + v(1, digest) + `,` + v(1, digest) + `]}}`,
+		`{"x":{"versions":[` + v(1, `"sha256-`+strings.Repeat("0F", 32)+`"`) + `]}}`,
+		`{"x":{"versions":[` + v(1, `"sha256-0f"`) + `]}}`,
+		`{"x":{"versions":[` + v(1, `"../../manifest"`) + `]}}`,
+		`{"x":{"versions":[` + v(1, `""`) + `]}}`,
+		`{"x":{"current":2,"versions":[` + v(1, digest) + `]}}`,
+		`{"x":{"current":1,"previous":3,"versions":[` + v(1, digest) + `]}}`,
+		`{"x":{"current":-1,"versions":[` + v(1, digest) + `]}}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(`{"format":1,"models":`+models+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err == nil {
+			_, gcErr := st.GC()
+			t.Fatalf("Open accepted models %s (GC: %v)", models, gcErr)
+		}
+		if !strings.Contains(err.Error(), `model "x"`) {
+			t.Errorf("models %s: error %q does not name the model", models, err)
+		}
+	}
+}
+
+// TestTornAuditRecordDoesNotBreakLog: a crash mid-append leaves a final
+// record without its newline. Reopening ends that line, so the next
+// record is readable and Audit skips only the torn one.
+func TestTornAuditRecordDoesNotBreakLog(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := st.Note(EventShadow, "m", i, "before"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "audit.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"seq":4,"time":1,"event":"sha`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Note(EventShadow, "m", 4, "after"); err != nil {
+		t.Fatal(err)
+	}
+	events, err := st.Audit(0)
+	if err != nil {
+		t.Fatalf("Audit after a torn record: %v", err)
+	}
+	if len(events) != 4 {
+		t.Fatalf("%d events, want 4: %+v", len(events), events)
+	}
+	if last := events[3]; last.Seq != 4 || last.Detail != "after" {
+		t.Fatalf("event after the torn record = %+v, want seq 4 detail after", last)
+	}
+}
+
 // TestCheckReadyMissingBlob: deleting a promoted blob out from under
 // the store flips readiness.
 func TestCheckReadyMissingBlob(t *testing.T) {

@@ -528,8 +528,6 @@ func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
 const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a quoted, escaped JSON string.
-//
-//cdtlint:hotpath
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
@@ -558,8 +556,6 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // appendFiredRules encodes fired predicates as the "rules" array, which
 // is never null: an empty set is [].
-//
-//cdtlint:hotpath
 func appendFiredRules(dst []byte, fired []cdt.FiredPredicate) []byte {
 	dst = append(dst, '[')
 	for i := range fired {
@@ -585,8 +581,6 @@ func appendFiredRules(dst []byte, fired []cdt.FiredPredicate) []byte {
 // detections are an array, null only next to its error; each carries
 // window, start, end and rules, and pyramid detections add their
 // "type" and per-scale "scales" breakdown.
-//
-//cdtlint:hotpath
 func appendBatchResponse(dst []byte, model string, results []seriesResult) []byte {
 	dst = append(dst, `{"model":`...)
 	dst = appendJSONString(dst, model)
@@ -600,7 +594,6 @@ func appendBatchResponse(dst []byte, model string, results []seriesResult) []byt
 	return append(dst, ']', '}', '\n')
 }
 
-//cdtlint:hotpath
 func appendSeriesResult(dst []byte, r *seriesResult) []byte {
 	dst = append(dst, `{"name":`...)
 	dst = appendJSONString(dst, r.name)
@@ -638,8 +631,6 @@ func appendSeriesResult(dst []byte, r *seriesResult) []byte {
 
 // appendScaleDetections encodes a pyramid detection's per-scale
 // breakdown.
-//
-//cdtlint:hotpath
 func appendScaleDetections(dst []byte, scales []cdt.ScaleDetection) []byte {
 	dst = append(dst, '[')
 	for i := range scales {
@@ -666,8 +657,6 @@ func appendScaleDetections(dst []byte, scales []cdt.ScaleDetection) []byte {
 // response: {"detections":[...],"points_consumed","ready"}. Detections
 // are always an array; each carries window_start, window_end and rules,
 // and pyramid sessions add the firing "scale" and the "type".
-//
-//cdtlint:hotpath
 func appendPushPointsResponse(dst []byte, dets []cdt.Detection, consumed int, ready bool) []byte {
 	dst = append(dst, `{"detections":[`...)
 	for i := range dets {

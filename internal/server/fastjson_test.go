@@ -282,9 +282,12 @@ func checkEncoding[T any](t *testing.T, raw []byte, want T) {
 	}
 }
 
-func TestAppendBatchResponseRoundTrip(t *testing.T) {
-	exists := []cdt.FiredPredicate{{Index: 1, Text: "exists"}}
-	cases := []struct {
+// batchEncodeCases and pushEncodeCases cover the appenders' escaping,
+// error and pyramid shapes; the round-trip and allocation tests share
+// them.
+var (
+	batchExists      = []cdt.FiredPredicate{{Index: 1, Text: "exists"}}
+	batchEncodeCases = []struct {
 		model   string
 		results []seriesResult
 	}{
@@ -299,9 +302,9 @@ func TestAppendBatchResponseRoundTrip(t *testing.T) {
 			{name: "errored", err: `labels: "weird" failure`},
 			{name: "unicode éé€😀"}, // no detections: DetectExplained returns nil
 			{name: "pyramid", detections: []cdt.WindowDetection{
-				{Window: 0, Start: 6, End: 13, Type: cdt.TypeCollective, Fired: exists,
+				{Window: 0, Start: 6, End: 13, Type: cdt.TypeCollective, Fired: batchExists,
 					Scales: []cdt.ScaleDetection{
-						{Factor: 1, Window: 5, Start: 6, End: 13, Fired: exists},
+						{Factor: 1, Window: 5, Start: 6, End: 13, Fired: batchExists},
 						{Factor: 4, Window: 0, Start: 4, End: 27, Fired: []cdt.FiredPredicate{}},
 					}},
 				{Window: 1, Start: 30, End: 37, Type: cdt.TypePoint,
@@ -311,13 +314,7 @@ func TestAppendBatchResponseRoundTrip(t *testing.T) {
 		{"", nil},
 		{"empty", []seriesResult{}},
 	}
-	for _, tc := range cases {
-		checkEncoding(t, appendBatchResponse(nil, tc.model, tc.results), wireBatchOf(tc.model, tc.results))
-	}
-}
-
-func TestAppendPushPointsResponseRoundTrip(t *testing.T) {
-	cases := []struct {
+	pushEncodeCases = []struct {
 		dets     []cdt.Detection
 		consumed int
 		ready    bool
@@ -332,7 +329,42 @@ func TestAppendPushPointsResponseRoundTrip(t *testing.T) {
 			{WindowStart: 40, WindowEnd: 47, Scale: 1, Type: cdt.TypePoint},
 		}, 64, true},
 	}
-	for _, tc := range cases {
+)
+
+func TestAppendBatchResponseRoundTrip(t *testing.T) {
+	for _, tc := range batchEncodeCases {
+		checkEncoding(t, appendBatchResponse(nil, tc.model, tc.results), wireBatchOf(tc.model, tc.results))
+	}
+}
+
+func TestAppendPushPointsResponseRoundTrip(t *testing.T) {
+	for _, tc := range pushEncodeCases {
 		checkEncoding(t, appendPushPointsResponse(nil, tc.dets, tc.consumed, tc.ready), wirePushOf(tc.dets, tc.consumed, tc.ready))
+	}
+}
+
+// TestAppendResponseAllocatesNothing: both response appenders, and the
+// rule, scale and string appenders they call, encode into a presized
+// buffer without allocating.
+func TestAppendResponseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	check := func(what string, encode func([]byte) []byte) {
+		t.Helper()
+		buf := make([]byte, 0, len(encode(nil)))
+		if n := testing.AllocsPerRun(100, func() { buf = encode(buf[:0]) }); n != 0 {
+			t.Errorf("%s: %v allocations into a presized buffer, want 0", what, n)
+		}
+	}
+	for _, tc := range batchEncodeCases {
+		check("appendBatchResponse "+tc.model, func(dst []byte) []byte {
+			return appendBatchResponse(dst, tc.model, tc.results)
+		})
+	}
+	for _, tc := range pushEncodeCases {
+		check("appendPushPointsResponse", func(dst []byte) []byte {
+			return appendPushPointsResponse(dst, tc.dets, tc.consumed, tc.ready)
+		})
 	}
 }

@@ -1,10 +1,11 @@
 package analysis
 
-// Cross-function facts. PR 3's analyzers were strictly intra-function;
-// the hot-path allocation check needs to reason about what a hot loop
-// calls, transitively, across every loaded package. This file adds the
-// minimal whole-program layer: a Program wrapping one load's units and a
-// lazily-built static call graph over their declared functions.
+// Cross-function facts. Most analyzers are strictly intra-function;
+// metriclabel needs to know how often a function runs, which it reads
+// off what calls it, transitively, across every loaded package. This
+// file adds the minimal whole-program layer: a Program wrapping one
+// load's units and a lazily-built static call graph over their declared
+// functions.
 //
 // Identity note: the loader type-checks each unit independently, so a
 // package that is both explicitly loaded and imported by another unit
@@ -58,10 +59,6 @@ type CallGraph struct {
 // CallNode is one declared function or method and its resolved call
 // sites.
 type CallNode struct {
-	// ID is the function's FuncID.
-	ID string
-	// Decl is the function's syntax, body included.
-	Decl *ast.FuncDecl
 	// Unit is the unit declaring the function. When a function is
 	// visible from several units (library files re-checked by a Test
 	// unit), the Lib unit wins.
@@ -77,8 +74,6 @@ type CallSite struct {
 	// Callee is the called function's FuncID. The callee has a node in
 	// the graph only when it is declared in a loaded unit.
 	Callee string
-	// Pos is the call's position.
-	Pos token.Pos
 	// InLoop reports whether the call sits inside a for/range statement
 	// of the enclosing function (at any nesting depth, including via a
 	// func literal declared inside the loop).
@@ -124,12 +119,7 @@ func buildCallGraph(units []*Unit) *CallGraph {
 				if _, seen := g.Nodes[id]; seen {
 					continue
 				}
-				g.Nodes[id] = &CallNode{
-					ID:    id,
-					Decl:  fd,
-					Unit:  u,
-					Calls: collectCalls(u.Info, fd.Body),
-				}
+				g.Nodes[id] = &CallNode{Unit: u, Calls: collectCalls(u.Info, fd.Body)}
 			}
 		}
 	}
@@ -162,7 +152,7 @@ func collectCalls(info *types.Info, body *ast.BlockStmt) []CallSite {
 				return false
 			case *ast.CallExpr:
 				if fn := calleeOf(info, m); fn != nil {
-					sites = append(sites, CallSite{Callee: FuncID(fn), Pos: m.Pos(), InLoop: inLoop})
+					sites = append(sites, CallSite{Callee: FuncID(fn), InLoop: inLoop})
 				}
 				return true
 			}

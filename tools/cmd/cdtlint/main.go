@@ -7,18 +7,21 @@
 //	locksafe      unreleased locks, RWMutex upgrades, blocking under a lock
 //	detfloat      nondeterminism in the training hot path
 //	lockdoc       undocumented locking on mutex-guarded state mutators
-//	corpusshare   Corpus copies, raw field access, goroutine capture
-//	hotalloc      allocation in //cdtlint:hotpath functions and callees
 //	kinddispatch  non-exhaustive switches over artifact kinds
 //	metriclabel   Vec.With in loops, unbounded metric label values
+//
+// Two contracts are enforced elsewhere: go vet's copylocks rejects every
+// copy of a Corpus (it holds a sync.RWMutex), and allocation tests
+// (named *Allocates*, run without -race) pin the engine's cursor and
+// sweeps and the fastjson response appenders.
 //
 // Test files are analyzed by the view/lock analyzers too — a test that
 // corrupts a cached view poisons every later test sharing the corpus.
 // The invariant-specific analyzers are scoped: detfloat to the training
 // hot path (cdt, internal/core, internal/pattern, internal/quality,
-// internal/bayesopt), lockdoc to internal/modelstore, and the PR 8
-// analyzers (corpusshare, hotalloc, kinddispatch, metriclabel) to
-// library code, where the contracts they check actually bind.
+// internal/bayesopt), lockdoc to internal/modelstore, and kinddispatch
+// and metriclabel to library code, where the contracts they check
+// actually bind.
 //
 // A finding can be suppressed in source with a justified directive:
 //
@@ -46,9 +49,7 @@ import (
 	"path/filepath"
 
 	"cdt/tools/analysis"
-	"cdt/tools/analyzers/corpusshare"
 	"cdt/tools/analyzers/detfloat"
-	"cdt/tools/analyzers/hotalloc"
 	"cdt/tools/analyzers/immutview"
 	"cdt/tools/analyzers/kinddispatch"
 	"cdt/tools/analyzers/lockdoc"
@@ -61,8 +62,6 @@ var analyzers = []*analysis.Analyzer{
 	locksafe.Analyzer,
 	detfloat.Analyzer,
 	lockdoc.Analyzer,
-	corpusshare.Analyzer,
-	hotalloc.Analyzer,
 	kinddispatch.Analyzer,
 	metriclabel.Analyzer,
 }
@@ -84,12 +83,9 @@ var lockdocScope = map[string]bool{
 }
 
 // libOnly marks the analyzers that check library contracts: tests may
-// copy corpora into fixtures, allocate in marked paths they stub out,
-// and mint throwaway metric labels without weakening the shipped
-// binaries' invariants.
+// switch over the kinds they exercise and mint throwaway metric labels
+// without weakening the shipped binaries' invariants.
 var libOnly = map[*analysis.Analyzer]bool{
-	corpusshare.Analyzer:  true,
-	hotalloc.Analyzer:     true,
 	kinddispatch.Analyzer: true,
 	metriclabel.Analyzer:  true,
 }

@@ -11,9 +11,9 @@ import (
 
 func fixtureFindings(root string) ([]analysis.Finding, []analysis.SuppressedFinding) {
 	findings := []analysis.Finding{{
-		Analyzer: "hotalloc",
+		Analyzer: "locksafe",
 		Position: token.Position{Filename: filepath.Join(root, "internal", "engine", "engine.go"), Line: 42, Column: 7},
-		Message:  "make allocates on a hot path",
+		Message:  "e.mu.Lock() is released neither by defer nor later in the same block",
 	}, {
 		Analyzer: "cdtlint",
 		Position: token.Position{Filename: filepath.Join(root, "corpus.go"), Line: 3, Column: 1},
