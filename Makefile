@@ -15,6 +15,7 @@ FUZZ_TARGETS := \
 	./internal/modelstore:FuzzOpen \
 	./internal/server:FuzzParseBatchRequest \
 	./internal/server:FuzzParsePushPoints \
+	./internal/server:FuzzParseNumber \
 	./internal/server:FuzzHandlers
 FUZZTIME ?= 10s
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"testing"
 
+	"cdt/internal/datasets/sge"
 	"cdt/internal/trace"
 )
 
@@ -340,4 +342,47 @@ func BenchmarkServerSessionPush(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*pointsPerPush)/b.Elapsed().Seconds(), "points/sec")
+}
+
+// BenchmarkParseBatchRequest measures the decode layer alone on 8
+// series of 2,000 daily calorie readings. "calorie" sends them at
+// shortest round trip, like perfbench's batch-plain requests, so most
+// carry 16–17 significant digits. "quarter" rounds them to a 0.25 grid,
+// as a fixed-resolution sensor reports them, so most are fractions
+// such as 97.25 that a float64 holds exactly: the exact tier converts
+// those, and Eisel–Lemire would decline them.
+func BenchmarkParseBatchRequest(b *testing.B) {
+	const series, readings = 8, 2000
+	ds := sge.Calorie(sge.CalorieOptions{Sensors: series, Days: readings, Seed: 1})
+	for _, bc := range []struct {
+		name  string
+		round func(float64) float64
+	}{
+		{"calorie", func(v float64) float64 { return v }},
+		{"quarter", func(v float64) float64 { return math.Round(4*v) / 4 }},
+	} {
+		req := batchRequest{}
+		for _, s := range ds.Series {
+			values := make([]float64, len(s.Values))
+			for i, v := range s.Values {
+				values[i] = bc.round(v)
+			}
+			req.Series = append(req.Series, seriesPayload{Name: s.Name, Values: values})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req, err := parseBatchRequest(body)
+				if err != nil || len(req.Series) != series {
+					b.Fatalf("%d series, err %v", len(req.Series), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*series*readings), "ns/reading")
+		})
+	}
 }

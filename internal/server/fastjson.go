@@ -16,20 +16,31 @@ package server
 //   - non-whitespace bytes after the document map to 400 "trailing data
 //     after JSON body" (errTrailingData);
 //   - an oversized body surfaces http.MaxBytesError, mapped to 413;
-//   - field names match case-insensitively, null is accepted wherever
-//     encoding/json accepts it, and numbers follow the JSON grammar
-//     (no leading zeros, hex, or bare '.5') with strconv.ParseFloat
-//     rounding.
+//   - field names match case-insensitively, and null is accepted
+//     wherever encoding/json accepts it;
+//   - each byte of invalid UTF-8 inside a string decodes to U+FFFD, as
+//     encoding/json decodes it, so a series name echoed back in a
+//     response is always valid UTF-8;
+//   - numbers follow the JSON grammar (no leading zeros, hex, or bare
+//     '.5') and convert bit-identically to strconv.ParseFloat.
 //
-// Known divergences, all on malformed input only: syntax-error wording
-// differs (callers only surface that a 400 has *a* message), and
-// invalid UTF-8 inside strings is passed through rather than replaced
-// with U+FFFD.
+// Numbers are the bulk of every hot-path body, so each is read in one
+// pass that checks the grammar while it accumulates the digits and the
+// decimal exponent. The conversion then takes the first of three tiers
+// that applies: an exact float multiply or divide, Eisel–Lemire over a
+// 128-bit powers-of-ten table, or strconv.ParseFloat on the token (see
+// number). Each tier rounds correctly, which is what makes the result
+// bit-identical.
+//
+// Known divergence, on malformed input only: syntax-error wording
+// differs (callers only surface that a 400 has *a* message).
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"net/http"
 	"strconv"
 	"strings"
@@ -167,8 +178,8 @@ func (p *jsonParser) array(elem func() error) error {
 	}
 }
 
-// stringValue parses a JSON string. The fast path slices escape-free
-// strings straight out of the input.
+// stringValue parses a JSON string. The fast path slices strings free of
+// escapes and invalid UTF-8 straight out of the input.
 func (p *jsonParser) stringValue() (string, error) {
 	d := p.data
 	if p.pos >= len(d) || d[p.pos] != '"' {
@@ -176,21 +187,30 @@ func (p *jsonParser) stringValue() (string, error) {
 	}
 	p.pos++
 	start := p.pos
-	for i := p.pos; i < len(d); i++ {
+	for i := p.pos; i < len(d); {
 		switch c := d[i]; {
 		case c == '"':
 			p.pos = i + 1
 			return string(d[start:i]), nil
 		case c == '\\' || c < 0x20:
 			return p.stringSlow(start, i)
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRune(d[i:])
+			if r == utf8.RuneError && size == 1 {
+				return p.stringSlow(start, i)
+			}
+			i += size
 		}
 	}
 	p.pos = len(d)
 	return "", p.syntaxf("unterminated string")
 }
 
-// stringSlow finishes a string that contains escapes, starting from the
-// first non-literal byte at index i (content begins at start).
+// stringSlow finishes a string that contains escapes or invalid UTF-8,
+// starting from the first such byte at index i (content begins at
+// start).
 func (p *jsonParser) stringSlow(start, i int) (string, error) {
 	d := p.data
 	buf := append(make([]byte, 0, 2*(i-start)+16), d[start:i]...)
@@ -203,9 +223,15 @@ func (p *jsonParser) stringSlow(start, i int) (string, error) {
 		case c < 0x20:
 			p.pos = i
 			return "", p.syntaxf("control character in string")
-		case c != '\\':
+		case c < utf8.RuneSelf && c != '\\':
 			buf = append(buf, c)
 			i++
+		case c >= utf8.RuneSelf:
+			// Like encoding/json, each byte that does not start a valid
+			// UTF-8 sequence decodes to U+FFFD.
+			r, size := utf8.DecodeRune(d[i:])
+			buf = utf8.AppendRune(buf, r)
+			i += size
 		default:
 			if i+1 >= len(d) {
 				p.pos = i
@@ -288,63 +314,114 @@ func hex4(d []byte) (rune, bool) {
 	return r, true
 }
 
-// pow10 holds the exactly-representable small powers of ten used by the
-// fast float path.
-var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
 
-// number parses one JSON number. The token is validated against the
-// JSON grammar (so "01", "+1", ".5" and "1." are rejected exactly as
-// encoding/json rejects them), then converted: plain decimals with at
-// most 15 significant digits take an exact integer-scale path (mantissa
-// < 2⁵³ and divisor a small power of ten make the single division
-// correctly rounded, so it equals strconv.ParseFloat); everything else
-// falls back to strconv.ParseFloat.
+// number parses one JSON number in a single pass. It checks the JSON
+// grammar, so "01", "+1", ".5" and "1." stop or fail where
+// encoding/json's scanner does, while it accumulates the digits into a
+// mantissa and tracks the decimal exponent. The value then converts by
+// the first tier that applies, each bit-identical to strconv.ParseFloat:
+//
+//  1. exact: a mantissa below 2⁵² times or over 10^k, k ≤ 22, is one
+//     float64 multiply or divide of two exact operands, so it rounds
+//     once and correctly (strconv's atof64exact rule). Eisel–Lemire
+//     cannot take its place: it declines every decimal fraction that a
+//     float64 holds exactly, such as 21.5 or 97.25, because the
+//     truncated table row for 10^-k lands just below the value. Readings
+//     from fixed-resolution sensors are often such fractions;
+//  2. eiselLemire;
+//  3. strconv.ParseFloat on the token, for more than 19 significant
+//     digits, an exponent of maxExpAbs or more, a halfway case the
+//     128-bit product cannot settle, and subnormal or out-of-range
+//     results, so 1e400 still fails.
 func (p *jsonParser) number() (float64, error) {
 	d := p.data
 	start := p.pos
 	i := p.pos
-	if i < len(d) && d[i] == '-' {
+	neg := i < len(d) && d[i] == '-'
+	if neg {
 		i++
 	}
+	// mant takes every digit. It is the exact significand while at most
+	// maxMantDigits digits are significant, since leading zeros add
+	// nothing to it; past that it may have wrapped and goes unused.
+	var mant uint64
+	digits := i
 	switch {
 	case i < len(d) && d[i] == '0':
 		i++
 	case i < len(d) && d[i] >= '1' && d[i] <= '9':
-		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-			i++
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			mant = mant*10 + uint64(d[i]-'0')
 		}
 	default:
 		return 0, p.syntaxf("expected number")
 	}
-	sawExp := false
+	nd := i - digits
+	exp10 := 0 // the value is mant × 10^exp10
 	if i < len(d) && d[i] == '.' {
 		i++
 		if i >= len(d) || d[i] < '0' || d[i] > '9' {
 			p.pos = i
 			return 0, p.syntaxf("digits required after decimal point")
 		}
-		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-			i++
+		frac := i
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			mant = mant*10 + uint64(d[i]-'0')
 		}
+		nd += i - frac
+		exp10 = frac - i
+	}
+	slow := false // the token needs tier 3
+	if nd > maxMantDigits {
+		for j := digits; j < i && (d[j] == '0' || d[j] == '.'); j++ {
+			if d[j] == '0' {
+				nd-- // a leading zero, as in 0.000123
+			}
+		}
+		slow = nd > maxMantDigits
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		sawExp = true
 		i++
+		expNeg := false
 		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			expNeg = d[i] == '-'
 			i++
 		}
 		if i >= len(d) || d[i] < '0' || d[i] > '9' {
 			p.pos = i
 			return 0, p.syntaxf("digits required in exponent")
 		}
-		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-			i++
+		e := 0
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			if e < maxExpAbs {
+				e = e*10 + int(d[i]-'0')
+			}
 		}
+		slow = slow || e >= maxExpAbs // e may have saturated
+		if expNeg {
+			e = -e
+		}
+		exp10 += e
 	}
 	tok := d[start:i]
 	p.pos = i
-	if !sawExp {
-		if f, ok := fastFloat(tok); ok {
+	if !slow {
+		if mant>>52 == 0 && exp10 >= -22 && exp10 <= 22 {
+			f := float64(mant)
+			if neg {
+				f = -f
+			}
+			if exp10 < 0 {
+				return f / exactPow10[-exp10], nil
+			}
+			return f * exactPow10[exp10], nil
+		}
+		if f, ok := eiselLemire(mant, exp10, neg); ok {
 			return f, nil
 		}
 	}
@@ -355,41 +432,60 @@ func (p *jsonParser) number() (float64, error) {
 	return f, nil
 }
 
-// fastFloat converts a grammar-validated, exponent-free decimal token
-// with at most 15 digits without allocating.
-func fastFloat(b []byte) (float64, bool) {
-	i := 0
-	neg := false
-	if b[0] == '-' {
-		neg = true
-		i = 1
+const (
+	// maxMantDigits is the most decimal digits a uint64 always holds.
+	maxMantDigits = 19
+	// maxExpAbs is where number stops accumulating an exponent, which
+	// therefore is exact below it. Past it, strconv decides between
+	// zero, a finite value and a range error.
+	maxExpAbs = 10000
+)
+
+// The powers-of-ten table spans the decimal exponents at which a 19-digit
+// mantissa can still give a normal, finite float64.
+const (
+	minPow10 = -348
+	maxPow10 = 347
+)
+
+// powersOfTen[e-minPow10] is 10^e as a 128-bit mantissa {lo, hi},
+// shifted so that hi's top bit is set and truncated toward zero:
+// 10^e ≈ (hi·2⁶⁴ + lo)·2^k for some k. It equals the literal table
+// strconv carries; building it keeps the source to one short loop, at
+// about 0.15 ms of package init.
+var powersOfTen = buildPowersOfTen()
+
+func buildPowersOfTen() (t [maxPow10 - minPow10 + 1][2]uint64) {
+	var (
+		one = big.NewInt(1)
+		pow = big.NewInt(1) // 10^e
+		x   big.Int
+		buf [16]byte
+	)
+	row := func(x *big.Int) [2]uint64 {
+		x.FillBytes(buf[:])
+		return [2]uint64{binary.BigEndian.Uint64(buf[8:]), binary.BigEndian.Uint64(buf[:8])}
 	}
-	var mant uint64
-	nd, frac := 0, 0
-	seenDot := false
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c == '.' {
-			seenDot = true
-			continue
+	ten := big.NewInt(10)
+	for e := 0; e <= -minPow10; e++ {
+		n := pow.BitLen() // 2^(n-1) ≤ 10^e < 2^n
+		if e <= maxPow10 {
+			if n > 128 {
+				x.Rsh(pow, uint(n-128))
+			} else {
+				x.Lsh(pow, uint(128-n))
+			}
+			t[e-minPow10] = row(&x)
 		}
-		mant = mant*10 + uint64(c-'0')
-		nd++
-		if seenDot {
-			frac++
+		if e > 0 {
+			// 2^(127+n) / 10^e lies strictly between 2^127 and 2^128:
+			// 10^e is never a power of two.
+			x.Lsh(one, uint(127+n))
+			t[-e-minPow10] = row(x.Quo(&x, pow))
 		}
-		if nd > 15 {
-			return 0, false
-		}
+		pow.Mul(pow, ten)
 	}
-	f := float64(mant)
-	if frac > 0 {
-		f /= pow10[frac]
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
+	return t
 }
 
 // floatArray parses an array of numbers (or null → nil slice).

@@ -5,8 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -47,6 +52,13 @@ var requestBodies = []string{
 	`{"series":[{"name":null,"values":null}]}`,
 	`{"series":[{},{"name":"empty"}]}`,
 	`{"series":[{"name":"dots","values":[0.5,123456789012345,0.000001,12345678901234567890]}]}`,
+	// Shortest-round-trip readings carry 16–17 significant digits.
+	`{"series":[{"name":"readings","values":[97.70931178939436,103.26604497306657,0.30000000000000004,1234.5678901234567,62.599999999999994,-7.105427357601002e-15]}]}`,
+	// Hard conversions: every tier of jsonParser.number, the strconv
+	// fallback included (see numberSeeds).
+	`{"series":[{"name":"hard","values":[-0,0.0000000000000000000000000000001,4.9e-324,2.2250738585072011e-308,1.7976931348623157e308,9007199254740993,12345678901234567891,123456789012345678901234567890,1e23,1e-400,1e-1000000000000000000000000,2e0000000000000000000000001]}]}`,
+	// Invalid UTF-8 in a string decodes to one U+FFFD per bad byte.
+	"{\"series\":[{\"name\":\"a\xffb\",\"values\":[1]},{\"name\":\"\xed\xa0\x80 \xe2\x82 \\u00e9\xc3\",\"values\":[]}]}",
 	// A repeated key decodes its array into the earlier elements, which
 	// keep the fields the later ones omit.
 	`{"series":[{"name":"a","values":[1]},{"name":"b"}],"series":[{"values":[2]}],"series":[{},{}]}`,
@@ -69,6 +81,8 @@ var requestBodies = []string{
 	`{"series":[{"name":"a","values":[1.]}]}`,
 	`{"series":[{"name":"a","values":[1e]}]}`,
 	`{"series":[{"name":"a","values":[nan]}]}`,
+	`{"series":[{"name":"a","values":[1.7976931348623159e308]}]}`,
+	`{"series":[{"name":"a","values":[-1e1000000000000000000000000]}]}`,
 	`{"series":[{"name":"a","values":[1,]}]}`,
 	`{"series":[{"name":"a","values":["x"]}]}`,
 	`{"series":[{"name":"a","values":[1]}],}`,
@@ -136,18 +150,12 @@ func TestParsePushPointsDifferential(t *testing.T) {
 }
 
 // fuzzDecodeParity runs checkDecodeParity over arbitrary bodies seeded
-// from both corpora. Invalid UTF-8 is skipped: passing it through
-// instead of substituting U+FFFD is a documented divergence.
+// from both corpora.
 func fuzzDecodeParity[T any](f *testing.F, parse func([]byte) (T, error)) {
 	for _, body := range slices.Concat(requestBodies, pushBodies) {
 		f.Add([]byte(body))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if !utf8.Valid(body) {
-			t.Skip("invalid UTF-8: documented divergence")
-		}
-		checkDecodeParity(t, body, parse)
-	})
+	f.Fuzz(func(t *testing.T, body []byte) { checkDecodeParity(t, body, parse) })
 }
 
 func FuzzParseBatchRequest(f *testing.F) { fuzzDecodeParity(f, parseBatchRequest) }
@@ -165,6 +173,208 @@ func TestParseUnknownFieldMessage(t *testing.T) {
 	}
 	if _, err := parseBatchRequest(body); err == nil || err.Error() != refErr.Error() {
 		t.Fatalf("unknown-field message diverged:\nfast: %v\nref:  %v", err, refErr)
+	}
+}
+
+// TestBatchDetectReplacesInvalidUTF8: a series name carrying invalid
+// UTF-8 comes back in the batch response with each bad byte replaced
+// by U+FFFD, as encoding/json would decode it, so the response body is
+// valid UTF-8.
+func TestBatchDetectReplacesInvalidUTF8(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	values, err := json.Marshal(spiky("s", 300, []int{120, 240}, 1).Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := "{\"series\":[{\"name\":\"a\xffb\",\"values\":" + string(values) + "}]}"
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/models/spikes/detect", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if !utf8.Valid(rec.Body.Bytes()) {
+		t.Fatalf("response is not valid UTF-8: %q", rec.Body.Bytes())
+	}
+	var out wireBatch
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "a\ufffdb"; len(out.Results) != 1 || out.Results[0].Name != want {
+		t.Fatalf("results = %+v, want one series named %q", out.Results, want)
+	}
+}
+
+// numberSeeds are the conversions most likely to go wrong: signed zero,
+// the subnormal, normal and overflow boundaries, halfway cases, more
+// than 19 significant digits, powers of ten past exact float64 range,
+// underflow to zero and exponents with many digits; then tokens that
+// stop early or fail, where the stop byte matters.
+var numberSeeds = []string{
+	"-0", "0", "-0.0e-7", "0e99999",
+	"0.0000000000000000000000000000001",
+	"4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+	"2.2250738585072011e-308", "2.2250738585072014e-308",
+	"1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+	"9007199254740993", "9007199254740992.5", "4503599627370497.5",
+	"12345678901234567891", "12345678901234567890", "1234567890123456789012",
+	"123456789012345678901234567890", "0.123456789012345678901234567890e-5",
+	"1e22", "1e23", "8.41e21", "1e-22", "1e-23",
+	"1e-400", "1e400", "-1e400", "1e9999", "1e10000",
+	"1e0000000000000000000000001", "1e-1000000000000000000000000", "1e1000000000000000000000000",
+	"97.70931178939436", "103.26604497306657", "0.30000000000000004",
+	"1.5x", "01", "-01", "1 ", "1.", "1e", "1e+", "-", "-x", ".5", "+1", "1.5.3", "2.5e+3]",
+}
+
+// checkNumberParity holds number to encoding/json on one token: it
+// accepts exactly the tokens json.Unmarshal accepts into a float64,
+// with the same bits (-0 included), and stops at the byte where
+// json.Decoder ends the value.
+func checkNumberParity(t *testing.T, tok []byte) {
+	t.Helper()
+	p := &jsonParser{data: tok}
+	got, err := p.number()
+	if len(tok) == 0 || tok[0] != '-' && (tok[0] < '0' || tok[0] > '9') {
+		if err == nil {
+			t.Fatalf("number(%q) = %v, but no JSON number starts there", tok, got)
+		}
+		return // null and leading space are the callers' business
+	}
+	var whole float64
+	wholeErr := json.Unmarshal(tok, &whole)
+	rest := bytes.TrimLeft(tok[p.pos:], " \t\r\n")
+	if accepted := err == nil && len(rest) == 0; accepted != (wholeErr == nil) {
+		t.Fatalf("number(%q): accepted=%v (err %v), json.Unmarshal err %v", tok, accepted, err, wholeErr)
+	}
+	dec := json.NewDecoder(bytes.NewReader(tok))
+	var want float64
+	if refErr := dec.Decode(&want); refErr != nil {
+		if err == nil {
+			t.Fatalf("number(%q) = %v, json.Decoder rejects: %v", tok, got, refErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("number(%q): %v, json.Decoder reads %v", tok, err, want)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("number(%q) = %v (%#x), json reads %v (%#x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if end := dec.InputOffset(); int64(p.pos) != end {
+		t.Fatalf("number(%q) stopped at byte %d, json.Decoder at %d", tok, p.pos, end)
+	}
+}
+
+func FuzzParseNumber(f *testing.F) {
+	for _, tok := range numberSeeds {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(checkNumberParity)
+}
+
+// TestParseNumberMatchesStrconv sweeps a million seeded float64s, drawn
+// from four families, through five formats each, and requires number
+// to parse every string to strconv.ParseFloat's bits. It also spot
+// checks rows of the powers-of-ten table against strconv's literal one.
+func TestParseNumberMatchesStrconv(t *testing.T) {
+	for _, row := range []struct {
+		exp10  int
+		lo, hi uint64
+	}{
+		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
+		{-1, 0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC},
+		{0, 0, 0x8000000000000000},
+		{43, 0x6D9CCD05D0000000, 0xE596B7B0C643C719},
+		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
+	} {
+		if got := powersOfTen[row.exp10-minPow10]; got != [2]uint64{row.lo, row.hi} {
+			t.Errorf("powersOfTen 1e%d = {%#x, %#x}, want {%#x, %#x}", row.exp10, got[0], got[1], row.lo, row.hi)
+		}
+	}
+
+	// Each family draws 2¹⁸ values from its own seeded source, so the
+	// families can run in parallel and still sweep the same strings.
+	families := []struct {
+		name string
+		draw func(*rand.Rand) float64
+	}{
+		{"uniform-bits", func(rng *rand.Rand) float64 {
+			for {
+				if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+					return v
+				}
+			}
+		}},
+		{"normal×10^±20", func(rng *rand.Rand) float64 { return rng.NormFloat64() * math.Pow10(rng.Intn(41)-20) }},
+		{"integer/10^k", func(rng *rand.Rand) float64 {
+			return float64(rng.Int63()>>rng.Intn(63)) / math.Pow10(rng.Intn(23))
+		}},
+		{"[0,1000)", func(rng *rand.Rand) float64 { return 1000 * rng.Float64() }},
+	}
+	formats := []struct {
+		fmt  byte
+		prec int
+	}{{'g', -1}, {'e', 16}, {'e', 17}, {'e', 20}, {'f', -1}}
+	for seed, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(seed)))
+			var buf []byte
+			for range 1 << 18 {
+				v := fam.draw(rng)
+				for _, f := range formats {
+					buf = strconv.AppendFloat(buf[:0], v, f.fmt, f.prec, 64)
+					want, err := strconv.ParseFloat(string(buf), 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := &jsonParser{data: buf}
+					got, err := p.number()
+					if err != nil || p.pos != len(buf) || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("number(%q) = %v (%#x), pos %d, err %v; strconv reads %#x",
+							buf, got, math.Float64bits(got), p.pos, err, math.Float64bits(want))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestParseNumberAllocatesNothing: exact-tier and Eisel–Lemire tokens
+// convert without allocating.
+func TestParseNumberAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	for _, tc := range []struct {
+		tok   string
+		mant  uint64 // Eisel–Lemire's input, for tokens past the exact tier
+		exp10 int
+	}{
+		{tok: "97.25"},
+		{tok: "-0"},
+		{tok: "4503599627370495e22"},
+		{"97.70931178939436", 9770931178939436, -14},
+		{"-0.30000000000000004", 30000000000000004, -17},
+		{"1.7976931348623157e308", 17976931348623157, 292},
+		{"1e-30", 1, -30},
+	} {
+		if tc.mant != 0 {
+			if _, ok := eiselLemire(tc.mant, tc.exp10, false); !ok {
+				t.Fatalf("%s: Eisel–Lemire declines", tc.tok)
+			}
+		}
+		data := []byte(tc.tok)
+		var got float64
+		n := testing.AllocsPerRun(100, func() {
+			p := jsonParser{data: data}
+			got, _ = p.number()
+		})
+		if want, _ := strconv.ParseFloat(tc.tok, 64); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("number(%q) = %v, want %v", tc.tok, got, want)
+		}
+		if n != 0 {
+			t.Errorf("number(%q): %v allocations, want 0", tc.tok, n)
+		}
 	}
 }
 

@@ -7,13 +7,14 @@ import (
 	"net/http/httptest"
 	"slices"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzHandlers sends arbitrary bodies to the hot handlers of a server
 // backed by a model directory — batch detect on a plain model and on a
 // pyramid, stream creation, and point pushes into a plain and a pyramid
 // session — and requires that no call panics or answers 5xx and that
-// every response with a body carries valid JSON.
+// every response with a body carries valid JSON in valid UTF-8.
 func FuzzHandlers(f *testing.F) {
 	dir := f.TempDir()
 	writeModel(f, dir, "spikes", trainModel(f))
@@ -35,6 +36,9 @@ func FuzzHandlers(f *testing.F) {
 		}
 		if rec.Code != http.StatusNoContent && !json.Valid(got) {
 			t.Fatalf("%s %s = %d with invalid JSON %q\nbody: %q", method, path, rec.Code, got, body)
+		}
+		if !utf8.Valid(got) {
+			t.Fatalf("%s %s = %d with invalid UTF-8 %q\nbody: %q", method, path, rec.Code, got, body)
 		}
 		return rec.Code, got
 	}
