@@ -64,12 +64,17 @@ test-hammer:
 perfbench-test:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
-# examples: run every program under examples/ end to end; a non-zero
-# exit from any of them fails the target. Their stdout is discarded.
+# examples: run every program under examples/ end to end and diff its
+# stdout against the committed examples/<name>/stdout.golden; a non-zero
+# exit or any difference fails the target. After an intended output
+# change, re-record a golden with
+# `go run ./examples/<name> > examples/<name>/stdout.golden`.
 examples:
-	@set -e; for d in examples/*/; do \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in examples/*/; do \
 		echo "run $$d"; \
-		$(GO) run ./$$d > /dev/null; \
+		$(GO) run ./$$d > "$$out"; \
+		diff -u "$${d}stdout.golden" "$$out"; \
 	done
 
 bench:

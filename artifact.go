@@ -73,8 +73,6 @@ type StreamHandle interface {
 	Points() int
 	// Ready reports whether full windows are being evaluated.
 	Ready() bool
-	// Stats returns lifetime activity counters.
-	Stats() StreamStats
 }
 
 // Artifact is a deployable trained detector.
@@ -124,13 +122,13 @@ func (m *Model) OpenStream(scale Scale) (StreamHandle, error) {
 // Info summarizes the pyramid.
 func (pm *PyramidModel) Info() ArtifactInfo {
 	var weights []float64
-	if len(pm.ens.Fuse.Weights) > 0 {
-		weights = make([]float64, len(pm.ens.Fuse.Weights))
-		copy(weights, pm.ens.Fuse.Weights)
+	if len(pm.Config.Fusion.Weights) > 0 {
+		weights = make([]float64, len(pm.Config.Fusion.Weights))
+		copy(weights, pm.Config.Fusion.Weights)
 	}
-	scaleRules := make([]int, len(pm.ens.Members))
-	for i, mem := range pm.ens.Members {
-		scaleRules[i] = mem.Model.NumRules()
+	scaleRules := make([]int, len(pm.models))
+	for i, m := range pm.models {
+		scaleRules[i] = m.NumRules()
 	}
 	return ArtifactInfo{
 		Kind:          KindPyramid,
@@ -139,7 +137,7 @@ func (pm *PyramidModel) Info() ArtifactInfo {
 		NumRules:      pm.NumRules(),
 		Scales:        pm.Scales(),
 		ScaleRules:    scaleRules,
-		Fusion:        pm.ens.Fuse.String(),
+		Fusion:        pm.Config.Fusion.String(),
 		FusionWeights: weights,
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 	train := pumpFeed("pump-7 (history)", 500, []int{80, 210, 350, 460}, 1)
 	live := pumpFeed("pump-7 (this week)", 300, []int{120, 250}, 2)
 
-	model, err := cdt.FitMulti([]*cdt.MultiSeries{train}, cdt.Options{Omega: 5, Delta: 2}, cdt.CombineAny)
+	model, err := cdt.FitMulti([]*cdt.MultiSeries{train}, cdt.Options{Omega: 5, Delta: 2}, cdt.FuseAny)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,23 +1,13 @@
 package cdt
 
-// The ensemble/fusion layer: one general mechanism for "several CDTs
-// vote on the same feed". A Member is a named trained Model, and a
-// Fusion policy turns per-member verdicts into one decision.
-//
-// Two consumers share the layer:
-//
-//   - MultiModel fuses window-aligned members (member d scores input
-//     dimension d, same ω, same clock) through Ensemble.DetectAligned;
-//   - PyramidModel fuses members at different temporal resolutions
-//     (scale i scores the series resampled by its factor through
-//     ResampleTransform), which are not window-aligned, by projecting
-//     each member's fired windows onto original-resolution points and
-//     fusing per point.
-//
-// The fusion policies are shared verbatim by both.
+// Fusion policies: how several CDTs voting on the same feed turn their
+// per-member verdicts into one decision. MultiModel fuses its
+// window-aligned dimension models per window under Policy; PyramidModel
+// projects each scale's fired windows (scales are not window-aligned)
+// onto original-resolution points and fuses per point under
+// Config.Fusion. Both decide through the counting form Fusion.decide.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -90,9 +80,13 @@ type Fusion struct {
 }
 
 // Validate checks the policy parameters against the member count.
-// context names the owning model and its members (a pyramid's scales, an
-// ensemble's dimensions), so a rejection says whose fusion is broken —
-// the model store's audit log and the CLI relay these verbatim.
+// context names the owning model and its members (a pyramid's scales, a
+// multivariate model's dimensions), so a rejection says whose fusion is
+// broken — the model store's audit log and the CLI relay these
+// verbatim. A weighted policy that can never fire (all-zero weights, a
+// threshold above the total weight) is a configuration error, not a
+// quiet model; negative weights are rejected too: a member is ignored,
+// never inverted.
 func (f Fusion) Validate(context string, members int) error {
 	if members < 1 {
 		return fmt.Errorf("cdt: %s: fusion needs at least one member", context)
@@ -103,26 +97,27 @@ func (f Fusion) Validate(context string, members int) error {
 			return fmt.Errorf("cdt: %s: fusion quorum k=%d outside [1,%d]", context, f.K, members)
 		}
 	case FuseWeighted:
-		if f.Weights != nil {
-			if len(f.Weights) != members {
-				return fmt.Errorf("cdt: %s: %d fusion weights for %d members", context, len(f.Weights), members)
-			}
-			allZero := true
-			for _, w := range f.Weights {
-				if w != 0 {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				// An all-zero weight vector never reaches a positive
-				// threshold: the model would silently never fire. Reject it
-				// here instead of at the first missed anomaly.
-				return fmt.Errorf("cdt: %s: all %d fusion weights are zero; weighted fusion would never fire", context, members)
-			}
+		if f.Weights != nil && len(f.Weights) != members {
+			return fmt.Errorf("cdt: %s: %d fusion weights for %d members", context, len(f.Weights), members)
 		}
-		if f.Threshold <= 0 {
+		// Sum in member order, as fusePoints and FitFusionWeights do, so a
+		// threshold capped at the total compares equal to it here.
+		total := 0.0
+		for i := 0; i < members; i++ {
+			w := f.weight(i)
+			if !(w >= 0) {
+				return fmt.Errorf("cdt: %s: fusion weight %d is %v, want >= 0", context, i, w)
+			}
+			total += w
+		}
+		if total == 0 {
+			return fmt.Errorf("cdt: %s: all %d fusion weights are zero; weighted fusion would never fire", context, members)
+		}
+		if !(f.Threshold > 0) {
 			return fmt.Errorf("cdt: %s: fusion threshold %v, want > 0", context, f.Threshold)
+		}
+		if f.Threshold > total {
+			return fmt.Errorf("cdt: %s: fusion threshold %v exceeds the total weight %v; weighted fusion would never fire", context, f.Threshold, total)
 		}
 	case FuseAny, FuseMajority, FuseAll:
 	default:
@@ -380,95 +375,28 @@ func FitFusionK(fired [][]bool, truth []bool) (Fusion, error) {
 	return Fusion{Policy: FuseKOfN, K: bestK}, nil
 }
 
-// Member is one named model in an ensemble.
-type Member struct {
-	// Name identifies the member in rule listings (a dimension name, a
-	// scale like "x4").
-	Name string
-	// Model is the member's trained CDT.
-	Model *Model
-}
-
-// Ensemble is a set of members with a fusion policy — the shared
-// mechanism under MultiModel and PyramidModel.
-type Ensemble struct {
-	// Members are the voting models.
-	Members []Member
-	// Fuse combines their verdicts.
-	Fuse Fusion
-}
-
-// Validate checks the ensemble is runnable.
-func (e *Ensemble) Validate() error {
-	if len(e.Members) == 0 {
-		return fmt.Errorf("cdt: ensemble has no members")
-	}
-	names := make([]string, len(e.Members))
-	for i, m := range e.Members {
-		if m.Model == nil {
-			return fmt.Errorf("cdt: ensemble member %d has no model", i)
-		}
-		names[i] = m.Name
-	}
-	return e.Fuse.Validate("ensemble["+strings.Join(names, ",")+"]", len(e.Members))
-}
-
-// DetectAligned sweeps member i over input dimension dims[i] and fuses
-// verdicts per window. All members must produce the same window count
-// (same ω over same-length inputs) — the window-aligned fast path
-// MultiModel runs on. Votes accumulate into per-window counts, so no
-// per-member flag slice is materialized.
-func (e *Ensemble) DetectAligned(dims []*Series) ([]bool, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	if len(dims) != len(e.Members) {
-		return nil, fmt.Errorf("cdt: feed has %d dimensions, model expects %d", len(dims), len(e.Members))
-	}
-	var (
-		counts  []int
-		weights []float64
-	)
-	for i, mem := range e.Members {
-		marks, err := mem.Model.detectMarks(context.Background(), dims[i])
-		if err != nil {
-			return nil, fmt.Errorf("cdt: member %d: %w", i, err)
-		}
-		if counts == nil {
-			counts = make([]int, marks.NumWindows())
-			if e.Fuse.Policy == FuseWeighted {
-				weights = make([]float64, marks.NumWindows())
-			}
-		}
-		if marks.NumWindows() != len(counts) {
-			return nil, fmt.Errorf("cdt: member %d has %d windows, want %d", i, marks.NumWindows(), len(counts))
-		}
-		for wi := range counts {
-			if marks.Fired(wi) {
-				counts[wi]++
-				if weights != nil {
-					weights[wi] += e.Fuse.weight(i)
-				}
-			}
-		}
-	}
-	n := len(e.Members)
-	out := make([]bool, len(counts))
-	for wi, count := range counts {
-		w := float64(count)
-		if weights != nil {
-			w = weights[wi]
-		}
-		out[wi] = e.Fuse.decide(count, w, n)
-	}
-	return out, nil
-}
-
-// NumRules sums the member models' rule counts.
-func (e *Ensemble) NumRules() int {
+// numRules sums the member models' rule counts.
+func numRules(models []*Model) int {
 	n := 0
-	for _, m := range e.Members {
-		n += m.Model.NumRules()
+	for _, m := range models {
+		n += m.NumRules()
 	}
 	return n
+}
+
+// memberText renders text(m) for every member model, each indented
+// under its header(i) line — the per-scale and per-dimension rule
+// listings.
+func memberText(models []*Model, header func(i int) string, text func(*Model) string) string {
+	var b strings.Builder
+	for i, m := range models {
+		b.WriteString(header(i))
+		b.WriteString(":\n")
+		for _, line := range strings.Split(strings.TrimRight(text(m), "\n"), "\n") {
+			b.WriteString("  ")
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }

@@ -178,6 +178,21 @@ func TestFusionValidateNamesContext(t *testing.T) {
 			Fusion{Policy: FuseWeighted, Threshold: 0},
 			"pyramid scales [1 2]: fusion threshold 0",
 		},
+		{
+			"negative weight",
+			Fusion{Policy: FuseWeighted, Weights: []float64{-1, 2}, Threshold: 1},
+			"pyramid scales [1 2]: fusion weight 0 is -1, want >= 0",
+		},
+		{
+			"threshold above the total weight",
+			Fusion{Policy: FuseWeighted, Weights: []float64{1, 1}, Threshold: 3},
+			"pyramid scales [1 2]: fusion threshold 3 exceeds the total weight 2",
+		},
+		{
+			"threshold above the default weights",
+			Fusion{Policy: FuseWeighted, Threshold: 5},
+			"pyramid scales [1 2]: fusion threshold 5 exceeds the total weight 2",
+		},
 	}
 	for _, tc := range cases {
 		err := tc.f.Validate("pyramid scales [1 2]", 2)
@@ -189,16 +204,59 @@ func TestFusionValidateNamesContext(t *testing.T) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
 	}
-	// The ensemble surface threads member names into the context.
-	ens := &Ensemble{
-		Members: []Member{
-			{Name: "temp", Model: &Model{}},
-			{Name: "pressure", Model: &Model{}},
-		},
-		Fuse: Fusion{Policy: FuseKOfN, K: 9},
+	// A multivariate model names its dimensions: it runs only the
+	// parameterless policies, so a quorum policy is refused at fit time.
+	train := makeMultiFeed("train", 200, []int{60}, 0, 5)
+	_, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseKOfN)
+	if err == nil || !strings.Contains(err.Error(), `multivariate dimensions ["temp" "pressure"]`) {
+		t.Errorf("FitMulti under FuseKOfN: error %v, want the dimension names in context", err)
 	}
-	if err := ens.Validate(); err == nil || !strings.Contains(err.Error(), "ensemble[temp,pressure]") {
-		t.Errorf("ensemble validate error = %v, want the member names in context", err)
+}
+
+// TestFusionThresholdAtTotalWeightValidates: a threshold equal to the
+// total weight fires when every member fires, so it is valid. The total
+// sums in member order, as the point fusion and FitFusionWeights do, so
+// a threshold built as that sum (FitFusionWeights caps at it) validates
+// even where floating-point addition in another order would round
+// below it.
+func TestFusionThresholdAtTotalWeightValidates(t *testing.T) {
+	weights := []float64{0.1, 0.2, 0.3}
+	total, reversed := 0.0, 0.0
+	for i := range weights {
+		total += weights[i]
+		reversed += weights[len(weights)-1-i]
+	}
+	if !(reversed < total) {
+		t.Fatalf("reverse-order sum %v is not below the member-order sum %v; the case is vacuous", reversed, total)
+	}
+	f := Fusion{Policy: FuseWeighted, Weights: weights, Threshold: total}
+	if err := f.Validate("test", len(weights)); err != nil {
+		t.Fatalf("threshold at the total weight rejected: %v", err)
+	}
+	if !f.Decide([]bool{true, true, true}) {
+		t.Error("threshold at the total weight does not fire when every member fires")
+	}
+}
+
+// TestFusionPolicyNamesRoundTrip: every policy's name parses back to the
+// policy, as pyramid documents and `cdt train -fusion` rely on.
+func TestFusionPolicyNamesRoundTrip(t *testing.T) {
+	want := map[FusionPolicy]string{
+		FuseAny:      "any",
+		FuseMajority: "majority",
+		FuseAll:      "all",
+		FuseKOfN:     "k-of-n",
+		FuseWeighted: "weighted",
+	}
+	for p := FuseAny; p <= FuseWeighted; p++ {
+		name := p.String()
+		if name != want[p] {
+			t.Errorf("policy %d: String = %q, want %q", int(p), name, want[p])
+		}
+		back, err := ParseFusionPolicy(name)
+		if err != nil || back != p {
+			t.Errorf("ParseFusionPolicy(%q) = %v, %v; want %v", name, back, err, p)
+		}
 	}
 }
 
@@ -319,6 +377,7 @@ func TestPyramidDefaultDocumentOmitsCompositionFields(t *testing.T) {
 
 func TestLoadPyramidRejectsBadComposedDocuments(t *testing.T) {
 	scale := `{"factor":1,"model":{"version":1,"options":{"omega":3,"delta":1},"tree":{"normal":1,"anomaly":0}}}`
+	scale2 := `{"factor":2,"model":{"version":1,"options":{"omega":3,"delta":1},"tree":{"normal":1,"anomaly":0}}}`
 	cases := []struct {
 		name, doc, wantErr string
 	}{
@@ -341,6 +400,21 @@ func TestLoadPyramidRejectsBadComposedDocuments(t *testing.T) {
 			"zero threshold",
 			`{"version":1,"kind":"pyramid","fusion":{"policy":"weighted","threshold":0},"scales":[` + scale + `]}`,
 			"threshold 0",
+		},
+		{
+			"negative weight",
+			`{"version":1,"kind":"pyramid","fusion":{"policy":"weighted","weights":[-1,2],"threshold":1},"scales":[` + scale + `,` + scale2 + `]}`,
+			"fusion weight 0 is -1",
+		},
+		{
+			"threshold above the total weight",
+			`{"version":1,"kind":"pyramid","fusion":{"policy":"weighted","weights":[1,1],"threshold":3},"scales":[` + scale + `,` + scale2 + `]}`,
+			"fusion threshold 3 exceeds the total weight 2",
+		},
+		{
+			"threshold above the default weights",
+			`{"version":1,"kind":"pyramid","fusion":{"policy":"weighted","threshold":2},"scales":[` + scale + `]}`,
+			"fusion threshold 2 exceeds the total weight 1",
 		},
 	}
 	for _, tc := range cases {

@@ -54,6 +54,9 @@ func FuzzLoad(f *testing.F) {
 	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "weighted", "threshold": 0}, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
 	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "weighted", "weights": [1, 1, 1], "threshold": 1}, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
 	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "weighted", "weights": [0], "threshold": 1}, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
+	// Weighted policies that could never fire, or that invert a member.
+	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "weighted", "weights": [1, 1], "threshold": 3}, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}, {"factor": 2, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
+	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "weighted", "weights": [-1, 2], "threshold": 1}, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}, {"factor": 2, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
 	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "any"}, "dim": -1, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
 	f.Add(`{"version": 1, "kind": "pyramid", "fusion": {"policy": "any"}, "dim": 9000000000000000000, "scales": [{"factor": 1, "model": {"version": 1, "options": {"omega": 3, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}}]}`)
 	if artifact := savedWeightedPyramidJSON(f); artifact != "" {

@@ -636,3 +636,71 @@ func TestDriftReloadHammer(t *testing.T) {
 		t.Fatalf("stale after a final reload: %v", stale)
 	}
 }
+
+// TestReloadPromoteHammer races full reloads against promotes and
+// rollbacks. Each round runs Registry().Reload() beside an HTTP promote
+// to v2 or a rollback to v1, then checks that the registry serves the
+// version the store's current pointer names: a reload that read the old
+// pointer must not swap its record in over the promote's newer one.
+func TestReloadPromoteHammer(t *testing.T) {
+	s, ts, st := newStoreServer(t, Config{})
+	// Models that sort after "spikes" make a full reload read its pointer
+	// early and load for a while before swapping, as a reload of a
+	// many-model store does: the window a promote can land in.
+	doc := modelBytes(t, trainModel(t))
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("tail%d", i)
+		if _, err := st.Publish(name, doc, "cli", "padding"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Promote(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// post runs on the round's goroutines, so it reports with t.Error.
+	post := func(path, body string) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s: status %d", path, resp.StatusCode)
+		}
+	}
+	const rounds = 1000
+	mismatched := 0
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := s.Registry().Reload(); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if i%2 == 0 {
+				post("/models/spikes/promote", `{"version":2}`)
+			} else {
+				post("/models/spikes/rollback", "")
+			}
+		}()
+		close(start)
+		wg.Wait()
+		served, ok := s.registry.Get("spikes")
+		current, _ := st.Current("spikes")
+		if !ok || served.version != current.Version {
+			mismatched++
+		}
+	}
+	if mismatched > 0 {
+		t.Fatalf("%d of %d rounds left the registry serving a version the store no longer points to", mismatched, rounds)
+	}
+}

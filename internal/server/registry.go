@@ -19,21 +19,31 @@ import (
 // version number. Each served artifact lives in one servedModel record
 // built at load. Lookups take a read lock; Reload builds a complete new
 // record set off to the side and swaps it in under the write lock, and
-// a promote or rollback swaps in a fresh record for one name. The
-// records they replace are retired: requests and stream sessions keep
-// the record they already resolved — artifacts are immutable after
-// load, which makes hot-reload safe without draining traffic — but a
-// retired record no longer feeds drift. Immutability includes each
-// model's compiled rule engine (internal/engine): Load compiles it
-// once, and every request against the model — batch detects and stream
-// sessions alike — matches through that one shared read-only engine.
+// a promote or rollback swaps in a fresh record for one name. Writers
+// are serialized: Reload and reloadModel each hold reloadMu from
+// reading the store's pointers to the swap, so a reload that read a
+// pointer before a promote moved it cannot swap in over the promote's
+// record. reloadMu is taken before mu and before the store's own lock;
+// mu and the store's lock never nest, and the store never calls the
+// registry. The records they replace are retired: requests and stream
+// sessions keep the record they already resolved — artifacts are
+// immutable after load, which makes hot-reload safe without draining
+// traffic — but a retired record no longer feeds drift. Immutability
+// includes each model's compiled rule engine (internal/engine): Load
+// compiles it once, and every request against the model — batch detects
+// and stream sessions alike — matches through that one shared read-only
+// engine.
 type Registry struct {
 	dir   string
 	store *modelstore.Store // nil in directory mode
 	tel   *serverMetrics
 
-	mu     sync.RWMutex
-	models map[string]*servedModel
+	// reloadMu serializes the writers (Reload, reloadModel) across load
+	// plus swap. Get never takes it, so requests never wait on a
+	// reload's file I/O.
+	reloadMu sync.Mutex
+	mu       sync.RWMutex
+	models   map[string]*servedModel
 }
 
 // ModelInfo summarizes one registered model for listings.
@@ -140,7 +150,11 @@ func (r *Registry) Get(name string) (*servedModel, bool) {
 // pointers) and replaces every record, retiring the old ones. On any
 // load error the previous set stays untouched, so a corrupt artifact
 // can never take down serving. Returns the number of models now live.
+// It holds r.reloadMu across load and swap, and takes r.mu only for the
+// swap.
 func (r *Registry) Reload() (int, error) {
+	r.reloadMu.Lock()
+	defer r.reloadMu.Unlock()
 	models, err := r.load()
 	if err != nil {
 		return 0, err
@@ -158,8 +172,11 @@ func (r *Registry) Reload() (int, error) {
 // reloadModel replaces name's record with its store's current version,
 // retiring the old record — the promote and rollback path, which moves
 // one pointer and so reloads one model. On a load error the old record
-// keeps serving.
+// keeps serving. Like Reload, it holds r.reloadMu across load and swap
+// and takes r.mu only for the swap.
 func (r *Registry) reloadModel(name string) error {
+	r.reloadMu.Lock()
+	defer r.reloadMu.Unlock()
 	art, v, err := r.store.LoadCurrent(name)
 	if err != nil {
 		return err

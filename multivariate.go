@@ -3,19 +3,18 @@ package cdt
 // Multivariate support — the paper's final future-work item ("we could
 // also expand our method to suit multivariate time-series"). Each
 // dimension is labeled with its own pattern alphabet and grows its own
-// CDT; a combination policy fuses the per-dimension window verdicts.
+// CDT; a fusion policy fuses the per-dimension window verdicts.
 // Per-dimension rules stay individually interpretable ("dimension
 // 'pressure': IF [PN[-H,-H]] THEN anomaly"), which preserves the paper's
 // whole point while covering multivariate feeds.
 //
-// MultiModel is the first consumer of the shared ensemble layer
-// (fusion.go): member d scores dimension d, and CombinePolicy maps onto
-// the matching Fusion policy. The fused verdicts are bit-identical to
-// the pre-ensemble implementation (pinned by TestMultiModelDifferential).
+// Model d scores dimension d on the shared window clock, and MultiModel
+// fuses per window through the counting form (fusion.go), bit-identical
+// to the original per-dimension vote loop (TestMultiModelDifferential).
 
 import (
+	"context"
 	"fmt"
-	"strings"
 
 	"cdt/internal/core"
 	"cdt/internal/evalmetrics"
@@ -72,58 +71,23 @@ func (ms *MultiSeries) Len() int {
 	return ms.Dims[0].Len()
 }
 
-// CombinePolicy fuses per-dimension window verdicts.
-type CombinePolicy int
-
-const (
-	// CombineAny flags a window when any dimension's rules fire — the
-	// sensitive default (an anomaly may manifest in one dimension only).
-	CombineAny CombinePolicy = iota
-	// CombineMajority flags a window when more than half the dimensions
-	// fire.
-	CombineMajority
-	// CombineAll flags a window only when every dimension fires — the
-	// high-precision setting.
-	CombineAll
-)
-
-// String names the policy.
-func (p CombinePolicy) String() string {
-	switch p {
-	case CombineMajority:
-		return "majority"
-	case CombineAll:
-		return "all"
-	}
-	return "any"
-}
-
-// fusion maps the policy onto the shared ensemble layer's equivalent.
-func (p CombinePolicy) fusion() Fusion {
-	switch p {
-	case CombineMajority:
-		return Fusion{Policy: FuseMajority}
-	case CombineAll:
-		return Fusion{Policy: FuseAll}
-	}
-	return Fusion{Policy: FuseAny}
-}
-
 // MultiModel is one trained CDT per dimension plus the fusion policy.
 type MultiModel struct {
 	// Opts is the shared per-dimension training configuration.
 	Opts Options
-	// Policy fuses dimension verdicts.
-	Policy CombinePolicy
+	// Policy fuses dimension verdicts per window: FuseAny, FuseMajority
+	// or FuseAll. The quorum and weighted policies need parameters a
+	// MultiModel does not carry, so DetectWindows rejects them.
+	Policy FusionPolicy
 
-	ens   Ensemble
-	names []string
+	models []*Model
+	names  []string
 }
 
 // FitMulti trains one CDT per dimension over the aligned training feeds.
 // Every feed must have the same dimensionality; dimension d of every
 // feed trains model d, using the feed's shared anomaly annotation.
-func FitMulti(train []*MultiSeries, opts Options, policy CombinePolicy) (*MultiModel, error) {
+func FitMulti(train []*MultiSeries, opts Options, policy FusionPolicy) (*MultiModel, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,7 +104,12 @@ func FitMulti(train []*MultiSeries, opts Options, policy CombinePolicy) (*MultiM
 		}
 	}
 	mm := &MultiModel{Opts: opts, Policy: policy}
-	mm.ens.Fuse = policy.fusion()
+	for _, s := range train[0].Dims {
+		mm.names = append(mm.names, s.Name)
+	}
+	if _, err := mm.fusion(); err != nil {
+		return nil, err
+	}
 	for d := 0; d < dims; d++ {
 		perDim := make([]*Series, len(train))
 		for i, ms := range train {
@@ -160,24 +129,62 @@ func FitMulti(train []*MultiSeries, opts Options, policy CombinePolicy) (*MultiM
 		if err != nil {
 			return nil, fmt.Errorf("cdt: dimension %d: %w", d, err)
 		}
-		mm.ens.Members = append(mm.ens.Members, Member{Name: train[0].Dims[d].Name, Model: model})
-		mm.names = append(mm.names, train[0].Dims[d].Name)
+		mm.models = append(mm.models, model)
 	}
 	return mm, nil
 }
 
+// fusion validates Policy and returns it as a Fusion. A rejection names
+// the model's dimensions.
+func (mm *MultiModel) fusion() (Fusion, error) {
+	fu := Fusion{Policy: mm.Policy}
+	return fu, fu.Validate(fmt.Sprintf("multivariate dimensions %q", mm.names), len(mm.names))
+}
+
 // Dimensions returns the number of per-dimension models.
-func (mm *MultiModel) Dimensions() int { return len(mm.ens.Members) }
+func (mm *MultiModel) Dimensions() int { return len(mm.models) }
 
 // DimensionModel returns dimension d's trained CDT.
-func (mm *MultiModel) DimensionModel(d int) *Model { return mm.ens.Members[d].Model }
+func (mm *MultiModel) DimensionModel(d int) *Model { return mm.models[d] }
 
-// DetectWindows fuses the per-dimension window verdicts for one feed.
+// DetectWindows fuses the per-dimension window verdicts for one feed,
+// counting firing dimensions per window. Policy is validated on every
+// call, so a policy assigned after fitting takes effect or errors.
 func (mm *MultiModel) DetectWindows(ms *MultiSeries) ([]bool, error) {
 	if err := ms.Validate(); err != nil {
 		return nil, err
 	}
-	return mm.ens.DetectAligned(ms.Dims)
+	fu, err := mm.fusion()
+	if err != nil {
+		return nil, err
+	}
+	if len(ms.Dims) != len(mm.models) {
+		return nil, fmt.Errorf("cdt: feed has %d dimensions, model expects %d", len(ms.Dims), len(mm.models))
+	}
+	var counts []int
+	for d, m := range mm.models {
+		marks, err := m.detectMarks(context.Background(), ms.Dims[d])
+		if err != nil {
+			return nil, fmt.Errorf("cdt: dimension %d: %w", d, err)
+		}
+		if counts == nil {
+			counts = make([]int, marks.NumWindows())
+		}
+		if marks.NumWindows() != len(counts) {
+			return nil, fmt.Errorf("cdt: dimension %d has %d windows, want %d", d, marks.NumWindows(), len(counts))
+		}
+		for wi := range counts {
+			if marks.Fired(wi) {
+				counts[wi]++
+			}
+		}
+	}
+	out := make([]bool, len(counts))
+	for wi, count := range counts {
+		// Policy is unweighted, so every firing dimension weighs 1.
+		out[wi] = fu.decide(count, float64(count), len(mm.models))
+	}
+	return out, nil
 }
 
 // Evaluate scores the fused detection on labeled feeds, pooling windows.
@@ -197,7 +204,7 @@ func (mm *MultiModel) Evaluate(eval []*MultiSeries) (Report, error) {
 		// Window wi covers points wi+1..wi+ω (same geometry as the
 		// univariate model).
 		truthSeries := NewLabeledSeries(ms.Name, ms.Dims[0].Values, ms.Anomalies)
-		obs, err := observations(truthSeries, mm.ens.Members[0].Model.pcfg, mm.Opts.Omega)
+		obs, err := observations(truthSeries, mm.models[0].pcfg, mm.Opts.Omega)
 		if err != nil {
 			return Report{}, err
 		}
@@ -216,22 +223,15 @@ func (mm *MultiModel) Evaluate(eval []*MultiSeries) (Report, error) {
 }
 
 // NumRules sums the rule counts of all dimension models.
-func (mm *MultiModel) NumRules() int { return mm.ens.NumRules() }
+func (mm *MultiModel) NumRules() int { return numRules(mm.models) }
 
 // RuleText renders each dimension's rules under a header.
 func (mm *MultiModel) RuleText() string {
-	var b strings.Builder
-	for d, mem := range mm.ens.Members {
+	return memberText(mm.models, func(d int) string {
 		name := mm.names[d]
 		if name == "" {
 			name = fmt.Sprintf("dim%d", d)
 		}
-		fmt.Fprintf(&b, "dimension %q:\n", name)
-		for _, line := range strings.Split(strings.TrimRight(mem.Model.RuleText(), "\n"), "\n") {
-			b.WriteString("  ")
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+		return fmt.Sprintf("dimension %q", name)
+	}, (*Model).RuleText)
 }

@@ -3,6 +3,7 @@ package cdt
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func makeMultiFeed(name string, n int, spikes []int, anomalyDim int, seed int64)
 
 func TestFitMultiDetectsSingleDimensionAnomaly(t *testing.T) {
 	train := makeMultiFeed("train", 400, []int{60, 150, 250, 340}, 1, 1)
-	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAny)
+	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +45,19 @@ func TestFitMultiDetectsSingleDimensionAnomaly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.F1 < 0.9 {
-		t.Errorf("CombineAny training F1 = %v", rep.F1)
+		t.Errorf("FuseAny training F1 = %v", rep.F1)
 	}
 }
 
-func TestCombinePolicies(t *testing.T) {
+func TestMultiFusionPolicies(t *testing.T) {
 	// Anomaly visible only in dimension 1: Any fires, All cannot (the
 	// clean dimension never fires).
 	train := makeMultiFeed("train", 400, []int{60, 150, 250, 340}, 1, 2)
-	any, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAny)
+	any, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseAny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAll)
+	all, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCombinePolicies(t *testing.T) {
 			anyRep.Confusion.TP, allRep.Confusion.TP)
 	}
 	// Majority of 2 dims == All for 2 dims.
-	maj, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineMajority)
+	maj, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseMajority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +89,10 @@ func TestCombinePolicies(t *testing.T) {
 
 func TestFitMultiValidation(t *testing.T) {
 	good := makeMultiFeed("g", 100, []int{50}, 0, 3)
-	if _, err := FitMulti(nil, Options{Omega: 5, Delta: 2}, CombineAny); err == nil {
+	if _, err := FitMulti(nil, Options{Omega: 5, Delta: 2}, FuseAny); err == nil {
 		t.Error("no feeds accepted")
 	}
-	if _, err := FitMulti([]*MultiSeries{good}, Options{Omega: 0, Delta: 2}, CombineAny); err == nil {
+	if _, err := FitMulti([]*MultiSeries{good}, Options{Omega: 0, Delta: 2}, FuseAny); err == nil {
 		t.Error("bad options accepted")
 	}
 	ragged := &MultiSeries{
@@ -99,7 +100,7 @@ func TestFitMultiValidation(t *testing.T) {
 		Dims:      []*Series{NewSeries("a", make([]float64, 10)), NewSeries("b", make([]float64, 9))},
 		Anomalies: make([]bool, 10),
 	}
-	if _, err := FitMulti([]*MultiSeries{ragged}, Options{Omega: 3, Delta: 2}, CombineAny); err == nil {
+	if _, err := FitMulti([]*MultiSeries{ragged}, Options{Omega: 3, Delta: 2}, FuseAny); err == nil {
 		t.Error("ragged dimensions accepted")
 	}
 	empty := &MultiSeries{Name: "e"}
@@ -116,14 +117,14 @@ func TestFitMultiValidation(t *testing.T) {
 	}
 	mixed := makeMultiFeed("one", 100, []int{50}, 0, 4)
 	mixed.Dims = mixed.Dims[:1]
-	if _, err := FitMulti([]*MultiSeries{good, mixed}, Options{Omega: 5, Delta: 2}, CombineAny); err == nil {
+	if _, err := FitMulti([]*MultiSeries{good, mixed}, Options{Omega: 5, Delta: 2}, FuseAny); err == nil {
 		t.Error("mixed dimensionality accepted")
 	}
 }
 
 func TestMultiDetectWindowsDimensionMismatch(t *testing.T) {
 	train := makeMultiFeed("train", 200, []int{60}, 0, 5)
-	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAny)
+	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestMultiDetectWindowsDimensionMismatch(t *testing.T) {
 
 func TestMultiEvaluateRequiresLabels(t *testing.T) {
 	train := makeMultiFeed("train", 200, []int{60}, 0, 6)
-	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAny)
+	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestMultiEvaluateRequiresLabels(t *testing.T) {
 
 func TestMultiRuleTextNamesDimensions(t *testing.T) {
 	train := makeMultiFeed("train", 300, []int{60, 150}, 1, 7)
-	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, CombineAny)
+	mm, err := FitMulti([]*MultiSeries{train}, Options{Omega: 5, Delta: 2}, FuseAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +169,11 @@ func TestMultiRuleTextNamesDimensions(t *testing.T) {
 	}
 }
 
-func TestCombinePolicyString(t *testing.T) {
-	if CombineAny.String() != "any" || CombineMajority.String() != "majority" || CombineAll.String() != "all" {
-		t.Error("policy names wrong")
-	}
-}
-
 func TestMultiGeneralizesAcrossFeeds(t *testing.T) {
 	trainA := makeMultiFeed("a", 400, []int{60, 150, 250, 340}, 1, 8)
 	trainB := makeMultiFeed("b", 400, []int{80, 210, 300}, 1, 9)
 	test := makeMultiFeed("t", 300, []int{70, 190}, 1, 10)
-	mm, err := FitMulti([]*MultiSeries{trainA, trainB}, Options{Omega: 5, Delta: 2}, CombineAny)
+	mm, err := FitMulti([]*MultiSeries{trainA, trainB}, Options{Omega: 5, Delta: 2}, FuseAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +186,11 @@ func TestMultiGeneralizesAcrossFeeds(t *testing.T) {
 	}
 }
 
-// oracleDetectWindows reimplements the pre-ensemble MultiModel fusion —
+// oracleDetectWindows reimplements the original MultiModel fusion —
 // per-dimension DetectWindows accumulated into vote counts, thresholded
-// per policy — as a frozen oracle. TestMultiModelDifferential pins the
-// refactored implementation (fusion.go's Ensemble) bit-identical to it.
+// per policy — as a frozen oracle. TestMultiModelDifferential pins
+// MultiModel.DetectWindows, which fuses through the shared counting
+// form, bit-identical to it.
 func oracleDetectWindows(mm *MultiModel, ms *MultiSeries) ([]bool, error) {
 	var counts []int
 	for d := 0; d < mm.Dimensions(); d++ {
@@ -215,9 +211,9 @@ func oracleDetectWindows(mm *MultiModel, ms *MultiSeries) ([]bool, error) {
 	out := make([]bool, len(counts))
 	for wi, fired := range counts {
 		switch mm.Policy {
-		case CombineAll:
+		case FuseAll:
 			out[wi] = fired == dims
-		case CombineMajority:
+		case FuseMajority:
 			out[wi] = fired*2 > dims
 		default:
 			out[wi] = fired > 0
@@ -235,7 +231,7 @@ func TestMultiModelDifferential(t *testing.T) {
 		makeMultiFeed("t1", 300, []int{70, 190}, 0, 33),
 		makeMultiFeed("t2", 300, []int{40, 110, 220}, 1, 34),
 	}
-	for _, policy := range []CombinePolicy{CombineAny, CombineMajority, CombineAll} {
+	for _, policy := range []FusionPolicy{FuseAny, FuseMajority, FuseAll} {
 		mm, err := FitMulti(feeds, Options{Omega: 5, Delta: 2}, policy)
 		if err != nil {
 			t.Fatal(err)
@@ -258,5 +254,45 @@ func TestMultiModelDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMultiPolicyAssignedAfterFit: Policy is the model's only copy of
+// its fusion policy, so assigning it after fitting changes detection
+// exactly as fitting under it would, and assigning a policy a
+// MultiModel cannot run is an error, never a silent fallback.
+func TestMultiPolicyAssignedAfterFit(t *testing.T) {
+	train := makeMultiFeed("train", 400, []int{60, 150, 250, 340}, 1, 2)
+	opts := Options{Omega: 5, Delta: 2}
+	mm, err := FitMulti([]*MultiSeries{train}, opts, FuseAny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anyFlags, err := mm.DetectWindows(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := FitMulti([]*MultiSeries{train}, opts, FuseAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.DetectWindows(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(anyFlags, want) {
+		t.Fatal("any and all fuse the feed alike; the test is vacuous")
+	}
+	mm.Policy = FuseAll
+	got, err := mm.DetectWindows(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("DetectWindows after assigning FuseAll differs from a model fitted under FuseAll")
+	}
+	mm.Policy = FuseKOfN
+	if _, err := mm.DetectWindows(train); err == nil || !strings.Contains(err.Error(), `"temp" "pressure"`) {
+		t.Errorf("DetectWindows under FuseKOfN: error %v, want a rejection naming the dimensions", err)
 	}
 }

@@ -252,8 +252,13 @@ type fusionDoc struct {
 	Threshold float64   `json:"threshold,omitempty"`
 }
 
-// Save writes the pyramid as JSON.
+// Save writes the pyramid as JSON. It refuses a configuration
+// LoadPyramid would refuse, such as a fusion policy assigned after
+// fitting that Validate rejects.
 func (pm *PyramidModel) Save(w io.Writer) error {
+	if err := pm.Config.Validate(); err != nil {
+		return err
+	}
 	doc := pyramidDoc{
 		Version:    pyramidPersistVersion,
 		Kind:       artifactKindPyramid,
@@ -266,10 +271,10 @@ func (pm *PyramidModel) Save(w io.Writer) error {
 		},
 		Dim: pm.Config.Dim,
 	}
-	for i, mem := range pm.ens.Members {
+	for i, m := range pm.models {
 		doc.Scales = append(doc.Scales, scaleDoc{
 			Factor: pm.Config.Factors[i],
-			Model:  mem.Model.doc(),
+			Model:  m.doc(),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -318,7 +323,6 @@ func pyramidFromDoc(doc pyramidDoc) (*PyramidModel, error) {
 		return nil, fmt.Errorf("cdt: scales: %s", strings.TrimPrefix(err.Error(), "cdt: "))
 	}
 	pm := &PyramidModel{Config: cfg}
-	pm.ens.Fuse = cfg.Fusion
 	for i, sd := range doc.Scales {
 		m, err := modelFromDoc(sd.Model)
 		if err != nil {
@@ -332,7 +336,7 @@ func pyramidFromDoc(doc pyramidDoc) (*PyramidModel, error) {
 			return nil, fmt.Errorf("cdt: scales[%d].model.options: (omega,delta)=(%d,%d) differs from scale 0's (%d,%d)",
 				i, m.Opts.Omega, m.Opts.Delta, pm.Opts.Omega, pm.Opts.Delta)
 		}
-		pm.ens.Members = append(pm.ens.Members, Member{Name: fmt.Sprintf("x%d", cfg.Factors[i]), Model: m})
+		pm.models = append(pm.models, m)
 	}
 	return pm, nil
 }

@@ -1,7 +1,8 @@
 package cdt
 
 // Resolution-pyramid models: the same feed trained at several temporal
-// resolutions at once, built on the shared ensemble layer (fusion.go).
+// resolutions at once, fused through the shared fusion policies
+// (fusion.go).
 // The paper's rules are single-scale — one (ω, δ, ε) labeling per model,
 // so a rule can only describe anomalies at the resolution it was trained
 // at. Following CRAFTIIF's observation that analyzing several
@@ -35,11 +36,11 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"cdt/internal/engine"
 	"cdt/internal/evalmetrics"
 	"cdt/internal/telemetry"
+	"cdt/internal/timeseries"
 	"cdt/internal/trace"
 )
 
@@ -131,16 +132,16 @@ func (cfg PyramidConfig) Validate() error {
 	return cfg.Fusion.Validate(fmt.Sprintf("pyramid scales %v", cfg.Factors), len(cfg.Factors))
 }
 
-// PyramidModel is one trained CDT per resolution scale plus the fusion
-// policy — an Ensemble whose members score the series resampled by
-// their factor.
+// PyramidModel is one trained CDT per resolution scale, each scoring the
+// series resampled by its factor, fused under Config.Fusion.
 type PyramidModel struct {
 	// Opts is the shared per-scale training configuration.
 	Opts Options
-	// Config is the pyramid shape.
+	// Config is the pyramid shape. Config.Fusion is the pyramid's only
+	// copy of its fusion policy: scoring, Info and Save all read it.
 	Config PyramidConfig
 
-	ens Ensemble
+	models []*Model
 }
 
 // FitPyramid trains one CDT per resolution scale over the training
@@ -172,7 +173,6 @@ func (c *Corpus) FitPyramid(opts Options, cfg PyramidConfig) (*PyramidModel, err
 		return nil, err
 	}
 	pm := &PyramidModel{Opts: opts, Config: cfg}
-	pm.ens.Fuse = cfg.Fusion
 	for _, f := range cfg.Factors {
 		rc, err := c.AtResolution(f, cfg.Aggregator)
 		if err != nil {
@@ -182,13 +182,13 @@ func (c *Corpus) FitPyramid(opts Options, cfg PyramidConfig) (*PyramidModel, err
 		if err != nil {
 			return nil, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
 		}
-		pm.ens.Members = append(pm.ens.Members, Member{Name: fmt.Sprintf("x%d", f), Model: model})
+		pm.models = append(pm.models, model)
 	}
 	return pm, nil
 }
 
 // NumScales returns the number of resolution scales.
-func (pm *PyramidModel) NumScales() int { return len(pm.ens.Members) }
+func (pm *PyramidModel) NumScales() int { return len(pm.models) }
 
 // Scales returns the downsample factors, fastest first.
 func (pm *PyramidModel) Scales() []int {
@@ -198,54 +198,40 @@ func (pm *PyramidModel) Scales() []int {
 }
 
 // ScaleModel returns scale i's trained CDT (i indexes Scales()).
-func (pm *PyramidModel) ScaleModel(i int) *Model { return pm.ens.Members[i].Model }
+func (pm *PyramidModel) ScaleModel(i int) *Model { return pm.models[i] }
 
 // NumRules sums the rule counts of all scale models.
-func (pm *PyramidModel) NumRules() int { return pm.ens.NumRules() }
+func (pm *PyramidModel) NumRules() int { return numRules(pm.models) }
 
 // TrainingAnomalyRate returns the original-resolution model's training
 // anomaly rate — the baseline drift detection compares live fire rates
 // against. The base scale sees every window the feed produces, so its
 // rate is the comparable one.
 func (pm *PyramidModel) TrainingAnomalyRate() float64 {
-	return pm.ens.Members[0].Model.TrainingAnomalyRate()
+	return pm.models[0].TrainingAnomalyRate()
 }
 
 // RuleText renders each scale's rules under a header.
 func (pm *PyramidModel) RuleText() string {
-	var b strings.Builder
-	for i, mem := range pm.ens.Members {
-		f := pm.Config.Factors[i]
-		fmt.Fprintf(&b, "scale x%d (1/%d resolution, %s):\n", f, f, canonicalAggregator(pm.Config.Aggregator))
-		for _, line := range strings.Split(strings.TrimRight(mem.Model.RuleText(), "\n"), "\n") {
-			b.WriteString("  ")
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+	return memberText(pm.models, pm.scaleHeader, (*Model).RuleText)
 }
 
 // Explain renders each scale's rules with shape sketches and
 // plain-language descriptions, under per-scale headers.
 func (pm *PyramidModel) Explain() string {
-	var b strings.Builder
-	for i, mem := range pm.ens.Members {
-		f := pm.Config.Factors[i]
-		fmt.Fprintf(&b, "scale x%d (1/%d resolution, %s):\n", f, f, canonicalAggregator(pm.Config.Aggregator))
-		for _, line := range strings.Split(strings.TrimRight(mem.Model.Explain(), "\n"), "\n") {
-			b.WriteString("  ")
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+	return memberText(pm.models, pm.scaleHeader, (*Model).Explain)
+}
+
+// scaleHeader names scale i in rule listings.
+func (pm *PyramidModel) scaleHeader(i int) string {
+	f := pm.Config.Factors[i]
+	return fmt.Sprintf("scale x%d (1/%d resolution, %s)", f, f, canonicalAggregator(pm.Config.Aggregator))
 }
 
 // anyPeak reports whether any of scale i's fired predicates is
 // peak-shaped.
 func (pm *PyramidModel) anyPeak(scale int, fired []FiredPredicate) bool {
-	peaks := pm.ens.Members[scale].Model.predPeaks
+	peaks := pm.models[scale].predPeaks
 	for _, fp := range fired {
 		if fp.Index >= 1 && fp.Index <= len(peaks) && peaks[fp.Index-1] {
 			return true
@@ -295,10 +281,9 @@ func (pm *PyramidModel) classifyScales(scales []ScaleDetection) AnomalyType {
 func (pm *PyramidModel) sweep(ctx context.Context, ns *Series, onFired func(i, w, start, end int, marks *engine.Marks)) ([][]bool, []int, error) {
 	obs := scaleSweepObserver(ctx)
 	n := ns.Len()
-	numScales := len(pm.ens.Members)
-	coverage := make([][]bool, numScales)
-	windows := make([]int, numScales)
-	for i, mem := range pm.ens.Members {
+	coverage := make([][]bool, len(pm.models))
+	windows := make([]int, len(pm.models))
+	for i, m := range pm.models {
 		f := pm.Config.Factors[i]
 		var sw telemetry.Stopwatch
 		if obs != nil {
@@ -309,7 +294,7 @@ func (pm *PyramidModel) sweep(ctx context.Context, ns *Series, onFired func(i, w
 		ds, err := ResampleTransform{Factor: f, Aggregator: pm.Config.Aggregator}.Apply([]*Series{ns})
 		var marks *engine.Marks
 		if err == nil {
-			marks, err = mem.Model.detectMarks(sctx, ds)
+			marks, err = m.detectMarks(sctx, ds)
 		}
 		if err != nil {
 			span.End()
@@ -342,29 +327,34 @@ func (pm *PyramidModel) sweep(ctx context.Context, ns *Series, onFired func(i, w
 	return coverage, windows, nil
 }
 
-// fusePoints applies the fusion policy per original-resolution point
-// over the per-scale coverage flags, under a "fusion_decide" span.
-func (pm *PyramidModel) fusePoints(ctx context.Context, coverage [][]bool) []bool {
+// fusePoints applies Config.Fusion per original-resolution point over
+// the per-scale coverage flags, under a "fusion_decide" span. The policy
+// is validated first, so one assigned after fitting fuses or errors,
+// never fuses as a policy LoadPyramid would refuse.
+func (pm *PyramidModel) fusePoints(ctx context.Context, coverage [][]bool) ([]bool, error) {
+	fu := pm.Config.Fusion
+	if err := fu.Validate(fmt.Sprintf("pyramid scales %v", pm.Config.Factors), len(coverage)); err != nil {
+		return nil, err
+	}
 	_, span := trace.StartSpan(ctx, "fusion_decide")
 	if span != nil {
 		// String formats weighted and k-of-n policies: pay for it only
 		// when the span records.
-		span.SetAttr("policy", pm.ens.Fuse.String())
+		span.SetAttr("policy", fu.String())
 	}
-	numScales := len(pm.ens.Members)
 	flags := make([]bool, len(coverage[0]))
 	for p := range flags {
 		count, weight := 0, 0.0
 		for i := range coverage {
 			if coverage[i][p] {
 				count++
-				weight += pm.ens.Fuse.weight(i)
+				weight += fu.weight(i)
 			}
 		}
-		flags[p] = pm.ens.Fuse.decide(count, weight, numScales)
+		flags[p] = fu.decide(count, weight, len(coverage))
 	}
 	span.End()
-	return flags
+	return flags, nil
 }
 
 // nextRun returns the next maximal run [start, end] of set flags at or
@@ -398,7 +388,7 @@ func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]Windo
 		return nil, err
 	}
 	ctx, span := trace.StartSpan(ctx, "detect")
-	perScale := make([][]ScaleDetection, len(pm.ens.Members))
+	perScale := make([][]ScaleDetection, len(pm.models))
 	var idxs []int
 	coverage, _, err := pm.sweep(ctx, ns, func(i, w, start, end int, marks *engine.Marks) {
 		idxs = marks.AppendFired(idxs[:0], w)
@@ -407,14 +397,18 @@ func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]Windo
 			Window: w,
 			Start:  start,
 			End:    end,
-			Fired:  pm.ens.Members[i].Model.firedFromIndices(idxs),
+			Fired:  pm.models[i].firedFromIndices(idxs),
 		})
 	})
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	flags := pm.fusePoints(ctx, coverage)
+	flags, err := pm.fusePoints(ctx, coverage)
+	if err != nil {
+		span.End()
+		return nil, err
+	}
 	var out []WindowDetection
 	for start, end, ok := nextRun(flags, 0); ok; start, end, ok = nextRun(flags, end+1) {
 		var scales []ScaleDetection
@@ -456,7 +450,7 @@ func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats,
 	if err != nil {
 		return RangeStats{}, err
 	}
-	st := RangeStats{ScaleFired: make([]int, len(pm.ens.Members))}
+	st := RangeStats{ScaleFired: make([]int, len(pm.models))}
 	coverage, windows, err := pm.sweep(ctx, ns, func(i, _, _, _ int, _ *engine.Marks) {
 		st.ScaleFired[i]++
 	})
@@ -464,7 +458,10 @@ func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats,
 		return RangeStats{}, err
 	}
 	st.ScaleWindows = windows
-	flags := pm.fusePoints(ctx, coverage)
+	flags, err := pm.fusePoints(ctx, coverage)
+	if err != nil {
+		return RangeStats{}, err
+	}
 	for start, end, ok := nextRun(flags, 0); ok; start, end, ok = nextRun(flags, end+1) {
 		st.Ranges = append(st.Ranges, [2]int{start, end})
 	}
@@ -482,7 +479,7 @@ func (pm *PyramidModel) PointFlags(s *Series) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pm.fusePoints(context.Background(), coverage), nil
+	return pm.fusePoints(context.Background(), coverage)
 }
 
 // TrainFusion learns the pyramid's fusion parameters from labeled
@@ -531,7 +528,6 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 		return err
 	}
 	pm.Config.Fusion = fu
-	pm.ens.Fuse = fu
 	return nil
 }
 
@@ -595,12 +591,11 @@ type rawRange struct{ start, end int }
 // behaves exactly like the plain model's Stream.
 type PyramidStream struct {
 	pm     *PyramidModel
+	agg    timeseries.Aggregator
 	scales []pyramidScaleStream
 	recent [][]rawRange
 
-	n          int
-	detections uint64
-	resets     uint64
+	n int
 }
 
 // NewStream starts an online pyramid detector. The scale semantics are
@@ -612,10 +607,14 @@ type PyramidStream struct {
 // (streaming) agree for mean and max under an affine scale; out-of-range
 // values clamp after aggregation here, per-point in batch.
 func (pm *PyramidModel) NewStream(scale Scale) (*PyramidStream, error) {
-	ps := &PyramidStream{pm: pm}
-	for i, mem := range pm.ens.Members {
+	agg, err := aggregatorOf(pm.Config.Aggregator)
+	if err != nil {
+		return nil, err
+	}
+	ps := &PyramidStream{pm: pm, agg: agg}
+	for i, m := range pm.models {
 		f := pm.Config.Factors[i]
-		st, err := mem.Model.NewStream(scale)
+		st, err := m.NewStream(scale)
 		if err != nil {
 			return nil, err
 		}
@@ -672,15 +671,13 @@ func (ps *PyramidStream) Push(value float64) []Detection {
 		if len(acc.bucket) < acc.factor {
 			continue
 		}
-		agg, _ := aggregatorOf(ps.pm.Config.Aggregator)
-		v := agg(acc.bucket)
+		v := ps.agg(acc.bucket)
 		acc.bucket = acc.bucket[:0]
 		for _, d := range acc.stream.Push(v) {
 			rs := d.WindowStart * acc.factor
 			re := d.WindowEnd*acc.factor + acc.factor - 1
 			typ := ps.classifyLive(si, rs, re, d.Fired)
 			ps.remember(si, rs, re)
-			ps.detections++
 			out = append(out, Detection{
 				WindowStart: rs,
 				WindowEnd:   re,
@@ -700,16 +697,10 @@ func (ps *PyramidStream) Points() int { return ps.n }
 // evaluate full windows (slower scales need proportionally more).
 func (ps *PyramidStream) Ready() bool { return ps.scales[0].stream.Ready() }
 
-// Stats aggregates the per-scale streams' activity.
-func (ps *PyramidStream) Stats() StreamStats {
-	return StreamStats{Points: ps.n, Detections: ps.detections, Resets: ps.resets}
-}
-
 // Reset clears every scale's stream, bucket, and recent-detection state,
 // keeping the models and scale.
 func (ps *PyramidStream) Reset() {
 	ps.n = 0
-	ps.resets++
 	for si := range ps.scales {
 		ps.scales[si].bucket = ps.scales[si].bucket[:0]
 		ps.scales[si].stream.Reset()

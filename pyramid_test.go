@@ -1,8 +1,10 @@
 package cdt
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -49,6 +51,9 @@ func TestPyramidConfigValidate(t *testing.T) {
 		{"weighted", PyramidConfig{Factors: []int{1, 2}, Fusion: Fusion{Policy: FuseWeighted, Weights: []float64{2, 1}, Threshold: 2}}, true},
 		{"weight arity", PyramidConfig{Factors: []int{1, 2}, Fusion: Fusion{Policy: FuseWeighted, Weights: []float64{1}, Threshold: 1}}, false},
 		{"zero threshold", PyramidConfig{Factors: []int{1, 2}, Fusion: Fusion{Policy: FuseWeighted, Threshold: 0}}, false},
+		{"threshold at the default total", PyramidConfig{Factors: []int{1, 2, 4}, Fusion: Fusion{Policy: FuseWeighted, Threshold: 3}}, true},
+		{"threshold above the default total", PyramidConfig{Factors: []int{1, 2, 4}, Fusion: Fusion{Policy: FuseWeighted, Threshold: 5}}, false},
+		{"negative weight", PyramidConfig{Factors: []int{1, 2}, Fusion: Fusion{Policy: FuseWeighted, Weights: []float64{-1, 2}, Threshold: 1}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -85,6 +90,83 @@ func TestFusionDecide(t *testing.T) {
 		if got := tc.f.Decide(tc.in); got != tc.want {
 			t.Errorf("%s: Decide(%v) = %v, want %v", tc.name, tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestPyramidFusionAssignedAfterFit: Config.Fusion is the pyramid's
+// only copy of its fusion policy, so a policy assigned after fitting is
+// the one detection fuses under, Info reports and Save writes — and a
+// saved-and-reloaded copy answers as the original does. An invalid one
+// is an error on every scoring surface and in Save.
+func TestPyramidFusionAssignedAfterFit(t *testing.T) {
+	pm, train := trainedPyramid(t)
+	ctx := context.Background()
+	before, err := pm.DetectExplained(ctx, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := Fusion{Policy: FuseAll}
+	ref, err := FitPyramid([]*Series{train}, pm.Opts, PyramidConfig{
+		Factors:    pm.Config.Factors,
+		Aggregator: pm.Config.Aggregator,
+		Fusion:     all,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.DetectExplained(ctx, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(before, want) {
+		t.Fatal("any and all fuse the series alike; the test is vacuous")
+	}
+
+	pm.Config.Fusion = all
+	got, err := pm.DetectExplained(ctx, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("DetectExplained after assigning FuseAll differs from a pyramid fitted under FuseAll")
+	}
+	if f := pm.Info().Fusion; f != "all" {
+		t.Errorf("Info().Fusion = %q, want \"all\"", f)
+	}
+	var buf bytes.Buffer
+	if err := pm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadPyramid(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := restored.Info().Fusion; f != "all" {
+		t.Errorf("reloaded Info().Fusion = %q, want \"all\"", f)
+	}
+	again, err := restored.DetectExplained(ctx, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, got) {
+		t.Error("reloaded pyramid detects differently from the one it was saved from")
+	}
+
+	// A policy LoadPyramid would refuse is refused by scoring too,
+	// instead of fusing as something else (k=0 would flag every point).
+	pm.Config.Fusion = Fusion{Policy: FuseKOfN}
+	const want0 = "pyramid scales [1 4]: fusion quorum k=0"
+	if _, err := pm.DetectExplained(ctx, train); err == nil || !strings.Contains(err.Error(), want0) {
+		t.Errorf("DetectExplained under k=0: error %v, want %q", err, want0)
+	}
+	if _, err := pm.ScoreRanges(ctx, train); err == nil || !strings.Contains(err.Error(), want0) {
+		t.Errorf("ScoreRanges under k=0: error %v, want %q", err, want0)
+	}
+	if _, err := pm.PointFlags(train); err == nil || !strings.Contains(err.Error(), want0) {
+		t.Errorf("PointFlags under k=0: error %v, want %q", err, want0)
+	}
+	if err := pm.Save(io.Discard); err == nil || !strings.Contains(err.Error(), want0) {
+		t.Errorf("Save under k=0: error %v, want %q", err, want0)
 	}
 }
 
@@ -318,15 +400,12 @@ func TestPyramidStreamMultiScale(t *testing.T) {
 	if !seenScales[1] {
 		t.Error("base scale never fired")
 	}
-	if st := ps.Stats(); st.Detections != uint64(total) || st.Points != len(train.Values) {
-		t.Errorf("stats = %+v, want %d detections over %d points", st, total, len(train.Values))
+	if ps.Points() != len(train.Values) {
+		t.Errorf("points = %d, want %d", ps.Points(), len(train.Values))
 	}
 	ps.Reset()
 	if ps.Points() != 0 || ps.Ready() {
 		t.Error("reset did not clear stream state")
-	}
-	if st := ps.Stats(); st.Resets != 1 {
-		t.Errorf("resets = %d", st.Resets)
 	}
 }
 

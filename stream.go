@@ -56,30 +56,6 @@ type Stream struct {
 	// compiled engine: one label in, the completed window's fired
 	// predicates out.
 	cur *engine.Cursor
-
-	detections uint64 // windows reported over the stream's lifetime
-	resets     uint64 // Reset calls
-}
-
-// StreamStats is a point-in-time snapshot of a stream's activity, the
-// per-session observability payload cdtserve aggregates. Points and
-// Detections count over the stream's whole lifetime; Reset (counted in
-// Resets) starts a new run but clears neither.
-type StreamStats struct {
-	// Points counts readings consumed in the current run (what Points()
-	// returns).
-	Points int
-	// Detections counts windows reported since the stream was created,
-	// across resets.
-	Detections uint64
-	// Resets counts Reset calls.
-	Resets uint64
-}
-
-// Stats returns the stream's activity counters. Like every Stream
-// method, it must not race a concurrent Push.
-func (s *Stream) Stats() StreamStats {
-	return StreamStats{Points: s.n, Detections: s.detections, Resets: s.resets}
 }
 
 // Scale fixes the normalization applied to incoming values. Streaming
@@ -149,7 +125,6 @@ func (s *Stream) Push(value float64) []Detection {
 	// the newest label belongs to 0-based point s.n-2, the oldest in the
 	// window to s.n-2-(omega-1).
 	end := s.n - 2
-	s.detections++
 	return []Detection{{
 		WindowStart: end - s.model.Opts.Omega + 1,
 		WindowEnd:   end,
@@ -170,6 +145,5 @@ func (s *Stream) Ready() bool { return s.cur.RunLen() >= s.model.Opts.Omega }
 // stream.
 func (s *Stream) Reset() {
 	s.n = 0
-	s.resets++
 	s.cur.Reset()
 }

@@ -183,10 +183,10 @@ func TestStreamDetectsSpikeLive(t *testing.T) {
 	}
 }
 
-// TestStreamStats checks the activity counters: Points tracks the
-// current run, Detections accumulates across resets, Resets counts Reset
-// calls.
-func TestStreamStats(t *testing.T) {
+// TestStreamPoints checks the point count: every push counts, Reset
+// returns the count to zero, and a replay after Reset counts again from
+// there.
+func TestStreamPoints(t *testing.T) {
 	model, _ := trainedModel(t, Options{Omega: 5, Delta: 2})
 	target := spikySeries("target", 300, []int{80, 190}, 44)
 	tmin, tmax, err := target.MinMax()
@@ -197,35 +197,20 @@ func TestStreamStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := stream.Stats(); st != (StreamStats{}) {
-		t.Fatalf("fresh stream stats = %+v, want zero", st)
+	if stream.Points() != 0 {
+		t.Fatalf("fresh stream points = %d, want 0", stream.Points())
 	}
-	feed := func() uint64 {
-		var n uint64
-		for _, v := range target.Values {
-			n += uint64(len(stream.Push(v)))
+	for run := 0; run < 2; run++ {
+		for i, v := range target.Values {
+			stream.Push(v)
+			if stream.Points() != i+1 {
+				t.Fatalf("run %d: points = %d after %d pushes", run, stream.Points(), i+1)
+			}
 		}
-		return n
-	}
-	firstRun := feed()
-	if firstRun == 0 {
-		t.Fatal("no detections over a feed with two spikes")
-	}
-	st := stream.Stats()
-	want := StreamStats{Points: target.Len(), Detections: firstRun}
-	if st != want {
-		t.Fatalf("after first run: stats = %+v, want %+v", st, want)
-	}
-
-	stream.Reset()
-	if st := stream.Stats(); st.Points != 0 || st.Detections != firstRun || st.Resets != 1 {
-		t.Fatalf("after reset: stats = %+v, want points=0 detections=%d resets=1", st, firstRun)
-	}
-	secondRun := feed()
-	st = stream.Stats()
-	want = StreamStats{Points: target.Len(), Detections: firstRun + secondRun, Resets: 1}
-	if st != want {
-		t.Fatalf("after replay: stats = %+v, want %+v", st, want)
+		stream.Reset()
+		if stream.Points() != 0 {
+			t.Fatalf("run %d: points = %d after Reset, want 0", run, stream.Points())
+		}
 	}
 }
 
