@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	./internal/pattern:FuzzClassify \
 	./internal/pattern:FuzzLabelSeries \
 	./internal/datasets:FuzzReadCSV \
+	./internal/core:FuzzBestComposition \
 	./internal/engine:FuzzEngineMatch \
 	./internal/modelstore:FuzzOpen \
 	./internal/server:FuzzParseBatchRequest \
@@ -59,8 +60,9 @@ test-hammer:
 
 # perfbench-test: vet and self-test the repository benchmark, a module of
 # its own (perfbench/go.mod) that the root ./... does not reach. It
-# compiles against internal/server and internal/trace, so an API change
-# there that breaks the benchmark fails here.
+# compiles against the root package cdt and internal/bayesopt, core,
+# datasets/sge, engine, modelstore, pattern, rules, server and trace, so
+# an API change there that breaks the benchmark fails here.
 perfbench-test:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 

@@ -25,6 +25,7 @@ import (
 	cdt "cdt"
 	"cdt/internal/bayesopt"
 	"cdt/internal/core"
+	"cdt/internal/datasets/sge"
 	"cdt/internal/experiments"
 	"cdt/internal/iforest"
 	"cdt/internal/matrixprofile"
@@ -292,6 +293,30 @@ func BenchmarkTreeBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Build(obs, core.Options{MaxCompositionLen: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTreeBuildCalorie induces the tree of the repository
+// benchmark's train workload at its winning fit: the first four of six
+// seed-1 calorie sensors × 365 days, pooled by a Corpus at ω = 26,
+// δ = 3, with no composition-length cap. Candidate enumeration
+// dominates at this shape (up to 351 sub-compositions per anomalous
+// window), unlike BenchmarkTreeBuild's ω = 10 with a cap of 4.
+func BenchmarkTreeBuildCalorie(b *testing.B) {
+	cal := sge.Calorie(sge.CalorieOptions{Sensors: 6, Days: 365, Seed: 1}).Series[:4]
+	corpus, err := cdt.NewCorpus(cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs, err := corpus.Observations(cdt.Options{Omega: 26, Delta: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Build(obs, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

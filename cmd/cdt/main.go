@@ -57,9 +57,20 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "cdt:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failed run's error for stderr with one "cdt: "
+// prefix: the CLI's own errors carry none, while errors from the cdt
+// package already start with it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "cdt: ") {
+		msg = "cdt: " + msg
+	}
+	return msg
 }
 
 func run(args []string) error {
@@ -292,7 +303,7 @@ func trainPyramid(a pyramidTrainArgs) error {
 	}
 	policy, err := cdt.ParseFusionPolicy(a.fusion)
 	if err != nil {
-		return fmt.Errorf("train: -fusion: %w", err)
+		return err // names the policy: cdt: unknown fusion policy "x"
 	}
 	// Trainable policies without explicit parameters start from
 	// placeholders that pass config validation; TrainFusion overwrites

@@ -25,6 +25,30 @@ func writeFixture(t *testing.T, dir, name string, seed int64) string {
 	return path
 }
 
+// stderr shows the "cdt: " prefix once, whether the error is the CLI's
+// own or comes from the cdt package, which already prefixes it.
+func TestErrorLinePrefixesOnce(t *testing.T) {
+	in := writeFixture(t, t.TempDir(), "calorie-00.csv", 1)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"train", "-in", in, "-omega", "0"}, "cdt: omega 0, want >= 1"},
+		{[]string{"train", "-in", in, "-scales", "1,4", "-fusion", "k-of-n", "-k", "5"},
+			"cdt: pyramid scales [1 4]: fusion quorum k=5 outside [1,2]"},
+		{[]string{"train", "-in", in, "-scales", "1,4", "-fusion", "nope"}, `cdt: unknown fusion policy "nope"`},
+		{[]string{"train"}, "cdt: train: -in is required"},
+	} {
+		err := run(tc.args)
+		if err == nil {
+			t.Fatalf("%v: no error", tc.args)
+		}
+		if got := errorLine(err); got != tc.want {
+			t.Errorf("%v: stderr line %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
 func TestRunRequiresSubcommand(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("no subcommand accepted")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strings"
 
 	"cdt/internal/pattern"
@@ -124,63 +123,4 @@ func matchSubsequence(needle, haystack []pattern.Label) bool {
 		}
 	}
 	return false
-}
-
-// enumerateCompositions collects every distinct contiguous subsequence,
-// with length in [1, maxLen], of the anomalous observations in obs — the
-// candidate pool of list_of_all_possible_compositions (Algorithm 1,
-// line 6). The paper derives candidate compositions "from an observation
-// with anomaly": shapes that never appear near an anomaly cannot describe
-// one. Candidates are returned in a deterministic order (increasing
-// length, then lexicographic label order) so tree induction is
-// reproducible.
-func enumerateCompositions(obs []Observation, maxLen int) []Composition {
-	seen := make(map[string]struct{})
-	var out []Composition
-	for i := range obs {
-		if obs[i].Class != Anomaly {
-			continue
-		}
-		labels := obs[i].Labels
-		for start := 0; start < len(labels); start++ {
-			limit := len(labels) - start
-			if maxLen > 0 && maxLen < limit {
-				limit = maxLen
-			}
-			for n := 1; n <= limit; n++ {
-				c := Composition{Labels: labels[start : start+n]}
-				k := c.Key()
-				if _, ok := seen[k]; !ok {
-					seen[k] = struct{}{}
-					out = append(out, c)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return compareCompositions(out[i], out[j]) < 0 })
-	return out
-}
-
-// compareCompositions orders candidates by length (shorter compositions
-// first, so ties in information gain resolve toward simpler, more
-// interpretable splits) and then by the unsigned byte order of their
-// Key() encodings — compared label by label, without materializing the
-// key strings.
-func compareCompositions(a, b Composition) int {
-	if len(a.Labels) != len(b.Labels) {
-		return len(a.Labels) - len(b.Labels)
-	}
-	for i := range a.Labels {
-		la, lb := a.Labels[i], b.Labels[i]
-		if la.Var != lb.Var {
-			return int(byte(la.Var)) - int(byte(lb.Var))
-		}
-		if la.Alpha != lb.Alpha {
-			return int(byte(la.Alpha)) - int(byte(lb.Alpha))
-		}
-		if la.Beta != lb.Beta {
-			return int(byte(la.Beta)) - int(byte(lb.Beta))
-		}
-	}
-	return 0
 }

@@ -178,7 +178,7 @@ func TestEnumerateCompositionsFromAnomalousOnly(t *testing.T) {
 		{Labels: []pattern.Label{a, b}, Class: Anomaly},
 		{Labels: []pattern.Label{c, c}, Class: Normal},
 	}
-	comps := enumerateCompositions(obs, 0)
+	comps, _ := trieCandidates(newCandidateTrie(obs), obs, Options{})
 	// Distinct substrings of [a b]: [a], [b], [a b].
 	if len(comps) != 3 {
 		t.Fatalf("got %d candidates, want 3: %v", len(comps), comps)
@@ -197,41 +197,13 @@ func TestEnumerateCompositionsMaxLen(t *testing.T) {
 	b := lbl(pattern.PN, -1, -1)
 	c := lbl(pattern.CST, 0, 0)
 	obs := []Observation{{Labels: []pattern.Label{a, b, c}, Class: Anomaly}}
-	comps := enumerateCompositions(obs, 1)
+	comps, _ := trieCandidates(newCandidateTrie(obs), obs, Options{MaxCompositionLen: 1})
 	if len(comps) != 3 { // [a], [b], [c]
 		t.Fatalf("got %d candidates, want 3", len(comps))
 	}
 	for _, comp := range comps {
 		if comp.Len() != 1 {
 			t.Errorf("candidate %v exceeds max length", comp)
-		}
-	}
-}
-
-func TestEnumerateCompositionsDeterministicOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	alphabet := cfg2.Alphabet()
-	obs := make([]Observation, 20)
-	for i := range obs {
-		labels := make([]pattern.Label, 6)
-		for j := range labels {
-			labels[j] = alphabet[rng.Intn(len(alphabet))]
-		}
-		obs[i] = Observation{Labels: labels, Class: Anomaly}
-	}
-	first := enumerateCompositions(obs, 0)
-	second := enumerateCompositions(obs, 0)
-	if len(first) != len(second) {
-		t.Fatal("nondeterministic candidate count")
-	}
-	for i := range first {
-		if first[i].Key() != second[i].Key() {
-			t.Fatal("nondeterministic candidate order")
-		}
-	}
-	for i := 1; i < len(first); i++ {
-		if first[i].Len() < first[i-1].Len() {
-			t.Fatal("candidates not sorted by length")
 		}
 	}
 }
@@ -492,8 +464,8 @@ func TestMatchModeString(t *testing.T) {
 	}
 }
 
-// The one-pass substring support counting must agree exactly with direct
-// per-candidate matching.
+// The candidate trie's one-pass substring support counting must agree
+// exactly with direct per-candidate matching on the oracle's candidates.
 func TestFastSupportCountingMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	alphabet := cfg2.Alphabet()
@@ -515,10 +487,13 @@ func TestFastSupportCountingMatchesNaive(t *testing.T) {
 			t.Fatal("no candidates")
 		}
 		opts := Options{MaxCompositionLen: maxLen}
-		fast := countContiguousSupports(obs, candidates, opts)
+		comps, fast := trieCandidates(newCandidateTrie(obs), obs, opts)
 		slow := countSupportsNaive(obs, candidates, opts)
+		if len(comps) != len(candidates) {
+			t.Fatalf("maxLen=%d: %d trie candidates, oracle %d", maxLen, len(comps), len(candidates))
+		}
 		for i := range candidates {
-			if fast[i] != slow[i] {
+			if compareCompositions(comps[i], candidates[i]) != 0 || fast[i] != slow[i] {
 				t.Fatalf("maxLen=%d candidate %v: fast %+v, slow %+v",
 					maxLen, candidates[i], fast[i], slow[i])
 			}
@@ -565,10 +540,13 @@ func TestSlidingRunSupportCountingMatchesNaive(t *testing.T) {
 					t.Fatal("no candidates")
 				}
 				opts := Options{MaxCompositionLen: maxLen}
-				fast := countContiguousSupports(obs, candidates, opts)
+				comps, fast := trieCandidates(newCandidateTrie(obs), obs, opts)
 				slow := countSupportsNaive(obs, candidates, opts)
+				if len(comps) != len(candidates) {
+					t.Fatalf("omega=%d maxLen=%d: %d trie candidates, oracle %d", omega, maxLen, len(comps), len(candidates))
+				}
 				for i := range candidates {
-					if fast[i] != slow[i] {
+					if compareCompositions(comps[i], candidates[i]) != 0 || fast[i] != slow[i] {
 						t.Fatalf("omega=%d maxLen=%d candidate %v: fast %+v, slow %+v",
 							omega, maxLen, candidates[i], fast[i], slow[i])
 					}

@@ -133,11 +133,11 @@ func (n *SubseqNFA) LatestStart(p int) int {
 
 // countSubsequenceSupports returns, per candidate, the class counts of
 // the observations containing it as a gapped subsequence — the
-// MatchSubsequence analogue of countContiguousSupports. Candidates are
-// chunked across workers; each worker makes one pass over the
+// MatchSubsequence analogue of candidateTrie.countContiguous. Candidates
+// are chunked across workers; each worker makes one pass over the
 // observations with its own SubseqNFA, feeding maximal sliding runs one
 // label at a time, so the pass costs O(windows·chunk + labels·advances)
-// instead of countSupportsNaive's O(windows·ω·chunk) rescan.
+// instead of a per-candidate rescan's O(windows·ω·chunk).
 func countSubsequenceSupports(obs []Observation, candidates []Composition, opts Options) []ClassCounts {
 	counts := make([]ClassCounts, len(candidates))
 	if len(candidates) == 0 || len(obs) == 0 {

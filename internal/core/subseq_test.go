@@ -84,9 +84,9 @@ func TestSubseqNFASurvivesRunBoundaries(t *testing.T) {
 	}
 }
 
-// The NFA-based subsequence support counting must agree exactly with
-// direct per-candidate matching, over pure sliding input and mixed
-// (run + isolated copies) input alike.
+// The NFA-based subsequence support counting of the trie's candidates
+// must agree exactly with direct per-candidate matching on the oracle's,
+// over pure sliding input and mixed (run + isolated copies) input alike.
 func TestSubsequenceSupportCountingMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	alphabet := cfg2.Alphabet()
@@ -121,10 +121,13 @@ func TestSubsequenceSupportCountingMatchesNaive(t *testing.T) {
 				}
 				for _, par := range []int{1, 4} {
 					opts := Options{MaxCompositionLen: maxLen, Match: MatchSubsequence, Parallelism: par}
-					fast := countSubsequenceSupports(obs, candidates, opts)
+					comps, fast := trieCandidates(newCandidateTrie(obs), obs, opts)
 					slow := countSupportsNaive(obs, candidates, opts)
+					if len(comps) != len(candidates) {
+						t.Fatalf("omega=%d maxLen=%d: %d trie candidates, oracle %d", omega, maxLen, len(comps), len(candidates))
+					}
 					for i := range candidates {
-						if fast[i] != slow[i] {
+						if compareCompositions(comps[i], candidates[i]) != 0 || fast[i] != slow[i] {
 							t.Fatalf("omega=%d maxLen=%d par=%d candidate %v: fast %+v, slow %+v",
 								omega, maxLen, par, candidates[i], fast[i], slow[i])
 						}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"iter"
 	"runtime"
 	"strings"
-	"sync"
 
 	"cdt/internal/pattern"
 )
@@ -98,6 +96,7 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 	copy(work, obs)
 	scratch := make([]Observation, len(obs))
 	marks := make([]bool, len(obs))
+	trie := newCandidateTrie(work)
 	// Algorithm 1 processes a FIFO queue of (node, range) pairs.
 	type item struct {
 		node   *Node
@@ -114,7 +113,7 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 		if opts.MaxDepth > 0 && node.Depth >= opts.MaxDepth {
 			continue
 		}
-		best, gain, inCounts := bestComposition(data, opts)
+		best, gain, inCounts := trie.bestComposition(data, opts)
 		if best == nil || gain <= opts.MinGain {
 			continue
 		}
@@ -150,7 +149,7 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 
 // markMatches sets marks[j] for every observation obs[j] the composition
 // matches. For contiguous matching, maximal sliding runs are scanned in
-// series space like countSlidingRun — each occurrence found once and
+// series space like candidateTrie.countRun — each occurrence found once and
 // credited to its containing window range — instead of re-searching every
 // ω-window; isolated windows and subsequence mode fall back to MatchedBy.
 func markMatches(obs []Observation, comp *Composition, mode MatchMode, marks []bool) {
@@ -160,19 +159,12 @@ func markMatches(obs []Observation, comp *Composition, mode MatchMode, marks []b
 		}
 		return
 	}
-	pat := comp.Labels
-	for lo := 0; lo < len(obs); {
-		hi := lo + 1
-		for hi < len(obs) && SlidingAdjacent(obs[hi-1].Labels, obs[hi].Labels) {
-			hi++
-		}
+	for lo, hi := range slidingRuns(obs) {
 		if hi-lo == 1 {
 			marks[lo] = comp.MatchedBy(obs[lo].Labels, mode)
-			lo = hi
 			continue
 		}
-		markSlidingRun(obs[lo:hi], pat, marks[lo:hi])
-		lo = hi
+		markSlidingRun(obs[lo:hi], comp.Labels, marks[lo:hi])
 	}
 }
 
@@ -228,297 +220,12 @@ func markSlidingRun(run []Observation, pat []pattern.Label, marks []bool) {
 	}
 }
 
-// bestComposition scores every candidate composition (all distinct
-// contiguous subsequences of the anomalous observations, Algorithm 1
-// lines 6-15) and returns the one with the highest information gain.
-// Ties resolve to the earliest candidate in the deterministic enumeration
-// order (shortest first), mirroring the strict ">" of line 11.
-//
-// For the default contiguous ⊆o, candidate supports are counted in one
-// pass that enumerates each observation's distinct substrings and looks
-// them up in the candidate index — O(Σ windows · ω · maxLen) instead of
-// O(candidates · windows · ω · maxLen). Subsequence matching runs each
-// candidate chunk through one SubseqNFA pass (countSubsequenceSupports).
-func bestComposition(obs []Observation, opts Options) (*Composition, float64, ClassCounts) {
-	candidates := enumerateCompositions(obs, opts.MaxCompositionLen)
-	if len(candidates) == 0 {
-		return nil, 0, ClassCounts{}
-	}
-	parent := Count(obs)
-	var counts []ClassCounts
-	if opts.Match == MatchContiguous {
-		counts = countContiguousSupports(obs, candidates, opts)
-	} else {
-		counts = countSubsequenceSupports(obs, candidates, opts)
-	}
-	bestIdx, bestGain := -1, 0.0
-	for i, in := range counts {
-		out := ClassCounts{Normal: parent.Normal - in.Normal, Anomaly: parent.Anomaly - in.Anomaly}
-		if g := opts.Criterion.InformationGain(parent, in, out); g > bestGain {
-			bestGain = g
-			bestIdx = i
-		}
-	}
-	if bestIdx < 0 {
-		return nil, 0, ClassCounts{}
-	}
-	c := candidates[bestIdx]
-	return &c, bestGain, counts[bestIdx]
-}
-
-// compositionLabels adapts a candidate slice to the label-sequence view
-// NewInterner consumes, without materializing a [][]pattern.Label.
-func compositionLabels(candidates []Composition) iter.Seq[[]pattern.Label] {
-	return func(yield func([]pattern.Label) bool) {
-		for i := range candidates {
-			if !yield(candidates[i].Labels) {
-				return
-			}
-		}
-	}
-}
-
-// candidateTrie indexes candidate compositions for contiguous matching:
-// a flat node×labelID transition table over dense label ids (node 0 is
-// the root), with term[node] naming the candidate ending at that node
-// (-1 if none).
-type candidateTrie struct {
-	in       *Interner
-	width    int
-	children []int32
-	term     []int32
-	maxLen   int
-}
-
-func newCandidateTrie(candidates []Composition) *candidateTrie {
-	in := NewInterner(compositionLabels(candidates))
-	t := &candidateTrie{in: in, width: in.N()}
-	t.children = make([]int32, t.width)
-	for i := range t.children {
-		t.children[i] = -1
-	}
-	t.term = []int32{-1}
-	for ci, c := range candidates {
-		node := int32(0)
-		for _, l := range c.Labels {
-			id := in.ID(l)
-			next := t.children[int(node)*t.width+int(id)]
-			if next < 0 {
-				next = int32(len(t.term))
-				t.children[int(node)*t.width+int(id)] = next
-				for i := 0; i < t.width; i++ {
-					t.children = append(t.children, -1)
-				}
-				t.term = append(t.term, -1)
-			}
-			node = next
-		}
-		t.term[node] = int32(ci)
-		if c.Len() > t.maxLen {
-			t.maxLen = c.Len()
-		}
-	}
-	return t
-}
-
-// countContiguousSupports returns, per candidate, the class counts of the
-// observations containing it as a substring. Candidates live in a flat
-// trie over dense label ids, so the inner loops are pure array walking.
-// This is the training hot path — it runs once per tree node per fit,
-// over every pooled window.
-//
-// Observations that are consecutive sliding windows over one backing
-// label array (the shape the Corpus pooling produces at the root node)
-// take a series-space fast path: each substring occurrence is discovered
-// once in the underlying sequence and credited to the whole range of
-// windows containing it, O(positions · maxLen) instead of
-// O(windows · ω · maxLen). Partitioned child nodes, whose observations
-// are no longer adjacent, fall back to the per-window scan. Both paths
-// count each (candidate, window) pair at most once.
-func countContiguousSupports(obs []Observation, candidates []Composition, opts Options) []ClassCounts {
-	counts := make([]ClassCounts, len(candidates))
-	if len(candidates) == 0 {
-		return counts
-	}
-	trie := newCandidateTrie(candidates)
-
-	// coveredUntil[c] is the last window index (run-local, offset by one)
-	// already credited to candidate c within the current sliding run;
-	// runStamp invalidates it lazily between runs.
-	coveredUntil := make([]int64, len(candidates))
-	var runStamp int64
-	var ids []int32
-	var anomPrefix []int32
-
-	for lo := 0; lo < len(obs); {
-		hi := lo + 1
-		for hi < len(obs) && SlidingAdjacent(obs[hi-1].Labels, obs[hi].Labels) {
-			hi++
-		}
-		if hi-lo > 1 {
-			ids, anomPrefix = trie.countSlidingRun(obs[lo:hi], counts, coveredUntil, runStamp, ids, anomPrefix)
-			runStamp += int64(hi-lo) + 1
-		} else {
-			ids = trie.countWindow(obs[lo], counts, coveredUntil, runStamp, ids)
-			runStamp++
-		}
-		lo = hi
-	}
-	return counts
-}
-
 // SlidingAdjacent reports whether b is a's window slid one position
 // right over the same backing array — the shape Corpus window pooling
 // produces. Exported so internal/engine can walk pooled observation
 // sets run by run.
 func SlidingAdjacent(a, b []pattern.Label) bool {
 	return len(a) == len(b) && len(a) > 1 && &a[1] == &b[0]
-}
-
-// countSlidingRun counts supports over a maximal run of consecutive
-// sliding windows. The run spans the label sequence seq of length
-// numWindows+ω-1; window j is seq[j : j+ω]. A candidate occurrence at
-// seq position p with length l is contained in windows
-// j ∈ [p+l-ω, p] ∩ [0, numWindows-1]; per candidate, those ranges arrive
-// with non-decreasing endpoints, so a covered-until cursor unions them,
-// and a prefix sum over window classes converts each fresh range to
-// class counts in O(1).
-func (t *candidateTrie) countSlidingRun(run []Observation, counts []ClassCounts, coveredUntil []int64, runStamp int64, ids []int32, anomPrefix []int32) ([]int32, []int32) {
-	omega := len(run[0].Labels)
-	numWin := len(run)
-
-	anomPrefix = anomPrefix[:0]
-	anomPrefix = append(anomPrefix, 0)
-	for j := 0; j < numWin; j++ {
-		a := anomPrefix[j]
-		if run[j].Class == Anomaly {
-			a++
-		}
-		anomPrefix = append(anomPrefix, a)
-	}
-
-	ids = ids[:0]
-	first := run[0].Labels
-	for _, l := range first {
-		ids = append(ids, t.in.ID(l))
-	}
-	for j := 1; j < numWin; j++ {
-		ids = append(ids, t.in.ID(run[j].Labels[omega-1]))
-	}
-
-	for p := 0; p < len(ids); p++ {
-		node := int32(0)
-		for k := p; k < len(ids) && k-p < t.maxLen; k++ {
-			id := ids[k]
-			if id < 0 {
-				break
-			}
-			node = t.children[int(node)*t.width+int(id)]
-			if node < 0 {
-				break
-			}
-			ci := t.term[node]
-			if ci < 0 {
-				continue
-			}
-			l := k - p + 1
-			winLo := p + l - omega
-			if winLo < 0 {
-				winLo = 0
-			}
-			winHi := p
-			if winHi > numWin-1 {
-				winHi = numWin - 1
-			}
-			if winLo > winHi {
-				continue
-			}
-			// Union with the windows already credited in this run.
-			if seen := coveredUntil[ci] - runStamp - 1; seen >= int64(winLo) {
-				winLo = int(seen) + 1
-			}
-			if winLo > winHi {
-				continue
-			}
-			coveredUntil[ci] = runStamp + 1 + int64(winHi)
-			anom := int(anomPrefix[winHi+1] - anomPrefix[winLo])
-			counts[ci].Anomaly += anom
-			counts[ci].Normal += winHi - winLo + 1 - anom
-		}
-	}
-	return ids, anomPrefix
-}
-
-// countWindow counts supports within one isolated observation.
-func (t *candidateTrie) countWindow(o Observation, counts []ClassCounts, coveredUntil []int64, runStamp int64, ids []int32) []int32 {
-	ids = ids[:0]
-	for _, l := range o.Labels {
-		ids = append(ids, t.in.ID(l))
-	}
-	anom := o.Class == Anomaly
-	for p := 0; p < len(ids); p++ {
-		node := int32(0)
-		for k := p; k < len(ids) && k-p < t.maxLen; k++ {
-			id := ids[k]
-			if id < 0 {
-				break
-			}
-			node = t.children[int(node)*t.width+int(id)]
-			if node < 0 {
-				break
-			}
-			ci := t.term[node]
-			if ci < 0 || coveredUntil[ci] > runStamp {
-				continue
-			}
-			coveredUntil[ci] = runStamp + 1
-			if anom {
-				counts[ci].Anomaly++
-			} else {
-				counts[ci].Normal++
-			}
-		}
-	}
-	return ids
-}
-
-// countSupportsNaive scores candidates by direct matching, parallelized
-// across candidates (used for the gapped-subsequence ablation mode).
-func countSupportsNaive(obs []Observation, candidates []Composition, opts Options) []ClassCounts {
-	counts := make([]ClassCounts, len(candidates))
-	workers := opts.parallelism()
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(candidates) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for ci := lo; ci < hi; ci++ {
-				for i := range obs {
-					if candidates[ci].MatchedBy(obs[i].Labels, opts.Match) {
-						if obs[i].Class == Anomaly {
-							counts[ci].Anomaly++
-						} else {
-							counts[ci].Normal++
-						}
-					}
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return counts
 }
 
 // Predict classifies one window of labels by routing it through the tree.
