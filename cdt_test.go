@@ -1,6 +1,7 @@
 package cdt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -442,5 +443,54 @@ func TestMaxDepthAndMinGainOptions(t *testing.T) {
 	}
 	if strict.TreeStats().Splits > loose.TreeStats().Splits {
 		t.Error("MinGain did not restrict splitting")
+	}
+}
+
+// TestNonFiniteReadingsAreRejected: a NaN or infinite reading, or a
+// range too wide to normalize, is an error on every path that
+// normalizes a series, never a silently clean or garbage result.
+func TestNonFiniteReadingsAreRejected(t *testing.T) {
+	train := spikySeries("train", 400, []int{50, 120, 200, 310}, 1)
+	opts := Options{Omega: 5, Delta: 2}
+	model, err := Fit([]*Series{train}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pyr, err := FitPyramid([]*Series{train}, opts, PyramidConfig{Factors: []int{1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	paths := []struct {
+		name string
+		run  func(s *Series) error
+	}{
+		{"Model.DetectExplained", func(s *Series) error { _, err := model.DetectExplained(ctx, s); return err }},
+		{"Model.ScoreRanges", func(s *Series) error { _, err := model.ScoreRanges(ctx, s); return err }},
+		{"PyramidModel.DetectExplained", func(s *Series) error { _, err := pyr.DetectExplained(ctx, s); return err }},
+		{"Fit", func(s *Series) error { _, err := Fit([]*Series{s}, opts); return err }},
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(v []float64)
+	}{
+		{"clean", func([]float64) {}},
+		{"NaN first", func(v []float64) { v[0] = math.NaN() }},
+		{"NaN in the middle", func(v []float64) { v[100] = math.NaN() }},
+		{"+Inf", func(v []float64) { v[100] = math.Inf(1) }},
+		{"-Inf", func(v []float64) { v[100] = math.Inf(-1) }},
+		{"1e308 and -1e308", func(v []float64) { v[100], v[101] = 1e308, -1e308 }},
+	} {
+		for _, p := range paths {
+			s := spikySeries("probe", 300, []int{80, 170, 240}, 2)
+			tc.edit(s.Values)
+			err := p.run(s)
+			if tc.name == "clean" && err != nil {
+				t.Errorf("%s on a clean series: %v", p.name, err)
+			}
+			if tc.name != "clean" && err == nil {
+				t.Errorf("%s: %s accepted the series", tc.name, p.name)
+			}
+		}
 	}
 }

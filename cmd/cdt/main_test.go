@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cdt/internal/datasets"
@@ -89,6 +90,23 @@ func TestTrainDetectRoundTrip(t *testing.T) {
 	}
 	if err := run([]string{"detect", "-train", trainCSV, "-in", freshCSV, "-omega", "5", "-delta", "2"}); err != nil {
 		t.Fatal(err)
+	}
+
+	// A NaN reading fails detect, so the command exits non-zero, instead
+	// of scanning as a series with nothing flagged.
+	b, err := os.ReadFile(freshCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(string(b), "\n", 3) // header, first reading, the rest
+	_, flag, _ := strings.Cut(lines[1], ",")
+	lines[1] = "NaN," + flag
+	nanCSV := filepath.Join(dir, "nan.csv")
+	if err := os.WriteFile(nanCSV, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"detect", "-model", modelPath, "-in", nanCSV}); err == nil {
+		t.Error("detect accepted a series whose first reading is NaN")
 	}
 }
 

@@ -5,7 +5,7 @@ package cdt
 // re-running normalize → label → window from scratch, series are
 // normalized once at corpus construction (normalization is
 // parameter-free), per-δ labelings and per-(ω, δ) pooled observation
-// windows are memoized behind an RWMutex-guarded bounded cache, and
+// windows are memoized in bounded least-recently-used caches, and
 // trainers pull immutable labeled views out of the corpus. Hyper-parameter
 // search (one CDT per candidate (ω, δ)) and cross-validation suites — the
 // two hottest training-side loops — are the intended beneficiaries:
@@ -24,23 +24,24 @@ import (
 	"cdt/internal/timeseries"
 )
 
-// DefaultCorpusCacheSize bounds each of the corpus caches (labelings and
-// window pools) when NewCorpus is used. The paper's full search space is
-// ω ∈ [3,31] × δ ∈ [1,21] = 609 cells, but a Bayesian search touches a
-// few dozen of them; 256 keeps every candidate of a typical search (and
-// the repeated candidates of a two-objective suite) resident without
-// letting a grid sweep pin the whole plane in memory.
-const DefaultCorpusCacheSize = 256
+// cacheLimit bounds each of a corpus's caches. The paper's full search
+// space is ω ∈ [3,31] × δ ∈ [1,21] = 609 cells, but a Bayesian search
+// touches a few dozen of them; 256 keeps every candidate of a typical
+// search (and the repeated candidates of a two-objective suite) resident
+// without letting a grid sweep pin the whole plane in memory. A pyramid
+// has at most maxPyramidScales resolutions, far below the bound.
+const cacheLimit = 256
 
 // Corpus holds pre-normalized training (or evaluation) series and
 // memoizes the parameter-dependent pipeline stages:
 //
 //	series ──normalize once──► Corpus ──per-δ cache──► labelings
 //	                                  ──per-(ω,δ) cache──► pooled windows
+//	                                  ──per-factor cache──► downsampled corpora
 //
 // Cache keys are the effective pattern configuration: labelings key on
 // (δ, ε), window pools on (ω, δ, ε), where ε is the value-equality
-// tolerance after defaulting. Both caches are bounded; when full, the
+// tolerance after defaulting. Every cache is bounded; when full, the
 // least-recently-used entry is evicted and will be recomputed on the next
 // request (evicted slices remain valid for holders — nothing is recycled).
 //
@@ -51,14 +52,10 @@ const DefaultCorpusCacheSize = 256
 // series is already normalized to [0,1]).
 type Corpus struct {
 	series []*Series
-	limit  int
 
-	mu          sync.RWMutex
-	tick        atomic.Uint64
-	labels      map[labelKey]*labelEntry
-	windows     map[windowKey]*windowEntry
-	resolutions map[resolutionKey]*resolutionEntry
-	stats       corpusCounters
+	labels      cache[labelKey, [][]pattern.Label]
+	windows     cache[windowKey, []core.Observation]
+	resolutions cache[resolutionKey, *Corpus]
 }
 
 // CorpusStats is a point-in-time snapshot of a corpus's pipeline-cache
@@ -73,37 +70,15 @@ type CorpusStats struct {
 	WindowHits, WindowMisses, WindowEvictions uint64
 }
 
-// corpusCounters is the atomic backing store for CorpusStats. Counters
-// are bumped outside the corpus locks; readers see a near-consistent
-// snapshot, which is all an observability surface needs.
-type corpusCounters struct {
-	labelHits, labelMisses, labelEvictions    atomic.Uint64
-	windowHits, windowMisses, windowEvictions atomic.Uint64
+// Stats returns this corpus's cache counters. Counters are bumped
+// outside the cache locks, so the snapshot is near-consistent, which is
+// all an observability surface needs.
+func (c *Corpus) Stats() CorpusStats {
+	var s CorpusStats
+	s.LabelHits, s.LabelMisses, s.LabelEvictions = c.labels.stats()
+	s.WindowHits, s.WindowMisses, s.WindowEvictions = c.windows.stats()
+	return s
 }
-
-func (c *corpusCounters) snapshot() CorpusStats {
-	return CorpusStats{
-		LabelHits:       c.labelHits.Load(),
-		LabelMisses:     c.labelMisses.Load(),
-		LabelEvictions:  c.labelEvictions.Load(),
-		WindowHits:      c.windowHits.Load(),
-		WindowMisses:    c.windowMisses.Load(),
-		WindowEvictions: c.windowEvictions.Load(),
-	}
-}
-
-// globalCorpusStats aggregates cache counters across every Corpus in the
-// process, so a long-lived binary (cdtserve's /metrics, the experiments
-// harness) can expose training-cache behaviour without holding
-// references to short-lived corpora.
-var globalCorpusStats corpusCounters
-
-// CorpusCacheStats returns the process-wide aggregate of every corpus's
-// cache counters since process start.
-func CorpusCacheStats() CorpusStats { return globalCorpusStats.snapshot() }
-
-// Stats returns this corpus's cache counters.
-func (c *Corpus) Stats() CorpusStats { return c.stats.snapshot() }
 
 // labelKey identifies a labeling: labeling depends only on δ and the
 // equality tolerance, not on ω.
@@ -118,32 +93,6 @@ type windowKey struct {
 	labelKey
 }
 
-// labelEntry is one cached labeling of every corpus series. once
-// guarantees a single computation per resident entry even under
-// concurrent misses; lastUse drives LRU eviction and is atomic so cache
-// hits can bump it under the read lock. seq is the entry's insertion
-// number (assigned and read under the write lock): evictLRU uses it to
-// break last-use ties deterministically instead of by map iteration
-// order.
-type labelEntry struct {
-	once    sync.Once
-	lastUse atomic.Uint64
-	seq     uint64
-
-	perSeries [][]pattern.Label
-	err       error
-}
-
-// windowEntry is one cached pooled observation set.
-type windowEntry struct {
-	once    sync.Once
-	lastUse atomic.Uint64
-	seq     uint64
-
-	obs []core.Observation
-	err error
-}
-
 // resolutionKey identifies a derived downsampled corpus: the resample
 // factor plus the bucket aggregator (canonicalized, so "" and "mean"
 // share an entry).
@@ -152,42 +101,14 @@ type resolutionKey struct {
 	agg    string
 }
 
-// resolutionEntry is one cached derived corpus. Unlike labelings and
-// window pools these are not LRU-evicted: a pyramid uses a handful of
-// factors (bounded by PyramidConfig validation), so the map stays tiny,
-// and each derived corpus carries its own bounded caches.
-type resolutionEntry struct {
-	once sync.Once
-
-	c   *Corpus
-	err error
-}
-
 // NewCorpus builds a corpus over the series, normalizing each to [0,1]
 // up front (series already in range are used as-is, so pre-normalized
-// splits keep a common scale — the same rule Fit always applied). The
-// caches are bounded by DefaultCorpusCacheSize.
+// splits keep a common scale — the same rule Fit always applied).
 func NewCorpus(series []*Series) (*Corpus, error) {
-	return NewCorpusSize(series, DefaultCorpusCacheSize)
-}
-
-// NewCorpusSize is NewCorpus with an explicit bound on each cache (at
-// least 1). Small bounds force eviction and recomputation; they never
-// affect results.
-func NewCorpusSize(series []*Series, cacheSize int) (*Corpus, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("cdt: corpus needs at least one series")
 	}
-	if cacheSize < 1 {
-		cacheSize = 1
-	}
-	c := &Corpus{
-		series:      make([]*Series, len(series)),
-		limit:       cacheSize,
-		labels:      make(map[labelKey]*labelEntry),
-		windows:     make(map[windowKey]*windowEntry),
-		resolutions: make(map[resolutionKey]*resolutionEntry),
-	}
+	c := &Corpus{series: make([]*Series, len(series))}
 	for i, s := range series {
 		ns, err := ensureNormalized(s)
 		if err != nil {
@@ -206,28 +127,7 @@ func (c *Corpus) Len() int { return len(c.series) }
 // backing array via pattern.LabelSeriesInto, so a cache refill costs a
 // single allocation regardless of corpus width.
 func (c *Corpus) labelsFor(pcfg pattern.Config) ([][]pattern.Label, error) {
-	k := labelKey{delta: pcfg.Delta, epsilon: pcfg.Epsilon}
-	c.mu.RLock()
-	e, ok := c.labels[k]
-	c.mu.RUnlock()
-	if !ok {
-		c.mu.Lock()
-		if e, ok = c.labels[k]; !ok {
-			evictLRU(c.labels, c.limit, &c.stats.labelEvictions, &globalCorpusStats.labelEvictions)
-			e = &labelEntry{seq: c.tick.Add(1)}
-			c.labels[k] = e
-		}
-		c.mu.Unlock()
-	}
-	if ok {
-		c.stats.labelHits.Add(1)
-		globalCorpusStats.labelHits.Add(1)
-	} else {
-		c.stats.labelMisses.Add(1)
-		globalCorpusStats.labelMisses.Add(1)
-	}
-	e.lastUse.Store(c.tick.Add(1))
-	e.once.Do(func() {
+	return c.labels.get(labelKey{delta: pcfg.Delta, epsilon: pcfg.Epsilon}, func() ([][]pattern.Label, error) {
 		total := 0
 		for _, s := range c.series {
 			if n := s.Len() - 2; n > 0 {
@@ -241,15 +141,13 @@ func (c *Corpus) labelsFor(pcfg pattern.Config) ([][]pattern.Label, error) {
 			var err error
 			buf, err = pcfg.LabelSeriesInto(buf, s.Values)
 			if err != nil {
-				e.err = fmt.Errorf("cdt: series %q: %w", s.Name, err)
-				return
+				return nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 			}
 			// Full slice expression: a labeling is immutable once cached.
 			perSeries[i] = buf[start:len(buf):len(buf)]
 		}
-		e.perSeries = perSeries
+		return perSeries, nil
 	})
-	return e.perSeries, e.err
 }
 
 // Observations returns the pooled ω-windows of every corpus series for
@@ -262,31 +160,10 @@ func (c *Corpus) Observations(opts Options) ([]Observation, error) {
 	}
 	pcfg := opts.patternConfig()
 	k := windowKey{omega: opts.Omega, labelKey: labelKey{delta: pcfg.Delta, epsilon: pcfg.Epsilon}}
-	c.mu.RLock()
-	e, ok := c.windows[k]
-	c.mu.RUnlock()
-	if !ok {
-		c.mu.Lock()
-		if e, ok = c.windows[k]; !ok {
-			evictLRU(c.windows, c.limit, &c.stats.windowEvictions, &globalCorpusStats.windowEvictions)
-			e = &windowEntry{seq: c.tick.Add(1)}
-			c.windows[k] = e
-		}
-		c.mu.Unlock()
-	}
-	if ok {
-		c.stats.windowHits.Add(1)
-		globalCorpusStats.windowHits.Add(1)
-	} else {
-		c.stats.windowMisses.Add(1)
-		globalCorpusStats.windowMisses.Add(1)
-	}
-	e.lastUse.Store(c.tick.Add(1))
-	e.once.Do(func() {
+	return c.windows.get(k, func() ([]core.Observation, error) {
 		perSeries, err := c.labelsFor(pcfg)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		total := 0
 		for _, labels := range perSeries {
@@ -298,19 +175,16 @@ func (c *Corpus) Observations(opts Options) ([]Observation, error) {
 		for i, labels := range perSeries {
 			s := c.series[i]
 			if opts.Omega > len(labels) {
-				e.err = fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", s.Name, opts.Omega, len(labels))
-				return
+				return nil, fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", s.Name, opts.Omega, len(labels))
 			}
 			obs, err := core.Windows(labels, s.Anomalies, opts.Omega)
 			if err != nil {
-				e.err = fmt.Errorf("cdt: series %q: %w", s.Name, err)
-				return
+				return nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 			}
 			pooled = append(pooled, obs...)
 		}
-		e.obs = pooled
+		return pooled, nil
 	})
-	return e.obs, e.err
 }
 
 // AtResolution returns the corpus downsampled by factor with the named
@@ -320,7 +194,7 @@ func (c *Corpus) Observations(opts Options) ([]Observation, error) {
 // per-resolution labelings and window pools are just more cache keys of
 // the derived corpus. Anomaly annotations survive downsampling (a
 // bucket is anomalous when any covered point was). The derived corpus
-// shares the receiver's cache-size bound.
+// has caches of its own, with the same bound.
 func (c *Corpus) AtResolution(factor int, aggregator string) (*Corpus, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("cdt: resolution factor %d, want >= 1", factor)
@@ -333,30 +207,17 @@ func (c *Corpus) AtResolution(factor int, aggregator string) (*Corpus, error) {
 		return c, nil
 	}
 	k := resolutionKey{factor: factor, agg: canonicalAggregator(aggregator)}
-	c.mu.RLock()
-	e, ok := c.resolutions[k]
-	c.mu.RUnlock()
-	if !ok {
-		c.mu.Lock()
-		if e, ok = c.resolutions[k]; !ok {
-			e = &resolutionEntry{}
-			c.resolutions[k] = e
-		}
-		c.mu.Unlock()
-	}
-	e.once.Do(func() {
+	return c.resolutions.get(k, func() (*Corpus, error) {
 		ds := make([]*Series, len(c.series))
 		for i, s := range c.series {
 			d, err := timeseries.Downsample(s, factor, agg)
 			if err != nil {
-				e.err = fmt.Errorf("cdt: series %q at 1/%d resolution: %w", s.Name, factor, err)
-				return
+				return nil, fmt.Errorf("cdt: series %q at 1/%d resolution: %w", s.Name, factor, err)
 			}
 			ds[i] = d
 		}
-		e.c, e.err = NewCorpusSize(ds, c.limit)
+		return NewCorpus(ds)
 	})
-	return e.c, e.err
 }
 
 // Fit trains a CDT on the corpus — the same pipeline as the package-level
@@ -381,39 +242,83 @@ func (c *Corpus) Fit(opts Options) (*Model, error) {
 	return m, nil
 }
 
-// lastUser is the shared shape of the two cache entry types, letting one
-// LRU eviction routine serve both maps.
-type lastUser interface {
-	lastUsed() uint64
-	insertedAt() uint64
+// cache is a bounded memo table, one per memoized pipeline stage. A
+// per-entry sync.Once runs compute once per resident key, even under
+// concurrent misses, outside every lock; errors are cached like values.
+// When full, an insert evicts the least-recently-used entry, breaking
+// last-use ties by insertion order so the contents are a pure function
+// of the request history, never of map iteration order. An evicted
+// value stays valid for any goroutine that already holds it.
+type cache[K comparable, V any] struct {
+	limit int // resident-entry bound; zero means cacheLimit
+
+	mu      sync.RWMutex
+	clock   atomic.Uint64 // use clock: insertion numbers and last uses
+	entries map[K]*cacheEntry[V]
+
+	hits, misses, evictions atomic.Uint64
 }
 
-func (e *labelEntry) lastUsed() uint64    { return e.lastUse.Load() }
-func (e *labelEntry) insertedAt() uint64  { return e.seq }
-func (e *windowEntry) lastUsed() uint64   { return e.lastUse.Load() }
-func (e *windowEntry) insertedAt() uint64 { return e.seq }
+type cacheEntry[V any] struct {
+	once    sync.Once
+	lastUse atomic.Uint64 // bumped by every lookup, outside the lock
+	seq     uint64        // insertion number, read under the write lock
 
-// evictLRU removes least-recently-used entries until the map has room for
-// one more under limit, bumping the given eviction counters once per
-// victim. Called with the corpus write lock held. Evicted slices stay
-// valid for any goroutine that already holds them; they are simply
-// recomputed on the next request. Last-use ties (e.g. entries that were
-// inserted but never re-used) are broken by insertion order — a strict
-// comparison on map iteration alone would leave the victim to the
-// randomized iteration order (caught by cdtlint's detfloat).
-func evictLRU[K comparable, E lastUser](m map[K]E, limit int, evicted ...*atomic.Uint64) {
-	for len(m) >= limit {
+	val V
+	err error
+}
+
+// get returns the value cached under k, computing it on first request.
+// The lookup takes c.mu for reading; a miss takes it for writing to
+// insert the entry, and compute runs after the lock is released.
+func (c *cache[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	c.mu.RLock()
+	e, ok := c.entries[k]
+	c.mu.RUnlock()
+	if !ok {
+		c.mu.Lock()
+		if e, ok = c.entries[k]; !ok {
+			c.evict()
+			e = &cacheEntry[V]{seq: c.clock.Add(1)}
+			if c.entries == nil {
+				c.entries = make(map[K]*cacheEntry[V])
+			}
+			c.entries[k] = e
+		}
+		c.mu.Unlock()
+	}
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	e.lastUse.Store(c.clock.Add(1))
+	e.once.Do(func() { e.val, e.err = compute() })
+	return e.val, e.err
+}
+
+// evict removes least-recently-used entries until one more fits under
+// the limit. Callers must hold c.mu for writing.
+func (c *cache[K, V]) evict() {
+	limit := c.limit
+	if limit == 0 {
+		limit = cacheLimit
+	}
+	for len(c.entries) >= limit {
 		var victim K
 		minUse, minSeq := uint64(math.MaxUint64), uint64(math.MaxUint64)
-		for k, e := range m {
-			u, s := e.lastUsed(), e.insertedAt()
-			if u < minUse || (u == minUse && s < minSeq) {
-				minUse, minSeq, victim = u, s, k
+		for k, e := range c.entries {
+			u := e.lastUse.Load()
+			if u < minUse || (u == minUse && e.seq < minSeq) {
+				minUse, minSeq, victim = u, e.seq, k
 			}
 		}
-		delete(m, victim)
-		for _, c := range evicted {
-			c.Add(1)
-		}
+		delete(c.entries, victim)
+		c.evictions.Add(1)
 	}
+}
+
+// stats returns the cache's hit, miss and eviction counts.
+func (c *cache[K, V]) stats() (hits, misses, evictions uint64) {
+	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }

@@ -50,6 +50,18 @@ func saveBytes(t *testing.T, m *Model) []byte {
 	return b.Bytes()
 }
 
+// newBoundedCorpus is NewCorpus with the labeling and window caches
+// bounded at limit entries, so a few configurations force eviction.
+func newBoundedCorpus(t *testing.T, series []*Series, limit int) *Corpus {
+	t.Helper()
+	c, err := NewCorpus(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.labels.limit, c.windows.limit = limit, limit
+	return c
+}
+
 // corpusTestSeries is the shared two-series training set: different
 // lengths, different spike layouts, raw (unnormalized) magnitudes.
 func corpusTestSeries() []*Series {
@@ -142,10 +154,7 @@ func TestCorpusObservationsMatchObservationsOf(t *testing.T) {
 // uncached corpus.
 func TestCorpusEvictionStaysBoundedAndCorrect(t *testing.T) {
 	train := corpusTestSeries()
-	c, err := NewCorpusSize(train, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newBoundedCorpus(t, train, 2)
 	configs := []Options{
 		{Omega: 3, Delta: 1},
 		{Omega: 4, Delta: 2},
@@ -169,9 +178,12 @@ func TestCorpusEvictionStaysBoundedAndCorrect(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("omega=%d delta=%d: observations after eviction differ", opts.Omega, opts.Delta)
 		}
-		c.mu.RLock()
-		nl, nw := len(c.labels), len(c.windows)
-		c.mu.RUnlock()
+		c.labels.mu.RLock()
+		nl := len(c.labels.entries)
+		c.labels.mu.RUnlock()
+		c.windows.mu.RLock()
+		nw := len(c.windows.entries)
+		c.windows.mu.RUnlock()
 		if nl > 2 || nw > 2 {
 			t.Fatalf("cache exceeded bound: %d labelings, %d window pools", nl, nw)
 		}
@@ -202,9 +214,6 @@ func TestNewCorpusValidation(t *testing.T) {
 	if _, err := NewCorpus(nil); err == nil {
 		t.Error("expected error for empty corpus")
 	}
-	if c, err := NewCorpusSize(corpusTestSeries(), -5); err != nil || c.limit != 1 {
-		t.Errorf("cache size not clamped to 1: limit=%v err=%v", c.limit, err)
-	}
 }
 
 // TestCorpusConcurrentHammer pounds one small-cache corpus from many
@@ -232,10 +241,7 @@ func TestCorpusConcurrentHammer(t *testing.T) {
 	}
 
 	// Cache bound 3 < 6 grid cells forces constant eviction under load.
-	c, err := NewCorpusSize(train, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newBoundedCorpus(t, train, 3)
 	workers := 8
 	iters := 10
 	if testing.Short() {
@@ -333,17 +339,12 @@ func TestOptimizeCorpusMatchesOptimize(t *testing.T) {
 // TestCorpusStats pins the cache-counter semantics: a hit is a lookup
 // that found a resident entry, a miss is one that inserted it, and each
 // LRU victim bumps the eviction counter — for both the labeling and the
-// window cache, per corpus and in the process-wide aggregate.
+// window cache.
 func TestCorpusStats(t *testing.T) {
-	train := corpusTestSeries()
-	c, err := NewCorpusSize(train, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newBoundedCorpus(t, corpusTestSeries(), 2)
 	if c.Stats() != (CorpusStats{}) {
 		t.Fatalf("fresh corpus stats = %+v, want zero", c.Stats())
 	}
-	before := CorpusCacheStats()
 
 	steps := []struct {
 		opts Options
@@ -369,26 +370,31 @@ func TestCorpusStats(t *testing.T) {
 				i, step.opts.Omega, step.opts.Delta, got, step.want)
 		}
 	}
+}
 
-	// The process-wide aggregate advanced by at least this corpus's share
-	// (other corpora in the test binary may add to it, never subtract).
-	after := CorpusCacheStats()
-	final := steps[len(steps)-1].want
-	deltas := []struct {
-		name         string
-		got, atLeast uint64
-	}{
-		{"label hits", after.LabelHits - before.LabelHits, final.LabelHits},
-		{"label misses", after.LabelMisses - before.LabelMisses, final.LabelMisses},
-		{"label evictions", after.LabelEvictions - before.LabelEvictions, final.LabelEvictions},
-		{"window hits", after.WindowHits - before.WindowHits, final.WindowHits},
-		{"window misses", after.WindowMisses - before.WindowMisses, final.WindowMisses},
-		{"window evictions", after.WindowEvictions - before.WindowEvictions, final.WindowEvictions},
-	}
-	for _, d := range deltas {
-		if d.got < d.atLeast {
-			t.Errorf("global %s advanced by %d, want >= %d", d.name, d.got, d.atLeast)
+// TestCorpusEvictsLeastRecentlyUsed pins the victim: with room for two
+// window pools, a third evicts the one used least recently, not the one
+// inserted first or used last.
+func TestCorpusEvictsLeastRecentlyUsed(t *testing.T) {
+	c := newBoundedCorpus(t, corpusTestSeries(), 2)
+	for _, omega := range []int{3, 4, 3, 5} { // (4,1) is now least recently used
+		if _, err := c.Observations(Options{Omega: omega, Delta: 1}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	before := c.Stats()
+	if _, err := c.Observations(Options{Omega: 3, Delta: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats(); got.WindowHits != before.WindowHits+1 {
+		t.Errorf("(3,1) after inserting (5,1): window hits %d -> %d, want it still resident", before.WindowHits, got.WindowHits)
+	}
+	before = c.Stats()
+	if _, err := c.Observations(Options{Omega: 4, Delta: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats(); got.WindowMisses != before.WindowMisses+1 {
+		t.Errorf("(4,1) after inserting (5,1): window misses %d -> %d, want it evicted", before.WindowMisses, got.WindowMisses)
 	}
 }
 

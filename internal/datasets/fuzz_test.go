@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzReadCSV feeds arbitrary text to the CSV reader: it must never
-// panic, and anything it accepts must survive a write/read round trip.
+// panic, anything it accepts must survive a write/read round trip, and
+// normalizing it must either fail or yield finite values in [0,1].
 func FuzzReadCSV(f *testing.F) {
 	f.Add("value,is_anomaly\n1,0\n2,1\n")
 	f.Add("value\n1\n")
@@ -15,6 +16,10 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("1,2,3\n")
 	f.Add("nan,0\n")
 	f.Add("1e308,1\n-1e308,0\n")
+	// The two seeds above read as a header line (it holds a letter), so
+	// these repeat them after a header to reach the data rows.
+	f.Add("value,is_anomaly\nnan,0\n1,0\n")
+	f.Add("value,is_anomaly\n1e308,1\n-1e308,0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		s, err := ReadCSV(strings.NewReader(input), "fuzz")
 		if err != nil {
@@ -30,6 +35,15 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if back.Len() != s.Len() {
 			t.Fatalf("round trip changed length %d -> %d", s.Len(), back.Len())
+		}
+		n := s.Clone()
+		if _, err := n.Normalize(); err != nil {
+			return
+		}
+		for i, v := range n.Values {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("normalized value %d = %v, want within [0,1]", i, v)
+			}
 		}
 	})
 }

@@ -90,9 +90,19 @@ func TestAverageRanksSimple(t *testing.T) {
 }
 
 func TestAverageRanksTies(t *testing.T) {
-	ranks := AverageRanks([][]float64{{0.5, 0.5, 0.1}})
-	if ranks[0] != 1.5 || ranks[1] != 1.5 || ranks[2] != 3 {
-		t.Errorf("ranks = %v, want [1.5 1.5 3]", ranks)
+	for _, tc := range []struct {
+		row, want []float64
+	}{
+		{[]float64{0.5, 0.5, 0.1}, []float64{1.5, 1.5, 3}},
+		{[]float64{0.5, 0.9, 0.5}, []float64{2.5, 1, 2.5}},
+	} {
+		ranks := AverageRanks([][]float64{tc.row})
+		for i := range tc.want {
+			if ranks[i] != tc.want[i] {
+				t.Errorf("%v: ranks = %v, want %v", tc.row, ranks, tc.want)
+				break
+			}
+		}
 	}
 }
 

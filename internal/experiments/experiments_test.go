@@ -261,13 +261,6 @@ func TestFormatTableAlignment(t *testing.T) {
 	}
 }
 
-func TestRankOf(t *testing.T) {
-	ranks := rankOf([]float64{0.5, 0.9, 0.5})
-	if ranks[1] != 1 || ranks[0] != 2.5 || ranks[2] != 2.5 {
-		t.Errorf("ranks = %v", ranks)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.BOInit != 5 || cfg.BOIters != 15 {

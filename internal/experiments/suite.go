@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -172,31 +171,4 @@ func FormatTable(header []string, rows [][]string) string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// rankOf returns 1-based dense competition ranks (ties share) for a
-// score row, highest first.
-func rankOf(scores []float64) []float64 {
-	type entry struct {
-		idx int
-		s   float64
-	}
-	entries := make([]entry, len(scores))
-	for i, s := range scores {
-		entries[i] = entry{i, s}
-	}
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].s > entries[b].s })
-	out := make([]float64, len(scores))
-	for i := 0; i < len(entries); {
-		j := i
-		for j+1 < len(entries) && entries[j+1].s == entries[i].s {
-			j++
-		}
-		rank := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[entries[k].idx] = rank
-		}
-		i = j + 1
-	}
-	return out
 }

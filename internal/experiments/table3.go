@@ -171,17 +171,15 @@ func FormatTable3(rows []Table3Row) string {
 		header = append(header, m, "paper")
 	}
 	var body [][]string
-	var sums, rankSums [4]float64
-	for _, r := range rows {
+	var sums [4]float64
+	scores := make([][]float64, len(rows))
+	for d, r := range rows {
 		line := []string{r.Dataset}
 		for i := range Table3Methods {
 			line = append(line, fmt.Sprintf("%.2f", r.F1[i]), fmt.Sprintf("%.2f", r.Paper[i]))
 			sums[i] += r.F1[i]
 		}
-		ranks := rankOf(r.F1[:])
-		for i, rk := range ranks {
-			rankSums[i] += rk
-		}
+		scores[d] = rows[d].F1[:]
 		body = append(body, line)
 	}
 	avg := []string{"Average"}
@@ -193,11 +191,11 @@ func FormatTable3(rows []Table3Row) string {
 	b.WriteString("Table 3: anomaly-detection F1, CDT vs pattern-based baselines\n")
 	b.WriteString(FormatTable(header, body))
 	b.WriteString("Average rank: ")
-	for i, m := range Table3Methods {
+	for i, rank := range evalmetrics.AverageRanks(scores) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s %.2f", m, rankSums[i]/float64(len(rows)))
+		fmt.Fprintf(&b, "%s %.2f", Table3Methods[i], rank)
 	}
 	b.WriteString(" (paper: CDT best overall, winning 5/6 datasets)\n")
 	return b.String()

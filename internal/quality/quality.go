@@ -118,66 +118,3 @@ func Evaluate(r rules.Rule, obs []core.Observation, marks *engine.Marks, omega, 
 	rep.Q = num / float64(s)
 	return rep
 }
-
-// GenericPredicate abstracts a rule conjunction from any rule learner
-// (PART, JRip) so the same Q(R) measure can score them (§4.3 compares
-// Q(R) across CDT, PART and JRip). Length is the number of conditions in
-// the conjunction (the analogue of L_c) and UniqueValues the number of
-// distinct attribute values used (the analogue of N_L).
-type GenericPredicate struct {
-	Length       int
-	UniqueValues int
-	// Matches evaluates the conjunction on an observation index.
-	Matches func(i int) bool
-}
-
-// EvaluateGeneric computes F1, Q(R) and F(h) for an ordered rule list
-// from a generic learner over n observations with the given truth. Each
-// predicate is treated as a single composition whose interpretability is
-// I = 1 − (Length · UniqueValues)/(ω · MaxL); defaultPositive reports
-// whether an observation matched by no predicate is classified anomalous
-// (rule lists may end with an anomaly default).
-func EvaluateGeneric(preds []GenericPredicate, n int, truth func(i int) bool, defaultPositive bool, omega, maxLabels int) Report {
-	rep := Report{
-		PredicateSupports:  make([]int, len(preds)),
-		PredicateQualities: make([]float64, len(preds)),
-	}
-	for i, p := range preds {
-		v := 1 - float64(p.Length*p.UniqueValues)/float64(omega*maxLabels)
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		rep.PredicateQualities[i] = v
-	}
-	for i := 0; i < n; i++ {
-		actual := truth(i)
-		matched := -1
-		for pi := range preds {
-			if preds[pi].Matches(i) {
-				matched = pi
-				break
-			}
-		}
-		predicted := defaultPositive
-		if matched >= 0 {
-			predicted = true
-		}
-		rep.Confusion.Add(predicted, actual)
-		if matched >= 0 && actual {
-			rep.PredicateSupports[matched]++
-		}
-	}
-	s := rep.Confusion.TP + rep.Confusion.TN
-	if s == 0 {
-		return rep
-	}
-	num := 0.0
-	for i := range preds {
-		num += float64(rep.PredicateSupports[i]) * rep.PredicateQualities[i]
-	}
-	rep.Q = num / float64(s)
-	return rep
-}

@@ -185,40 +185,3 @@ func TestEvaluateQBounds(t *testing.T) {
 		t.Errorf("Q = %v out of [0,1]", rep.Q)
 	}
 }
-
-func TestEvaluateGeneric(t *testing.T) {
-	truth := []bool{true, true, false, false}
-	preds := []GenericPredicate{
-		{Length: 2, UniqueValues: 2, Matches: func(i int) bool { return i == 0 || i == 1 }},
-	}
-	rep := EvaluateGeneric(preds, len(truth), func(i int) bool { return truth[i] }, false, 10, 25)
-	if rep.F1() != 1 {
-		t.Errorf("F1 = %v, want 1", rep.F1())
-	}
-	wantM := 1 - 4.0/250
-	if math.Abs(rep.PredicateQualities[0]-wantM) > 1e-12 {
-		t.Errorf("quality = %v, want %v", rep.PredicateQualities[0], wantM)
-	}
-	if rep.PredicateSupports[0] != 2 {
-		t.Errorf("support = %d", rep.PredicateSupports[0])
-	}
-}
-
-func TestEvaluateGenericDefaultPositive(t *testing.T) {
-	truth := []bool{true, false}
-	rep := EvaluateGeneric(nil, 2, func(i int) bool { return truth[i] }, true, 10, 25)
-	// Everything predicted positive: TP=1, FP=1.
-	if rep.Confusion.TP != 1 || rep.Confusion.FP != 1 {
-		t.Errorf("confusion = %+v", rep.Confusion)
-	}
-}
-
-func TestEvaluateGenericQualityClamped(t *testing.T) {
-	preds := []GenericPredicate{
-		{Length: 100, UniqueValues: 100, Matches: func(i int) bool { return true }},
-	}
-	rep := EvaluateGeneric(preds, 1, func(i int) bool { return true }, false, 3, 25)
-	if rep.PredicateQualities[0] != 0 {
-		t.Errorf("quality = %v, want clamp to 0", rep.PredicateQualities[0])
-	}
-}

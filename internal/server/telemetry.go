@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	cdt "cdt"
 	"cdt/internal/telemetry"
 )
 
@@ -129,30 +128,6 @@ func newServerMetrics() *serverMetrics {
 			"Store versions promoted to serving via POST /models/{name}/promote."),
 		rollbacks: reg.Counter("cdtserve_model_rollbacks_total",
 			"Store rollbacks applied via POST /models/{name}/rollback."),
-	}
-	// Training-side cache visibility: the corpus caches live in the root
-	// package and aggregate process-wide, so a binary that both trains
-	// and serves (or an experiments run scraped for progress) exposes its
-	// cache behaviour here too. A pure serving process reports zeros.
-	for _, c := range []struct {
-		name, help, cache string
-		fn                func(cdt.CorpusStats) uint64
-	}{
-		{"cdt_corpus_cache_hits_total", "Corpus pipeline-cache hits, by cache map.", "label",
-			func(s cdt.CorpusStats) uint64 { return s.LabelHits }},
-		{"cdt_corpus_cache_hits_total", "Corpus pipeline-cache hits, by cache map.", "window",
-			func(s cdt.CorpusStats) uint64 { return s.WindowHits }},
-		{"cdt_corpus_cache_misses_total", "Corpus pipeline-cache misses, by cache map.", "label",
-			func(s cdt.CorpusStats) uint64 { return s.LabelMisses }},
-		{"cdt_corpus_cache_misses_total", "Corpus pipeline-cache misses, by cache map.", "window",
-			func(s cdt.CorpusStats) uint64 { return s.WindowMisses }},
-		{"cdt_corpus_cache_evictions_total", "Corpus pipeline-cache evictions, by cache map.", "label",
-			func(s cdt.CorpusStats) uint64 { return s.LabelEvictions }},
-		{"cdt_corpus_cache_evictions_total", "Corpus pipeline-cache evictions, by cache map.", "window",
-			func(s cdt.CorpusStats) uint64 { return s.WindowEvictions }},
-	} {
-		fn := c.fn
-		reg.CounterFunc(c.name, c.help, func() uint64 { return fn(cdt.CorpusCacheStats()) }, "cache", c.cache)
 	}
 	m.unmatched = m.endpoint("other")
 	return m

@@ -30,7 +30,7 @@ func fetch(tb testing.TB, url string) (int, string, http.Header) {
 // TestMetricsScrape is the /metrics smoke the CI gate runs: after real
 // traffic (batch detect + a stream session), the Prometheus exposition
 // must carry the acceptance families — request latency histograms,
-// corpus cache counters, and stream session gauges — and count paths no
+// request counters, and stream session gauges — and count paths no
 // route matches under endpoint "other". /metrics is the only counter
 // surface: the public handler has no /debug/vars.
 func TestMetricsScrape(t *testing.T) {
@@ -75,9 +75,6 @@ func TestMetricsScrape(t *testing.T) {
 		`cdtserve_models_loaded 1`,
 		`cdtserve_detections_total{source="batch"}`,
 		`cdtserve_detections_total{source="stream"}`,
-		`cdt_corpus_cache_hits_total{cache="label"}`,
-		`cdt_corpus_cache_misses_total{cache="window"}`,
-		`cdt_corpus_cache_evictions_total{cache="label"}`,
 		`# TYPE cdtserve_http_request_seconds histogram`,
 	} {
 		if !strings.Contains(body, want) {

@@ -20,10 +20,10 @@
 // (Stopwatch): deterministic training packages (cdt, internal/bayesopt)
 // are forbidden direct time.Now calls by the cdtlint detfloat analyzer,
 // because clocks must never feed back into training results. Durations
-// that ride *alongside* results — optimizer trial traces, cache-stats
-// reports — go through the Stopwatch so the boundary stays auditable:
-// any clock read in a deterministic package is a telemetry import, not
-// a hidden dependency.
+// that ride *alongside* results — optimizer trial traces, per-scale
+// pyramid sweep timings — go through the Stopwatch so the boundary
+// stays auditable: any clock read in a deterministic package is a
+// telemetry import, not a hidden dependency.
 package telemetry
 
 import (
@@ -137,7 +137,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
 	kindGaugeFunc
 )
 
@@ -158,17 +157,11 @@ type family struct {
 	help string
 	kind metricKind
 
-	counters   []*Counter
-	gauges     []*Gauge
-	hists      []*Histogram
-	buckets    []float64 // histogram families share one bucket table
-	counterFns []funcMetric[uint64]
-	gaugeFns   []funcMetric[int64]
-}
-
-type funcMetric[T any] struct {
-	labels string
-	fn     func() T
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
+	buckets  []float64 // histogram families share one bucket table
+	gaugeFns []func() int64
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -271,34 +264,13 @@ func (r *Registry) histogram(name, help string, buckets []float64, labels string
 	return h
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for counts maintained elsewhere (the root package's
-// corpus cache stats). labelPairs is an optional flat list of label
-// name/value pairs distinguishing multiple fns under one family.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64, labelPairs ...string) {
-	if len(labelPairs)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: %s: odd label pair list", name))
-	}
-	names := make([]string, 0, len(labelPairs)/2)
-	values := make([]string, 0, len(labelPairs)/2)
-	for i := 0; i < len(labelPairs); i += 2 {
-		names = append(names, labelPairs[i])
-		values = append(values, labelPairs[i+1])
-	}
-	labels := renderLabels(names, values)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindCounterFunc)
-	f.counterFns = append(f.counterFns, funcMetric[uint64]{labels: labels, fn: fn})
-}
-
 // GaugeFunc registers a gauge read from fn at scrape time (live session
 // counts, loaded models).
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.lookup(name, help, kindGaugeFunc)
-	f.gaugeFns = append(f.gaugeFns, funcMetric[int64]{fn: fn})
+	f.gaugeFns = append(f.gaugeFns, fn)
 }
 
 // --- vectors -----------------------------------------------------------
@@ -444,13 +416,9 @@ func (r *Registry) render(w *strings.Builder) {
 			for _, g := range f.gauges {
 				writeLine(w, f.name, "", g.labels, strconv.FormatInt(g.Value(), 10))
 			}
-		case kindCounterFunc:
-			for _, m := range f.counterFns {
-				writeLine(w, f.name, "", m.labels, strconv.FormatUint(m.fn(), 10))
-			}
 		case kindGaugeFunc:
-			for _, m := range f.gaugeFns {
-				writeLine(w, f.name, "", m.labels, strconv.FormatInt(m.fn(), 10))
+			for _, fn := range f.gaugeFns {
+				writeLine(w, f.name, "", "", strconv.FormatInt(fn(), 10))
 			}
 		case kindHistogram:
 			for _, h := range f.hists {

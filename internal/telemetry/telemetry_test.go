@@ -31,13 +31,9 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	}
 
 	r.GaugeFunc("test_sessions_active", "Live sessions.", func() int64 { return 12 })
-	r.CounterFunc("test_cache_hits_total", "Cache hits.", func() uint64 { return 99 })
 
 	got := r.Render()
 	want := strings.Join([]string{
-		`# HELP test_cache_hits_total Cache hits.`,
-		`# TYPE test_cache_hits_total counter`,
-		`test_cache_hits_total 99`,
 		`# HELP test_in_flight In-flight requests.`,
 		`# TYPE test_in_flight gauge`,
 		`test_in_flight 2`,

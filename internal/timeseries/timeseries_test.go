@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +35,24 @@ func TestNormalizeConstant(t *testing.T) {
 	for i, v := range s.Values {
 		if v != 0 {
 			t.Errorf("Values[%d] = %v, want 0", i, v)
+		}
+	}
+}
+
+// MinMax names the first non-finite value, wherever it sits, and
+// rejects a range whose width overflows.
+func TestMinMaxRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		values []float64
+		want   string
+	}{
+		{[]float64{math.NaN(), 1, 2}, "value 0 is NaN"},
+		{[]float64{1, 2, math.Inf(-1), math.NaN()}, "value 2 is -Inf"},
+		{[]float64{1, math.Inf(1)}, "value 1 is +Inf"},
+		{[]float64{1e308, -1e308}, "too wide"},
+	} {
+		if _, _, err := New("s", tc.values).MinMax(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.values, err, tc.want)
 		}
 	}
 }

@@ -433,6 +433,11 @@ func TestPyramidReusesCorpusCache(t *testing.T) {
 	if r1 != r2 {
 		t.Error("derived corpus not memoized")
 	}
+	if d1, err := c.AtResolution(4, ""); err != nil {
+		t.Fatal(err)
+	} else if d2, err := c.AtResolution(4, "mean"); err != nil || d1 != d2 {
+		t.Errorf(`aggregator "" and "mean" derived different corpora (%p, %p, %v)`, d1, d2, err)
+	}
 	if base, err := c.AtResolution(1, ""); err != nil || base != c {
 		t.Errorf("factor 1 should return the receiver (got %p, %v)", base, err)
 	}
