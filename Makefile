@@ -12,6 +12,7 @@ FUZZ_TARGETS := \
 	./internal/pattern:FuzzLabelSeries \
 	./internal/datasets:FuzzReadCSV \
 	./internal/core:FuzzBestComposition \
+	./internal/core:FuzzBuild \
 	./internal/engine:FuzzEngineMatch \
 	./internal/modelstore:FuzzOpen \
 	./internal/server:FuzzParseBatchRequest \

@@ -322,6 +322,53 @@ func BenchmarkTreeBuildCalorie(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeBuildPyramidX1 induces the ×1 tree of the train
+// workload's pyramid: one year of hourly electricity at ω = 8, δ = 2.
+// Its tree is a long chain (one small anomaly leaf peeled off per
+// split), so it measures how much of each split's pool is recounted.
+func BenchmarkTreeBuildPyramidX1(b *testing.B) {
+	el := sge.Electricity(sge.ElectricityOptions{Hours: 365 * 24, Seed: 1}).Series[0]
+	corpus, err := cdt.NewCorpus([]*cdt.Series{el})
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs, err := corpus.Observations(cdt.Options{Omega: 8, Delta: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Build(obs, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitFusionWeights fits weighted fusion over a fire matrix the
+// size of the train workload's: one year of hourly points × 3 scales.
+func BenchmarkFitFusionWeights(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	fired := make([][]bool, 365*24)
+	truth := make([]bool, len(fired))
+	for t := range fired {
+		truth[t] = rng.Intn(10) == 0
+		fired[t] = make([]bool, 3)
+		for i := range fired[t] {
+			p := 20
+			if truth[t] {
+				p = 2 + i
+			}
+			fired[t][i] = rng.Intn(p) == 0
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cdt.FitFusionWeights(fired, truth); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRuleDetection(b *testing.B) {
 	train := cdt.NewLabeledSeries("t", benchValues(1000, 3), make([]bool, 1000))
 	train.Values[500] = 2

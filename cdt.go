@@ -78,7 +78,9 @@ type Options struct {
 	// LeafPolicy selects which leaves become rules (default the paper's
 	// pure-anomaly leaves).
 	LeafPolicy rules.LeafPolicy
-	// Parallelism bounds split-scoring goroutines (0 = GOMAXPROCS).
+	// Parallelism bounds the goroutines counting split supports in
+	// subsequence mode (0 = GOMAXPROCS); contiguous matching counts in
+	// one sequential pass.
 	Parallelism int
 }
 

@@ -44,7 +44,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -610,6 +612,10 @@ func runStream(args []string) error {
 			return err
 		}
 		scale = cdt.Scale{Min: lo, Max: hi}
+	} else if i := slices.IndexFunc(feed.Values, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }); i >= 0 {
+		// Stream.Push labels any reading it is given, so the feed is
+		// checked whole before the first push.
+		return fmt.Errorf("stream: value %d is %v, want a finite reading", i, feed.Values[i])
 	}
 	stream, err := model.OpenStream(scale)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -167,6 +168,43 @@ func TestStreamCommand(t *testing.T) {
 	}
 	if err := run([]string{"stream", "-in", feedCSV}); err == nil {
 		t.Error("missing -model accepted")
+	}
+}
+
+// With an explicit scale, a non-finite reading fails the stream before
+// any reading is pushed, naming its index, as the derived scale does.
+func TestStreamRejectsNonFiniteReadings(t *testing.T) {
+	dir := t.TempDir()
+	trainCSV := writeFixture(t, dir, "train.csv", 7)
+	feedCSV := writeFixture(t, dir, "feed.csv", 8)
+	modelPath := filepath.Join(dir, "model.json")
+	if err := run([]string{"train", "-in", trainCSV, "-omega", "5", "-delta", "2", "-save", modelPath}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(feedCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(b), "\n") // header, then readings
+	for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+		for _, at := range []int{0, 41} {
+			edited := append([]string(nil), lines...)
+			_, flag, _ := strings.Cut(edited[at+1], ",")
+			edited[at+1] = bad + "," + flag
+			path := filepath.Join(dir, "bad.csv")
+			if err := os.WriteFile(path, []byte(strings.Join(edited, "\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, scale := range [][]string{{"-min", "0", "-max", "500"}, nil} {
+				err := run(append([]string{"stream", "-model", modelPath, "-in", path}, scale...))
+				if err == nil {
+					t.Fatalf("%s at reading %d, scale %v: stream accepted it", bad, at, scale)
+				}
+				if want := fmt.Sprintf("value %d is %s", at, bad); !strings.Contains(err.Error(), want) {
+					t.Errorf("%s at reading %d, scale %v: error %q, want it to contain %q", bad, at, scale, err, want)
+				}
+			}
+		}
 	}
 }
 

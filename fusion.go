@@ -263,46 +263,12 @@ func FitFusionWeights(fired [][]bool, truth []bool) (Fusion, error) {
 	if err != nil {
 		return Fusion{}, err
 	}
-	// Full-batch gradient descent on the logistic loss. Step count and
-	// rate are fixed: the inputs are 0/1 indicators over at most
-	// maxPyramidScales members, so convergence is quick and determinism
-	// matters more than the last decimal of the fit.
-	const (
-		fitIters = 200
-		fitRate  = 0.5
-	)
-	w := make([]float64, n)
-	grad := make([]float64, n)
-	bias := 0.0
-	for it := 0; it < fitIters; it++ {
-		for i := range grad {
-			grad[i] = 0
-		}
-		gBias := 0.0
-		for t, row := range fired {
-			z := bias
-			for i, fi := range row {
-				if fi {
-					z += w[i]
-				}
-			}
-			d := 1 / (1 + math.Exp(-z))
-			if truth[t] {
-				d--
-			}
-			gBias += d
-			for i, fi := range row {
-				if fi {
-					grad[i] += d
-				}
-			}
-		}
-		step := fitRate / float64(len(fired))
-		bias -= step * gBias
-		for i := range w {
-			w[i] -= step * grad[i]
-		}
-	}
+	return weightedFusion(fitLogistic(fired, truth, n)), nil
+}
+
+// weightedFusion maps a logistic fit's weights and bias onto
+// FuseWeighted parameters, as FitFusionWeights describes.
+func weightedFusion(w []float64, bias float64) Fusion {
 	maxW := 0.0
 	for i := range w {
 		if w[i] < 0 {
@@ -314,11 +280,11 @@ func FitFusionWeights(fired [][]bool, truth []bool) (Fusion, error) {
 	}
 	threshold := -bias
 	if maxW == 0 || threshold <= 0 {
-		uniform := make([]float64, n)
+		uniform := make([]float64, len(w))
 		for i := range uniform {
 			uniform[i] = 1
 		}
-		return Fusion{Policy: FuseWeighted, Weights: uniform, Threshold: 1}, nil
+		return Fusion{Policy: FuseWeighted, Weights: uniform, Threshold: 1}
 	}
 	total := 0.0
 	for i := range w {
@@ -331,7 +297,89 @@ func FitFusionWeights(fired [][]bool, truth []bool) (Fusion, error) {
 		// "every member agrees" so the learned rule stays reachable.
 		threshold = total
 	}
-	return Fusion{Policy: FuseWeighted, Weights: w, Threshold: threshold}, nil
+	return Fusion{Policy: FuseWeighted, Weights: w, Threshold: threshold}
+}
+
+// fitLogistic runs FitFusionWeights' full-batch gradient descent on the
+// logistic loss over n members and returns the raw weights and bias.
+// Step count and rate are fixed: the inputs are 0/1 indicators over at
+// most maxPyramidScales members, so convergence is quick and
+// determinism matters more than the last decimal of the fit.
+//
+// A sample's logistic term depends only on its fire pattern and label,
+// so each step evaluates it once per distinct (pattern, label) key, at
+// most 2^(n+1) of them, rather than once per sample. The gradient still
+// adds the per-sample terms in sample order, so the result is bit for
+// bit that of one evaluation per sample.
+func fitLogistic(fired [][]bool, truth []bool, n int) ([]float64, float64) {
+	const (
+		fitIters = 200
+		fitRate  = 0.5
+	)
+	// keyOf[t] is sample t's key; key k's pattern fires the members
+	// on[k], in member order, and its label is labels[k].
+	keyOf := make([]int32, len(fired))
+	var on [][]int
+	var labels []bool
+	index := make(map[string]int32)
+	buf := make([]byte, n+1)
+	for t, row := range fired {
+		for i, fi := range row {
+			buf[i] = 0
+			if fi {
+				buf[i] = 1
+			}
+		}
+		buf[n] = 0
+		if truth[t] {
+			buf[n] = 1
+		}
+		k, ok := index[string(buf)]
+		if !ok {
+			k = int32(len(on))
+			index[string(buf)] = k
+			var members []int
+			for i, fi := range row {
+				if fi {
+					members = append(members, i)
+				}
+			}
+			on = append(on, members)
+			labels = append(labels, truth[t])
+		}
+		keyOf[t] = k
+	}
+	w := make([]float64, n)
+	grad := make([]float64, n)
+	d := make([]float64, len(on))
+	bias := 0.0
+	for it := 0; it < fitIters; it++ {
+		for k, members := range on {
+			z := bias
+			for _, i := range members {
+				z += w[i]
+			}
+			d[k] = 1 / (1 + math.Exp(-z))
+			if labels[k] {
+				d[k]--
+			}
+		}
+		clear(grad)
+		gBias := 0.0
+		for _, k := range keyOf {
+			dk := d[k]
+			gBias += dk
+			for _, i := range on[k] {
+				grad[i] += dk
+			}
+		}
+		step := fitRate / float64(len(fired))
+		bias -= step * gBias
+		for i := range w {
+			w[i] -= step * grad[i]
+		}
+	}
+	return w, bias
 }
 
 // FitFusionK picks the FuseKOfN quorum maximizing F1 over labeled

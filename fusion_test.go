@@ -3,6 +3,8 @@ package cdt
 import (
 	"bytes"
 	"context"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,6 +77,82 @@ func TestFitFusionWeightsDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(again, first) {
 			t.Fatalf("trial %d: refit diverged: %+v vs %+v", trial, again, first)
+		}
+	}
+}
+
+// fitLogisticPerSample is fitLogistic with one logistic evaluation per
+// sample, the direct reading of the gradient.
+func fitLogisticPerSample(fired [][]bool, truth []bool, n int) ([]float64, float64) {
+	w := make([]float64, n)
+	grad := make([]float64, n)
+	bias := 0.0
+	for it := 0; it < 200; it++ {
+		clear(grad)
+		gBias := 0.0
+		for t, row := range fired {
+			z := bias
+			for i, fi := range row {
+				if fi {
+					z += w[i]
+				}
+			}
+			d := 1 / (1 + math.Exp(-z))
+			if truth[t] {
+				d--
+			}
+			gBias += d
+			for i, fi := range row {
+				if fi {
+					grad[i] += d
+				}
+			}
+		}
+		step := 0.5 / float64(len(fired))
+		bias -= step * gBias
+		for i := range w {
+			w[i] -= step * grad[i]
+		}
+	}
+	return w, bias
+}
+
+// Evaluating the logistic once per (fire pattern, label) key must give
+// the per-sample fit's weights and bias bit for bit, over 1 to
+// maxPyramidScales members and label mixes including all-true and
+// all-false.
+func TestFitLogisticMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := trial%maxPyramidScales + 1
+		fired := make([][]bool, rng.Intn(300)+1)
+		truth := make([]bool, len(fired))
+		fireRate, anomRate := rng.Intn(4)+1, []int{0, 2, 5, 1000}[trial%4]
+		for s := range fired {
+			switch anomRate {
+			case 0: // all false
+			case 1000:
+				truth[s] = true
+			default:
+				truth[s] = rng.Intn(anomRate) == 0
+			}
+			fired[s] = make([]bool, n)
+			for i := range fired[s] {
+				fired[s][i] = rng.Intn(fireRate+1) == 0
+			}
+		}
+		fu, err := FitFusionWeights(fired, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := weightedFusion(fitLogisticPerSample(fired, truth, n))
+		if math.Float64bits(fu.Threshold) != math.Float64bits(want.Threshold) {
+			t.Fatalf("trial %d: threshold %v, per-sample %v", trial, fu.Threshold, want.Threshold)
+		}
+		for i := range want.Weights {
+			if math.Float64bits(fu.Weights[i]) != math.Float64bits(want.Weights[i]) {
+				t.Fatalf("trial %d: weight %d is %v, per-sample %v", trial, i, fu.Weights[i], want.Weights[i])
+			}
 		}
 	}
 }

@@ -178,7 +178,7 @@ func TestEnumerateCompositionsFromAnomalousOnly(t *testing.T) {
 		{Labels: []pattern.Label{a, b}, Class: Anomaly},
 		{Labels: []pattern.Label{c, c}, Class: Normal},
 	}
-	comps, _ := trieCandidates(newCandidateTrie(obs), obs, Options{})
+	comps, _ := trieCandidates(poolSupports(obs, Options{}))
 	// Distinct substrings of [a b]: [a], [b], [a b].
 	if len(comps) != 3 {
 		t.Fatalf("got %d candidates, want 3: %v", len(comps), comps)
@@ -197,7 +197,7 @@ func TestEnumerateCompositionsMaxLen(t *testing.T) {
 	b := lbl(pattern.PN, -1, -1)
 	c := lbl(pattern.CST, 0, 0)
 	obs := []Observation{{Labels: []pattern.Label{a, b, c}, Class: Anomaly}}
-	comps, _ := trieCandidates(newCandidateTrie(obs), obs, Options{MaxCompositionLen: 1})
+	comps, _ := trieCandidates(poolSupports(obs, Options{MaxCompositionLen: 1}))
 	if len(comps) != 3 { // [a], [b], [c]
 		t.Fatalf("got %d candidates, want 3", len(comps))
 	}
@@ -487,7 +487,7 @@ func TestFastSupportCountingMatchesNaive(t *testing.T) {
 			t.Fatal("no candidates")
 		}
 		opts := Options{MaxCompositionLen: maxLen}
-		comps, fast := trieCandidates(newCandidateTrie(obs), obs, opts)
+		comps, fast := trieCandidates(poolSupports(obs, opts))
 		slow := countSupportsNaive(obs, candidates, opts)
 		if len(comps) != len(candidates) {
 			t.Fatalf("maxLen=%d: %d trie candidates, oracle %d", maxLen, len(comps), len(candidates))
@@ -540,7 +540,7 @@ func TestSlidingRunSupportCountingMatchesNaive(t *testing.T) {
 					t.Fatal("no candidates")
 				}
 				opts := Options{MaxCompositionLen: maxLen}
-				comps, fast := trieCandidates(newCandidateTrie(obs), obs, opts)
+				comps, fast := trieCandidates(poolSupports(obs, opts))
 				slow := countSupportsNaive(obs, candidates, opts)
 				if len(comps) != len(candidates) {
 					t.Fatalf("omega=%d maxLen=%d: %d trie candidates, oracle %d", omega, maxLen, len(comps), len(candidates))

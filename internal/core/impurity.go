@@ -47,11 +47,17 @@ func (sc SplitCriterion) Impurity(cc ClassCounts) float64 {
 // IG = G(parent) − |in|/|parent|·G(in) − |out|/|parent|·G(out).
 // A degenerate partition (either side empty) gains nothing.
 func (sc SplitCriterion) InformationGain(parent, in, out ClassCounts) float64 {
+	return sc.gain(sc.Impurity(parent), parent, in, out)
+}
+
+// gain is InformationGain given the parent's impurity, which every
+// candidate split of one node shares.
+func (sc SplitCriterion) gain(parentImpurity float64, parent, in, out ClassCounts) float64 {
 	total := parent.Total()
 	if total == 0 || in.Total() == 0 || out.Total() == 0 {
 		return 0
 	}
-	g := sc.Impurity(parent)
+	g := parentImpurity
 	g -= float64(in.Total()) / float64(total) * sc.Impurity(in)
 	g -= float64(out.Total()) / float64(total) * sc.Impurity(out)
 	return g

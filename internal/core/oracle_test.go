@@ -117,7 +117,7 @@ func countSupportsNaive(obs []Observation, candidates []Composition, opts Option
 	return counts
 }
 
-// oracleBest is bestComposition read off the oracle: the first candidate
+// oracleBest is candidateTrie.best read off the oracle: the first candidate
 // in enumeration order whose gain strictly exceeds every earlier one.
 func oracleBest(obs []Observation, opts Options) (*Composition, float64, ClassCounts) {
 	candidates := enumerateCompositions(obs, opts.MaxCompositionLen)
@@ -137,39 +137,42 @@ func oracleBest(obs []Observation, opts Options) (*Composition, float64, ClassCo
 	return &candidates[bestIdx], bestGain, counts[bestIdx]
 }
 
-// trieCandidates lists the trie's candidates for obs in the candidate
-// order its tie-break uses (before), with their supports under opts,
-// counted as bestComposition counts them.
-func trieCandidates(tr *candidateTrie, obs []Observation, opts Options) ([]Composition, []ClassCounts) {
-	tr.candidates(obs, opts.MaxCompositionLen)
-	if opts.Match == MatchContiguous {
-		tr.countContiguous(obs)
-	} else {
-		tr.countSubsequence(obs, opts)
+// poolSupports builds the trie of obs under opts and counts obs over it,
+// as Build does at the root.
+func poolSupports(obs []Observation, opts Options) (*candidateTrie, supports) {
+	tr := newCandidateTrie(obs, opts)
+	return tr, tr.count(obs, nil)
+}
+
+// trieCandidates lists the candidates s marks live in the candidate
+// order the trie's tie-break uses (before), with their supports.
+func trieCandidates(tr *candidateTrie, s supports) ([]Composition, []ClassCounts) {
+	var order []int32
+	for n := int32(1); int(n) < len(tr.nodes); n++ {
+		if s.contig[n].anomaly > 0 {
+			order = append(order, n)
+		}
 	}
-	order := make([]int32, len(tr.nodes)-1)
-	for i := range order {
-		order[i] = int32(i + 1)
-	}
-	sort.Slice(order, func(i, j int) bool { return tr.before(obs, order[i], order[j]) })
+	sort.Slice(order, func(i, j int) bool { return tr.before(order[i], order[j]) })
 	comps := make([]Composition, len(order))
 	counts := make([]ClassCounts, len(order))
 	for i, n := range order {
-		comps[i] = tr.composition(obs, n)
-		counts[i] = tr.nodes[n].counts
+		comps[i] = tr.composition(n)
+		counts[i] = s.match[n].classCounts()
 	}
 	return comps, counts
 }
 
-// checkAgainstOracle fails t unless tr lists the oracle's candidates in
-// the oracle's order with the naive supports, and picks the oracle's
+// checkAgainstOracle fails t unless s, the supports of obs (one tree
+// node's observations) over tr, lists the oracle's candidates in the
+// oracle's order with the naive supports, and scores to the oracle's
 // split: the same composition, the same gain bit for bit, the same
 // counts.
-func checkAgainstOracle(t *testing.T, what string, tr *candidateTrie, obs []Observation, opts Options) {
+func checkAgainstOracle(t *testing.T, what string, tr *candidateTrie, s supports, obs []Observation, opts Options) {
 	t.Helper()
 	want := enumerateCompositions(obs, opts.MaxCompositionLen)
 	wantCounts := countSupportsNaive(obs, want, opts)
-	got, gotCounts := trieCandidates(tr, obs, opts)
+	got, gotCounts := trieCandidates(tr, s)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d candidates, oracle %d", what, len(got), len(want))
 	}
@@ -181,7 +184,7 @@ func checkAgainstOracle(t *testing.T, what string, tr *candidateTrie, obs []Obse
 			t.Fatalf("%s: candidate %v counts %+v, oracle %+v", what, want[i], gotCounts[i], wantCounts[i])
 		}
 	}
-	c, gain, in := tr.bestComposition(obs, opts)
+	c, gain, in := tr.best(s, Count(obs))
 	wc, wgain, win := oracleBest(obs, opts)
 	if (c == nil) != (wc == nil) {
 		t.Fatalf("%s: best %v, oracle %v", what, c, wc)
@@ -248,83 +251,97 @@ func randomObservations(rng *rand.Rand, shape string, omega int, alphabet []patt
 	return obs
 }
 
-// subset returns an order-preserving random subset of obs, the shape a
-// tree node's share of the pool takes after partitioning.
-func subset(rng *rand.Rand, obs []Observation) []Observation {
-	var out []Observation
+// split partitions obs at random into two order-preserving parts, the
+// shape a tree node's share of the pool takes after partitioning.
+func split(rng *rand.Rand, obs []Observation) (part, rest []Observation) {
 	for _, o := range obs {
 		if rng.Intn(3) > 0 {
-			out = append(out, o)
+			part = append(part, o)
+		} else {
+			rest = append(rest, o)
 		}
 	}
-	return out
+	return part, rest
 }
 
 // The candidate trie must reproduce the string-keyed oracle exactly:
 // candidate list and order, per-candidate supports, and the chosen split.
-// One trie per input is reused across a random subset as well, as Build
-// reuses it across the nodes of one induction.
+// As in Build, one trie over the pool scores a random part of it, counted
+// directly, and the rest, whose supports are the pool's minus the part's:
+// subtracted array from array, or tallied out of the pool's arrays.
 func TestCandidateTrieMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 300; trial++ {
 		shape := []string{"sliding", "isolated", "mixed"}[trial%3]
 		omega := rng.Intn(12) + 1
 		obs := randomObservations(rng, shape, omega, randomAlphabet(rng))
-		tr := newCandidateTrie(obs)
-		part := subset(rng, obs)
+		part, rest := split(rng, obs)
 		for _, maxLen := range []int{0, 1, 3, omega + 1} {
 			for _, mode := range []MatchMode{MatchContiguous, MatchSubsequence} {
 				opts := Options{MaxCompositionLen: maxLen, Match: mode, Parallelism: 2}
 				what := fmt.Sprintf("trial %d %s omega=%d maxLen=%d %v", trial, shape, omega, maxLen, mode)
-				checkAgainstOracle(t, what+" pool", tr, obs, opts)
-				if len(part) > 0 {
-					checkAgainstOracle(t, what+" subset", tr, part, opts)
-				}
+				tr, pool := poolSupports(obs, opts)
+				checkAgainstOracle(t, what+" pool", tr, pool, obs, opts)
+				s := tr.count(part, &pool)
+				checkAgainstOracle(t, what+" part", tr, s, part, opts)
+				tr.subtract(pool, s)
+				checkAgainstOracle(t, what+" rest", tr, pool, rest, opts)
+				pool = tr.count(obs, nil)
+				tr.tally(part, &pool, pool, -1)
+				checkAgainstOracle(t, what+" rest tallied out", tr, pool, rest, opts)
 			}
 		}
 	}
 }
 
-// FuzzBestComposition makes the oracle comparison on fuzzed inputs. Each
-// byte of data places one label (its low three bits pick one of eight,
-// with both signs of magnitude code under one variation) and describes
-// the window starting there: bit 5 marks it anomalous, bit 6 gives it a
-// fresh backing array (breaking the sliding run), bit 7 drops it.
-func FuzzBestComposition(f *testing.F) {
-	f.Add([]byte{0x21, 0x02, 0x43, 0x01, 0x22, 0x03, 0x01, 0x02}, uint8(3), int8(0), false)
-	f.Add([]byte{0x20, 0x20, 0x00, 0x00, 0x61, 0x01, 0x81, 0x21, 0x00, 0x04}, uint8(4), int8(2), true)
-	f.Add([]byte{0x25, 0x05, 0x05, 0x05, 0x25, 0x05}, uint8(1), int8(-1), false)
+// fuzzObservations decodes a fuzz input into windows of width
+// omegaRaw%10+1. Each byte of data places one label (its low three bits
+// pick one of eight, with both signs of magnitude code under one
+// variation) and describes the window starting there: bit 5 marks it
+// anomalous, bit 6 gives it a fresh backing array (breaking the sliding
+// run), bit 7 drops it.
+func fuzzObservations(data []byte, omegaRaw uint8) []Observation {
 	pick := []pattern.Label{
 		lbl(pattern.PP, 1, -1), lbl(pattern.PP, -1, 1), lbl(pattern.PP, 0, 2), lbl(pattern.PP, -2, 0),
 		lbl(pattern.PN, -1, 1), lbl(pattern.PN, 1, -2), lbl(pattern.CST, 0, 0), lbl(pattern.VP, 1, -1),
 	}
+	if len(data) > 96 {
+		data = data[:96]
+	}
+	omega := int(omegaRaw%10) + 1
+	if len(data) < omega {
+		return nil
+	}
+	seq := make([]pattern.Label, len(data))
+	for i, b := range data {
+		seq[i] = pick[b&7]
+	}
+	var obs []Observation
+	for start := 0; start+omega <= len(seq); start++ {
+		b := data[start]
+		if b&0x80 != 0 {
+			continue
+		}
+		o := Observation{Labels: seq[start : start+omega], Start: start}
+		if b&0x20 != 0 {
+			o.Class = Anomaly
+		}
+		if b&0x40 != 0 {
+			o.Labels = append([]pattern.Label(nil), o.Labels...)
+		}
+		obs = append(obs, o)
+	}
+	return obs
+}
+
+// FuzzBestComposition makes the oracle comparison on fuzzed inputs
+// (encoded as fuzzObservations reads them).
+func FuzzBestComposition(f *testing.F) {
+	f.Add([]byte{0x21, 0x02, 0x43, 0x01, 0x22, 0x03, 0x01, 0x02}, uint8(3), int8(0), false)
+	f.Add([]byte{0x20, 0x20, 0x00, 0x00, 0x61, 0x01, 0x81, 0x21, 0x00, 0x04}, uint8(4), int8(2), true)
+	f.Add([]byte{0x25, 0x05, 0x05, 0x05, 0x25, 0x05}, uint8(1), int8(-1), false)
 	f.Fuzz(func(t *testing.T, data []byte, omegaRaw uint8, maxLen int8, subseq bool) {
-		if len(data) > 96 {
-			data = data[:96]
-		}
-		omega := int(omegaRaw%10) + 1
-		if len(data) < omega {
-			return
-		}
-		seq := make([]pattern.Label, len(data))
-		for i, b := range data {
-			seq[i] = pick[b&7]
-		}
-		var obs []Observation
-		for start := 0; start+omega <= len(seq); start++ {
-			b := data[start]
-			if b&0x80 != 0 {
-				continue
-			}
-			o := Observation{Labels: seq[start : start+omega], Start: start}
-			if b&0x20 != 0 {
-				o.Class = Anomaly
-			}
-			if b&0x40 != 0 {
-				o.Labels = append([]pattern.Label(nil), o.Labels...)
-			}
-			obs = append(obs, o)
-		}
+		obs := fuzzObservations(data, omegaRaw)
 		if len(obs) == 0 {
 			return
 		}
@@ -332,7 +349,8 @@ func FuzzBestComposition(f *testing.F) {
 		if subseq {
 			opts.Match = MatchSubsequence
 		}
-		checkAgainstOracle(t, "fuzz", newCandidateTrie(obs), obs, opts)
+		tr, pool := poolSupports(obs, opts)
+		checkAgainstOracle(t, "fuzz", tr, pool, obs, opts)
 	})
 }
 
@@ -350,31 +368,31 @@ func TestCandidateOrderIsKeyOrder(t *testing.T) {
 		}
 		obs[i] = Observation{Labels: labels, Class: Anomaly}
 	}
-	tr := newCandidateTrie(obs)
-	tr.candidates(obs, 0)
+	tr := newCandidateTrie(obs, Options{})
 	if len(tr.nodes) < 100 {
 		t.Fatalf("only %d candidates", len(tr.nodes)-1)
 	}
 	for a := int32(1); int(a) < len(tr.nodes); a++ {
 		for b := int32(1); int(b) < len(tr.nodes); b++ {
-			want := compareCompositions(tr.composition(obs, a), tr.composition(obs, b)) < 0
-			if got := tr.before(obs, a, b); got != want {
-				t.Fatalf("before(%v, %v) = %v, want %v", tr.composition(obs, a), tr.composition(obs, b), got, want)
+			want := compareCompositions(tr.composition(a), tr.composition(b)) < 0
+			if got := tr.before(a, b); got != want {
+				t.Fatalf("before(%v, %v) = %v, want %v", tr.composition(a), tr.composition(b), got, want)
 			}
 		}
 	}
 }
 
-// bestCompositionAllocSlack bounds how many more allocations scoring a
-// node with ten times the candidates may make: the trie's buffers are
-// reused across calls, so a call allocates the winning composition and,
-// for the larger input, at most a few geometric buffer growths. One
-// allocation per candidate would add thousands.
+// bestCompositionAllocSlack bounds how many more allocations building
+// the trie of, or scoring, a pool with ten times the candidates may
+// make. Every buffer is sized up front and support arrays are recycled,
+// so building allocates a fixed set of buffers and scoring only the
+// winning composition. One allocation per candidate would add
+// thousands.
 const bestCompositionAllocSlack = 4
 
-// Scoring a tree node allocates per node, not per candidate: neither the
-// enumeration nor the counting builds a key, map entry or slice per
-// candidate.
+// Building the candidate trie and scoring a tree node allocate per node,
+// not per candidate: neither the enumeration nor the counting builds a
+// key, map entry or slice per candidate.
 func TestBestCompositionAllocatesPerNodeNotPerCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	alphabet := pattern.NewConfig(3).Alphabet()
@@ -391,18 +409,135 @@ func TestBestCompositionAllocatesPerNodeNotPerCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, large := obs[:400], obs
-	tr := newCandidateTrie(obs)
-	tr.candidates(small, 0)
-	nSmall := len(tr.nodes) - 1
-	tr.candidates(large, 0)
-	nLarge := len(tr.nodes) - 1
+	nSmall := len(newCandidateTrie(small, Options{}).nodes) - 1
+	nLarge := len(newCandidateTrie(large, Options{}).nodes) - 1
 	if nLarge < 9*nSmall {
 		t.Fatalf("large input has %d candidates, small %d; want about 10×", nLarge, nSmall)
 	}
-	s := testing.AllocsPerRun(5, func() { tr.bestComposition(small, Options{}) })
-	l := testing.AllocsPerRun(5, func() { tr.bestComposition(large, Options{}) })
-	if l > s+bestCompositionAllocSlack {
-		t.Fatalf("%v allocations for %d candidates, %v for %d; want at most %d more",
-			l, nLarge, s, nSmall, bestCompositionAllocSlack)
+	check := func(what string, small, large func()) {
+		t.Helper()
+		s := testing.AllocsPerRun(5, small)
+		l := testing.AllocsPerRun(5, large)
+		if l > s+bestCompositionAllocSlack {
+			t.Fatalf("%s: %v allocations for %d candidates, %v for %d; want at most %d more",
+				what, l, nLarge, s, nSmall, bestCompositionAllocSlack)
+		}
 	}
+	check("building the trie",
+		func() { newCandidateTrie(small, Options{}) },
+		func() { newCandidateTrie(large, Options{}) })
+	score := func(pool []Observation) func() {
+		tr := newCandidateTrie(pool, Options{})
+		return func() {
+			s := tr.count(pool, nil)
+			tr.best(s, Count(pool))
+			tr.release(s)
+		}
+	}
+	check("scoring the root", score(small), score(large))
+}
+
+// oracleTree is Algorithm 1 read directly: every node is scored by
+// oracleBest over its own observations and partitioned by MatchedBy.
+func oracleTree(obs []Observation, opts Options, depth int) *Node {
+	n := &Node{Counts: Count(obs), Depth: depth}
+	if n.Pure() || opts.MaxDepth > 0 && depth >= opts.MaxDepth {
+		return n
+	}
+	c, gain, _ := oracleBest(obs, opts)
+	if c == nil || gain <= opts.MinGain {
+		return n
+	}
+	var in, out []Observation
+	for _, o := range obs {
+		if c.MatchedBy(o.Labels, opts.Match) {
+			in = append(in, o)
+		} else {
+			out = append(out, o)
+		}
+	}
+	n.Composition = c
+	n.ChildTrue = oracleTree(in, opts, depth+1)
+	n.ChildFalse = oracleTree(out, opts, depth+1)
+	return n
+}
+
+// checkTree fails t at the first node where got differs from the oracle
+// tree want: composition, class counts, depth or leafness.
+func checkTree(t *testing.T, what, path string, got, want *Node) {
+	t.Helper()
+	switch {
+	case got.Depth != want.Depth || got.Counts != want.Counts || got.Leaf() != want.Leaf():
+		t.Fatalf("%s: node %q: depth %d counts %+v leaf %v, oracle depth %d counts %+v leaf %v",
+			what, path, got.Depth, got.Counts, got.Leaf(), want.Depth, want.Counts, want.Leaf())
+	case got.Leaf():
+		return
+	case compareCompositions(*got.Composition, *want.Composition) != 0:
+		t.Fatalf("%s: node %q splits on %v, oracle %v", what, path, *got.Composition, *want.Composition)
+	}
+	checkTree(t, what, path+"T", got.ChildTrue, want.ChildTrue)
+	checkTree(t, what, path+"F", got.ChildFalse, want.ChildFalse)
+}
+
+// checkBuild fails t unless Build grows the oracle's tree from obs.
+func checkBuild(t *testing.T, what string, obs []Observation, opts Options) {
+	t.Helper()
+	tree, err := Build(obs, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	checkTree(t, what, "", tree.Root, oracleTree(obs, opts, 0))
+}
+
+// Build, which counts each split's smaller child and derives its sibling
+// by subtraction, must grow the tree of the direct reading node for
+// node, over every input shape and option that changes which candidates
+// a node has or which one wins.
+func TestBuildMatchesOracleTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 1500; trial++ {
+		shape := []string{"sliding", "isolated", "mixed"}[trial%3]
+		omega := rng.Intn(10) + 1
+		obs := randomObservations(rng, shape, omega, randomAlphabet(rng))
+		if len(obs) == 0 {
+			continue
+		}
+		for _, mode := range []MatchMode{MatchContiguous, MatchSubsequence} {
+			opts := Options{
+				Match:             mode,
+				MaxCompositionLen: []int{0, 2}[rng.Intn(2)],
+				MaxDepth:          []int{0, 1, 3}[rng.Intn(3)],
+				MinGain:           []float64{0, 0.01}[rng.Intn(2)],
+				Criterion:         []SplitCriterion{Gini, Entropy}[rng.Intn(2)],
+				Parallelism:       rng.Intn(2) + 1,
+			}
+			checkBuild(t, fmt.Sprintf("trial %d %s omega=%d %+v", trial, shape, omega, opts), obs, opts)
+		}
+	}
+}
+
+// FuzzBuild makes the whole-tree oracle comparison on fuzzed inputs
+// (encoded as fuzzObservations reads them). The low two bits of knobs
+// pick MaxDepth 0..3, bit 2 the entropy criterion, bit 3 MinGain 0.01.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{0x21, 0x02, 0x43, 0x01, 0x22, 0x03, 0x01, 0x02}, uint8(3), int8(0), false, uint8(0))
+	f.Add([]byte{0x20, 0x20, 0x00, 0x00, 0x61, 0x01, 0x81, 0x21, 0x00, 0x04}, uint8(4), int8(2), true, uint8(0x06))
+	f.Add([]byte{0x25, 0x05, 0x05, 0x05, 0x25, 0x05}, uint8(1), int8(-1), false, uint8(0x0b))
+	f.Fuzz(func(t *testing.T, data []byte, omegaRaw uint8, maxLen int8, subseq bool, knobs uint8) {
+		obs := fuzzObservations(data, omegaRaw)
+		if len(obs) == 0 {
+			return
+		}
+		opts := Options{MaxCompositionLen: int(maxLen), MaxDepth: int(knobs & 3), Parallelism: 1}
+		if subseq {
+			opts.Match = MatchSubsequence
+		}
+		if knobs&4 != 0 {
+			opts.Criterion = Entropy
+		}
+		if knobs&8 != 0 {
+			opts.MinGain = 0.01
+		}
+		checkBuild(t, "fuzz", obs, opts)
+	})
 }

@@ -121,7 +121,7 @@ func TestSubsequenceSupportCountingMatchesNaive(t *testing.T) {
 				}
 				for _, par := range []int{1, 4} {
 					opts := Options{MaxCompositionLen: maxLen, Match: MatchSubsequence, Parallelism: par}
-					comps, fast := trieCandidates(newCandidateTrie(obs), obs, opts)
+					comps, fast := trieCandidates(poolSupports(obs, opts))
 					slow := countSupportsNaive(obs, candidates, opts)
 					if len(comps) != len(candidates) {
 						t.Fatalf("omega=%d maxLen=%d: %d trie candidates, oracle %d", omega, maxLen, len(comps), len(candidates))

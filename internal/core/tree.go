@@ -26,8 +26,9 @@ type Options struct {
 	// paper requires strictly positive gain (maxGain ≠ 0), which the
 	// zero value reproduces.
 	MinGain float64
-	// Parallelism bounds the goroutines scoring candidate compositions;
-	// 0 means GOMAXPROCS.
+	// Parallelism bounds the goroutines counting candidate supports in
+	// subsequence mode (countSubsequenceSupports); 0 means GOMAXPROCS.
+	// Contiguous counting is one sequential pass and ignores it.
 	Parallelism int
 }
 
@@ -75,6 +76,13 @@ type Tree struct {
 // Build induces a CDT from training observations (Algorithm 1). All
 // observations must share the same window length, which becomes the
 // tree's ω.
+//
+// Algorithm 1 scores every candidate against all of a node's
+// observations. Build counts each candidate's supports over the root's
+// pool once; at each split it counts only the smaller child and derives
+// the larger child's supports by subtracting the smaller's from the
+// parent's, in place. A split's candidates, supports, gains and
+// tie-breaks are those of the direct reading, so the tree is too.
 func Build(obs []Observation, opts Options) (*Tree, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("core: no observations")
@@ -87,34 +95,41 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 	}
 	t := &Tree{Omega: omega, Opts: opts}
 	t.Root = &Node{Counts: Count(obs)}
+	// A node splits only if it is impure and above the depth cap; the
+	// others are leaves and need no supports.
+	splits := func(n *Node) bool {
+		return !n.Pure() && (opts.MaxDepth <= 0 || n.Depth < opts.MaxDepth)
+	}
+	if !splits(t.Root) {
+		return t, nil
+	}
 	// The whole induction works over one private copy of the observation
 	// pool (the input — often a shared Corpus cache entry — is never
 	// mutated). Each node owns a contiguous range of work; splitting
 	// stably partitions the range in place via one scratch buffer, so
-	// tree growth allocates no per-node observation slices.
+	// tree growth allocates no per-node observation slices. Candidate
+	// occurrences index the input, which partitioning leaves in order.
 	work := make([]Observation, len(obs))
 	copy(work, obs)
 	scratch := make([]Observation, len(obs))
 	marks := make([]bool, len(obs))
-	trie := newCandidateTrie(work)
-	// Algorithm 1 processes a FIFO queue of (node, range) pairs.
+	trie := newCandidateTrie(obs, opts)
+	// Nodes wait on a stack with their range and supports. The order
+	// nodes are split in does not change the tree, and a stack keeps at
+	// most one pending sibling, so one support array, per level.
 	type item struct {
 		node   *Node
 		lo, hi int
+		sup    supports
 	}
-	queue := []item{{t.Root, 0, len(obs)}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
+	stack := []item{{t.Root, 0, len(obs), trie.count(work, nil)}}
+	for len(stack) > 0 {
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		node, data := it.node, work[it.lo:it.hi]
-		if node.Pure() {
-			continue
-		}
-		if opts.MaxDepth > 0 && node.Depth >= opts.MaxDepth {
-			continue
-		}
-		best, gain, inCounts := trie.bestComposition(data, opts)
+		best, gain, inCounts := trie.best(it.sup, node.Counts)
 		if best == nil || gain <= opts.MinGain {
+			trie.release(it.sup)
 			continue
 		}
 		// The split scoring already counted the in-side, so the child
@@ -142,7 +157,35 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 		node.Composition = best
 		node.ChildTrue = &Node{Counts: inCounts, Depth: node.Depth + 1}
 		node.ChildFalse = &Node{Counts: outCounts, Depth: node.Depth + 1}
-		queue = append(queue, item{node.ChildTrue, it.lo, it.lo + nIn}, item{node.ChildFalse, it.lo + nIn, it.hi})
+		in := item{node: node.ChildTrue, lo: it.lo, hi: it.lo + nIn}
+		out := item{node: node.ChildFalse, lo: it.lo + nIn, hi: it.hi}
+		small, large := &in, &out
+		if nIn > it.hi-it.lo-nIn {
+			small, large = large, small
+		}
+		// Count the smaller child; the larger one inherits the parent's
+		// supports minus the smaller's. A child that does not split
+		// gets no supports, so a leaf smaller child is subtracted from
+		// the parent's arrays as it is counted.
+		smallObs := work[small.lo:small.hi]
+		if splits(small.node) {
+			small.sup = trie.count(smallObs, &it.sup)
+		}
+		switch {
+		case !splits(large.node):
+			trie.release(it.sup)
+		case splits(small.node):
+			trie.subtract(it.sup, small.sup)
+			large.sup = it.sup
+		default:
+			trie.tally(smallObs, &it.sup, it.sup, -1)
+			large.sup = it.sup
+		}
+		for _, c := range []item{in, out} {
+			if splits(c.node) {
+				stack = append(stack, c)
+			}
+		}
 	}
 	return t, nil
 }

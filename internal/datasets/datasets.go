@@ -69,7 +69,9 @@ func WriteCSV(w io.Writer, s *timeseries.Series) error {
 }
 
 // ReadCSV parses the WriteCSV format (a header line then "value,anomaly"
-// rows; the anomaly column is optional).
+// rows; the anomaly column is optional). The header is optional too:
+// the first line is one exactly when its first field is not a number,
+// so a headerless file whose first reading is 1e-05 or NaN keeps it.
 func ReadCSV(r io.Reader, name string) (*timeseries.Series, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -83,12 +85,12 @@ func ReadCSV(r io.Reader, name string) (*timeseries.Series, error) {
 		if text == "" {
 			continue
 		}
-		if line == 1 && strings.ContainsAny(text, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ") {
-			continue // header
-		}
 		parts := strings.Split(text, ",")
 		v, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
 		if err != nil {
+			if line == 1 {
+				continue // header: its first field names the column
+			}
 			return nil, fmt.Errorf("datasets: %s line %d: %w", name, line, err)
 		}
 		values = append(values, v)

@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,47 @@ func TestReadCSVWithoutAnomalyColumn(t *testing.T) {
 	}
 	if got.Len() != 2 {
 		t.Errorf("len = %d", got.Len())
+	}
+}
+
+// Line 1 is a header exactly when its first field is not a number, so a
+// headerless file keeps a first reading written in exponent form or as
+// NaN, Inf.
+func TestReadCSVHeaderDetection(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		values  []float64
+		labeled bool
+	}{
+		{"1e-05,0\n0.2,0\n0.3,1\n", []float64{1e-05, 0.2, 0.3}, true},
+		{"0.00001,0\n0.2,0\n0.3,1\n", []float64{1e-05, 0.2, 0.3}, true},
+		{"nan,0\n1,0\n", []float64{math.NaN(), 1}, true},
+		{"-Inf,1\n2,0\n", []float64{math.Inf(-1), 2}, true},
+		{"1\n2\n", []float64{1, 2}, false},
+		{"value,is_anomaly\n1e-05,0\n2,1\n", []float64{1e-05, 2}, true},
+		{"value\n1\n2\n", []float64{1, 2}, false},
+		{"e5,is_anomaly\n3,0\n", []float64{3}, true},
+		{"\n1,0\n", []float64{1}, true},
+	} {
+		got, err := ReadCSV(strings.NewReader(tc.in), "x")
+		if err != nil {
+			t.Errorf("%q: %v", tc.in, err)
+			continue
+		}
+		if got.Labeled() != tc.labeled || got.Len() != len(tc.values) {
+			t.Errorf("%q: %d values, labeled %v; want %d, %v", tc.in, got.Len(), got.Labeled(), len(tc.values), tc.labeled)
+			continue
+		}
+		for i, want := range tc.values {
+			if v := got.Values[i]; v != want && !(math.IsNaN(v) && math.IsNaN(want)) {
+				t.Errorf("%q: value %d = %v, want %v", tc.in, i, v, want)
+			}
+		}
+	}
+	// A first line whose first field is a number is a reading, so a
+	// junk flag after it is an error, not a header.
+	if _, err := ReadCSV(strings.NewReader("1,x\n2,0\n"), "x"); err == nil {
+		t.Error(`"1,x" on line 1 accepted as a header`)
 	}
 }
 

@@ -16,10 +16,11 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("1,2,3\n")
 	f.Add("nan,0\n")
 	f.Add("1e308,1\n-1e308,0\n")
-	// The two seeds above read as a header line (it holds a letter), so
-	// these repeat them after a header to reach the data rows.
 	f.Add("value,is_anomaly\nnan,0\n1,0\n")
 	f.Add("value,is_anomaly\n1e308,1\n-1e308,0\n")
+	// Headerless files whose first reading holds a letter.
+	f.Add("1e-05,0\n0.2,0\n0.3,1")
+	f.Add("nan,0\n1,0")
 	f.Fuzz(func(t *testing.T, input string) {
 		s, err := ReadCSV(strings.NewReader(input), "fuzz")
 		if err != nil {

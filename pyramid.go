@@ -35,6 +35,7 @@ package cdt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"cdt/internal/engine"
@@ -500,7 +501,10 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 	default:
 		return nil
 	}
-	var fired [][]bool
+	// The fire matrix lives on one backing array: one row of a cell per
+	// scale for each point.
+	scales := len(pm.models)
+	var cells []bool
 	var truth []bool
 	for _, s := range train {
 		if s.Anomalies == nil {
@@ -514,14 +518,17 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 		if err != nil {
 			return err
 		}
+		cells = slices.Grow(cells, ns.Len()*scales)
 		for p := 0; p < ns.Len(); p++ {
-			row := make([]bool, len(coverage))
 			for i := range coverage {
-				row[i] = coverage[i][p]
+				cells = append(cells, coverage[i][p])
 			}
-			fired = append(fired, row)
-			truth = append(truth, s.Anomalies[p])
 		}
+		truth = append(truth, s.Anomalies[:ns.Len()]...)
+	}
+	fired := make([][]bool, len(truth))
+	for p := range fired {
+		fired[p] = cells[p*scales : (p+1)*scales : (p+1)*scales]
 	}
 	fu, err := fit(fired, truth)
 	if err != nil {
