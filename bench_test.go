@@ -26,6 +26,7 @@ import (
 	"cdt/internal/bayesopt"
 	"cdt/internal/core"
 	"cdt/internal/datasets/sge"
+	"cdt/internal/engine"
 	"cdt/internal/experiments"
 	"cdt/internal/iforest"
 	"cdt/internal/matrixprofile"
@@ -384,6 +385,58 @@ func BenchmarkRuleDetection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sweepSink keeps BenchmarkSweepCalorie's results live.
+var sweepSink *engine.Marks
+
+// BenchmarkSweepCalorie scores the repository benchmark's batch-plain
+// traffic shape in process: the served calorie model (the first four
+// of five seed-2 calorie sensors × 2,000 days at ω = 5, δ = 2; 15
+// predicates over 21 compositions) over 8 held-out 2,000-point seed-1
+// series. /sweep runs the compiled engine's Sweep over the series'
+// labels; /detect runs DetectExplained (normalize, label, sweep,
+// render). Each op covers all 8 series.
+func BenchmarkSweepCalorie(b *testing.B) {
+	const days = 2000
+	train := sge.Calorie(sge.CalorieOptions{Sensors: 5, Days: days, Seed: 2}).Series[:4]
+	opts := cdt.Options{Omega: 5, Delta: 2}
+	model, err := cdt.Fit(train, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := engine.Compile(model.Rule(), opts.Omega)
+	held := sge.Calorie(sge.CalorieOptions{Sensors: 8, Days: days, Seed: 1}).Series
+	series := make([]*cdt.Series, len(held))
+	labels := make([][]pattern.Label, len(held))
+	for i, s := range held {
+		series[i] = cdt.NewSeries(s.Name, s.Values)
+		ns := series[i].Clone()
+		if _, err := ns.Normalize(); err != nil {
+			b.Fatal(err)
+		}
+		if labels[i], err = pattern.NewConfig(opts.Delta).LabelSeries(ns.Values); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, ls := range labels {
+				sweepSink = e.Sweep(ls)
+			}
+		}
+	})
+	b.Run("detect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range series {
+				if _, err := model.DetectExplained(context.Background(), s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkRuleDetectionBaseline is the pre-engine detection path —

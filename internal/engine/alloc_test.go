@@ -1,12 +1,14 @@
 package engine_test
 
-// Allocation tests: the cursor runs once per label and the sweeps once
-// per window on every detection path, so none of them may allocate per
-// label or per window. Test names contain "Allocates" so CI's
-// allocation step, which runs without the race detector, selects them.
+// Allocation tests: the cursor runs once per label on every stream and
+// the sweeps once per batch series or pool, so none of them may
+// allocate per label or per window. Test names contain "Allocates" so
+// CI's allocation step, which runs without the race detector, selects
+// them.
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"cdt/internal/core"
@@ -101,11 +103,9 @@ func TestEvalWindowAllocatesNothing(t *testing.T) {
 }
 
 // sweepAllocSlack bounds how many more allocations a sweep may make over
-// a long input than over a short one: the marks' bitset rows are
-// allocated on the first firing window, and the cursor's fired and
-// active sets grow geometrically up to the rule's predicate and
-// composition counts. One allocation per window would add tens of
-// thousands.
+// a long input than over a short one, should the scratch pool have been
+// emptied by a collection between the two. One allocation per window
+// would add tens of thousands.
 const sweepAllocSlack = 8
 
 // checkSweepAllocs fails t unless sweeping long inputs allocates within
@@ -162,6 +162,45 @@ func TestSweepObservationsAllocatesPerSweepNotPerWindow(t *testing.T) {
 				e := engine.Compile(r, omega)
 				checkSweepAllocs(t, "SweepObservations "+mode.String(),
 					func() { e.SweepObservations(short) }, func() { e.SweepObservations(long) })
+			}
+		}
+	}
+}
+
+// TestSweepAllocatesOnlyItsMarks: with the scratch pool warm, a sweep
+// allocates exactly its Marks — the header and one bitset slice —
+// whatever the series length and however many windows fire.
+func TestSweepAllocatesOnlyItsMarks(t *testing.T) {
+	skipUnderRace(t)
+	// A collection could empty the scratch pool mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(65))
+	alphabet := cfg2.Alphabet()
+	// randomLabels draws from alphabet[:5], so absent never occurs.
+	absent := core.Composition{Labels: alphabet[20:21]}
+	long := randomLabels(rng, alphabet, 4096+130)
+	for _, mode := range matchModes {
+		for _, omega := range []int{1, 5, 64, 130} {
+			for _, c := range []struct {
+				name string
+				r    rules.Rule
+			}{
+				{"none fire", rules.Rule{Mode: mode, Predicates: []rules.Predicate{{Literals: []rules.Literal{{Comp: absent}}}}}},
+				{"all fire", rules.Rule{Mode: mode, Predicates: []rules.Predicate{{Literals: []rules.Literal{{Comp: absent, Neg: true}}}}}},
+				{"random", firingRules(t, rng, mode, long, omega, 1)[0]},
+			} {
+				name, e := c.name, engine.Compile(c.r, omega)
+				for _, labels := range [][]pattern.Label{long[:omega+10], long} {
+					if n := testing.AllocsPerRun(10, func() { e.Sweep(labels) }); n != 2 {
+						t.Errorf("Sweep mode=%v ω=%d %s over %d labels: %v allocations, want 2",
+							mode, omega, name, len(labels), n)
+					}
+					obs := pooledObservations(t, labels, omega, len(labels)-omega+1)
+					if n := testing.AllocsPerRun(10, func() { e.SweepObservations(obs) }); n != 2 {
+						t.Errorf("SweepObservations mode=%v ω=%d %s over %d windows: %v allocations, want 2",
+							mode, omega, name, len(obs), n)
+					}
+				}
 			}
 		}
 	}

@@ -5,25 +5,35 @@
 // once at Fit/Load time; afterwards the engine is read-only and safe for
 // any number of concurrent cursors and sweeps.
 //
-// Compile deduplicates the rule's compositions and builds, per match
-// mode, one automaton over the interned label alphabet:
+// Compile deduplicates the rule's compositions and masks, per
+// predicate, its positive and negated ones over them. It serves three
+// views:
 //
-//   - MatchContiguous: a dense-table Aho–Corasick automaton. Each label
-//     advances one DFA state and reports the compositions whose
-//     occurrence ends there; per composition the engine keeps the last
-//     window start its most recent occurrence still covers (global end
-//     − len + 1), so "composition ⊆o window" collapses to one
-//     comparison — until[c] >= ws for a window starting at global
-//     position ws.
-//   - MatchSubsequence: the bitmask latest-start NFA of core.SubseqNFA;
-//     "composition ⊆o window" is LatestStart(c) >= ws.
+//   - Batch (Sweep, SweepObservations; sweep.go): every window of a run
+//     at once, 64 windows per machine word. One window bitset per
+//     composition — contiguous mode from shifted ANDs of per-label
+//     position bitsets, subsequence mode from the latest-start NFA —
+//     then per predicate the AND of its positive compositions' sets
+//     with its negated compositions' sets cleared. The result, Marks,
+//     is one window bitset per predicate plus their union.
+//   - Incremental (Cursor): one label in, the fired set of the window it
+//     completes out, for streams. Contiguous mode steps a dense-table
+//     Aho–Corasick automaton, which reports the compositions whose
+//     occurrence ends at each label; per composition the cursor keeps
+//     the last window start its most recent occurrence still covers
+//     (global end − len + 1), so "composition ⊆o window" collapses to
+//     until[c] >= ws for a window starting at global position ws.
+//     Subsequence mode steps the bitmask latest-start NFA of
+//     core.SubseqNFA, where the test is LatestStart(c) >= ws. Fired
+//     predicates come from the masks over the composition-match
+//     bitset: predicate p fires iff matched ⊇ pos[p] and
+//     matched ∩ neg[p] = ∅.
+//   - Single window (EvalWindow): one window of any length, through the
+//     cursor's automata.
 //
 // Both automata work in global positions and never reset between
 // windows, runs, or streams (stale state always fails the >= ws test),
 // which is what makes the incremental view O(1) amortized per label.
-// Per-window fired predicates then come from precompiled bitset masks
-// over the composition-match bitset: predicate p fires iff
-// matched ⊇ pos[p] and matched ∩ neg[p] = ∅.
 //
 // Bit-identity contract: for every window, in both match modes, the
 // fired-predicate set equals evaluating rules.Predicate.Matches — i.e.
@@ -72,6 +82,7 @@ type Engine struct {
 	ac *acAutomaton // contiguous mode; nil when comps is empty
 
 	scratch sync.Pool // *matchState, for EvalWindow
+	sweeps  sync.Pool // *sweepScratch, for the batch views
 }
 
 // Compile builds the engine for a rule set at window size omega
@@ -133,6 +144,7 @@ func Compile(r rules.Rule, omega int) *Engine {
 		e.ac = newAC(e.comps)
 	}
 	e.scratch.New = func() any { return e.newMatchState() }
+	e.sweeps.New = func() any { return e.newSweepScratch() }
 	return e
 }
 
@@ -253,7 +265,7 @@ func (s *matchState) evalCached(e *Engine) []int {
 
 // appendFired appends the 0-based indices of predicates firing on the
 // matched bitset. omegaOnly restricts the scan to predicates alive at
-// ω-windows (the cursor/sweep path); EvalWindow passes false because a
+// ω-windows (the cursor path); EvalWindow passes false because a
 // longer window can satisfy compositions longer than ω.
 func (e *Engine) appendFired(matched []uint64, omegaOnly bool, dst []int) []int {
 	if omegaOnly {
@@ -381,59 +393,6 @@ func (c *Cursor) RunLen() int { return c.runLen }
 func (c *Cursor) Reset() {
 	c.runLen = 0
 	c.s.state = 0
-}
-
-// Sweep evaluates every sliding ω-window of one labeled series in a
-// single pass, returning per-window marks. Window w covers
-// labels[w : w+ω]; a series shorter than ω yields zero windows.
-func (e *Engine) Sweep(labels []pattern.Label) *Marks {
-	n := len(labels) - e.omega + 1
-	if n < 0 {
-		n = 0
-	}
-	m := newMarks(e.numPreds, n)
-	cur := e.NewCursor()
-	w := 0
-	for _, l := range labels {
-		if fired, ok := cur.Step(l); ok {
-			m.set(w, fired)
-			w++
-		}
-	}
-	return m
-}
-
-// SweepObservations evaluates a pooled observation set — the Corpus
-// layout: maximal runs of consecutive sliding ω-windows with isolated
-// windows in between — paying one Step per window inside a run. Marks
-// index i corresponds to obs[i]. Observations whose length differs from
-// ω (not produced by the pooling, but legal for direct callers) are
-// evaluated standalone with whole-window semantics.
-func (e *Engine) SweepObservations(obs []core.Observation) *Marks {
-	m := newMarks(e.numPreds, len(obs))
-	cur := e.NewCursor()
-	var prev []pattern.Label
-	for i := range obs {
-		ls := obs[i].Labels
-		switch {
-		case len(ls) != e.omega:
-			m.set(i, e.EvalWindow(ls, nil))
-			prev = nil
-			continue
-		case prev != nil && core.SlidingAdjacent(prev, ls):
-			fired, _ := cur.Step(ls[e.omega-1])
-			m.set(i, fired)
-		default:
-			cur.Reset()
-			var fired []int
-			for _, l := range ls {
-				fired, _ = cur.Step(l)
-			}
-			m.set(i, fired)
-		}
-		prev = ls
-	}
-	return m
 }
 
 // EvalWindow evaluates one window of labels in isolation — whole-slice

@@ -6,6 +6,7 @@ package engine_test
 // (Sweep, SweepObservations, Cursor, EvalWindow).
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,45 +73,115 @@ func checkWindow(t *testing.T, ctx string, got, want []int) {
 	}
 }
 
+// checkSweep fails t unless e.Sweep(labels) marks every ω-window of
+// labels as the oracle evaluates r on it.
+func checkSweep(t *testing.T, r rules.Rule, omega int, labels []pattern.Label) {
+	t.Helper()
+	marks := engine.Compile(r, omega).Sweep(labels)
+	wantWindows := max(len(labels)-omega+1, 0)
+	if marks.NumWindows() != wantWindows {
+		t.Fatalf("mode=%v omega=%d len=%d: %d windows, want %d",
+			r.Mode, omega, len(labels), marks.NumWindows(), wantWindows)
+	}
+	var got []int
+	for w := 0; w < marks.NumWindows(); w++ {
+		want := oracleFired(r, labels[w:w+omega])
+		got = marks.AppendFired(got[:0], w)
+		checkWindow(t, fmt.Sprintf("mode=%v omega=%d len=%d window %d", r.Mode, omega, len(labels), w), got, want)
+		if marks.Fired(w) != (len(want) > 0) {
+			t.Fatalf("Fired(%d) = %v, oracle %v", w, marks.Fired(w), want)
+		}
+		wantFirst := -1
+		if len(want) > 0 {
+			wantFirst = want[0]
+		}
+		if marks.First(w) != wantFirst {
+			t.Fatalf("First(%d) = %d, want %d", w, marks.First(w), wantFirst)
+		}
+	}
+}
+
 func TestSweepMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	alphabet := cfg2.Alphabet()
-	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+	for _, mode := range matchModes {
 		for trial := 0; trial < 40; trial++ {
 			r := randomRule(rng, alphabet, mode)
 			omega := 1 + rng.Intn(8)
-			labels := randomLabels(rng, alphabet, rng.Intn(40))
-			e := engine.Compile(r, omega)
-			marks := e.Sweep(labels)
-			wantWindows := max(len(labels)-omega+1, 0)
-			if marks.NumWindows() != wantWindows {
-				t.Fatalf("mode=%v omega=%d len=%d: %d windows, want %d",
-					mode, omega, len(labels), marks.NumWindows(), wantWindows)
-			}
-			var got []int
-			for w := 0; w < marks.NumWindows(); w++ {
-				want := oracleFired(r, labels[w:w+omega])
-				got = marks.AppendFired(got[:0], w)
-				checkWindow(t, mode.String(), got, want)
-				if marks.Fired(w) != (len(want) > 0) {
-					t.Fatalf("Fired(%d) = %v, oracle %v", w, marks.Fired(w), want)
-				}
-				wantFirst := -1
-				if len(want) > 0 {
-					wantFirst = want[0]
-				}
-				if marks.First(w) != wantFirst {
-					t.Fatalf("First(%d) = %d, want %d", w, marks.First(w), wantFirst)
+			checkSweep(t, r, omega, randomLabels(rng, alphabet, rng.Intn(40)))
+		}
+	}
+	for _, mode := range matchModes {
+		for _, omega := range boundaryOmegas {
+			for _, extra := range boundaryExtras {
+				labels := randomLabels(rng, alphabet, omega+extra)
+				for trial := 0; trial < 2; trial++ {
+					checkSweep(t, drawnRule(rng, labels, omega, mode), omega, labels)
 				}
 			}
 		}
 	}
 }
 
+// The batch sweep works 64 windows per word and shifts position bitsets
+// by up to ω−1 bits, so the word-boundary cases put ω and the window
+// count on both sides of word boundaries (series lengths ω+extra), and
+// drawnRule cuts compositions of up to ω+1 labels from the series
+// itself, so that long compositions occur in some windows and shifts of
+// 64 bits or more take effect.
+var (
+	boundaryOmegas = []int{1, 2, 63, 64, 65, 130}
+	boundaryExtras = []int{-1, 0, 62, 63, 64, 127, 700}
+)
+
+// drawnRule builds a rule whose compositions are mostly cut from labels
+// — a contiguous run, or in subsequence mode an in-order pick from a
+// span — at lengths around word and window boundaries, and otherwise
+// drawn from the alphabet as in randomRule.
+func drawnRule(rng *rand.Rand, labels []pattern.Label, omega int, mode core.MatchMode) rules.Rule {
+	lengths := []int{1, 2, 3, 5, 63, 64, 65, 66, omega - 1, omega, omega + 1}
+	alphabet := cfg2.Alphabet()
+	r := rules.Rule{Mode: mode}
+	for p, nPred := 0, 1+rng.Intn(4); p < nPred; p++ {
+		var pred rules.Predicate
+		for l, nLit := 0, 1+rng.Intn(3); l < nLit; l++ {
+			var comp []pattern.Label
+			if k := lengths[rng.Intn(len(lengths))]; k >= 1 && k <= len(labels) && rng.Intn(4) != 0 {
+				comp = cutComposition(rng, labels, k, mode)
+			} else {
+				comp = randomLabels(rng, alphabet, 1+rng.Intn(5))
+			}
+			pred.Literals = append(pred.Literals, rules.Literal{
+				Comp: core.Composition{Labels: comp},
+				Neg:  rng.Intn(3) == 0,
+			})
+		}
+		r.Predicates = append(r.Predicates, pred)
+	}
+	return r
+}
+
+// cutComposition returns k labels occurring in labels under mode.
+func cutComposition(rng *rand.Rand, labels []pattern.Label, k int, mode core.MatchMode) []pattern.Label {
+	if mode == core.MatchContiguous {
+		s := rng.Intn(len(labels) - k + 1)
+		return slices.Clone(labels[s : s+k])
+	}
+	span := min(len(labels), k+rng.Intn(k+1))
+	s := rng.Intn(len(labels) - span + 1)
+	picks := rng.Perm(span)[:k]
+	slices.Sort(picks)
+	comp := make([]pattern.Label, k)
+	for i, j := range picks {
+		comp[i] = labels[s+j]
+	}
+	return comp
+}
+
 func TestCursorResetIsolatesRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	alphabet := cfg2.Alphabet()
-	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+	for _, mode := range matchModes {
 		for trial := 0; trial < 25; trial++ {
 			r := randomRule(rng, alphabet, mode)
 			omega := 1 + rng.Intn(6)
@@ -138,10 +209,26 @@ func TestCursorResetIsolatesRuns(t *testing.T) {
 	}
 }
 
+// checkSweepObservations fails t unless e.SweepObservations(obs) marks
+// every observation as the oracle evaluates r on it.
+func checkSweepObservations(t *testing.T, r rules.Rule, omega int, obs []core.Observation) {
+	t.Helper()
+	marks := engine.Compile(r, omega).SweepObservations(obs)
+	if marks.NumWindows() != len(obs) {
+		t.Fatalf("%d windows for %d observations", marks.NumWindows(), len(obs))
+	}
+	var got []int
+	for i := range obs {
+		want := oracleFired(r, obs[i].Labels)
+		got = marks.AppendFired(got[:0], i)
+		checkWindow(t, fmt.Sprintf("obs mode=%v omega=%d observation %d of %d", r.Mode, omega, i, len(obs)), got, want)
+	}
+}
+
 func TestSweepObservationsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	alphabet := cfg2.Alphabet()
-	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+	for _, mode := range matchModes {
 		for trial := 0; trial < 25; trial++ {
 			r := randomRule(rng, alphabet, mode)
 			omega := 1 + rng.Intn(5)
@@ -160,23 +247,51 @@ func TestSweepObservationsMatchesOracle(t *testing.T) {
 			}
 			obs = append(obs, core.Observation{Labels: randomLabels(rng, alphabet, omega+3)})
 			obs = append(obs, sliding[12:]...)
-
-			e := engine.Compile(r, omega)
-			marks := e.SweepObservations(obs)
-			var got []int
-			for i := range obs {
-				want := oracleFired(r, obs[i].Labels)
-				got = marks.AppendFired(got[:0], i)
-				checkWindow(t, "obs "+mode.String(), got, want)
+			checkSweepObservations(t, r, omega, obs)
+		}
+	}
+	for _, mode := range matchModes {
+		for _, omega := range boundaryOmegas {
+			for _, extra := range boundaryExtras {
+				seq := randomLabels(rng, alphabet, omega+extra)
+				checkSweepObservations(t, drawnRule(rng, seq, omega, mode), omega, boundaryPool(rng, seq, omega))
 			}
 		}
 	}
 }
 
+// boundaryPool lays out the ω-windows of seq as a pool whose runs start
+// at many offsets modulo 64: a run, isolated copies, an observation
+// longer than ω, the rest of the run, then up to 70 windows capped at
+// their own length, whose run labels cannot be resliced from the first
+// window.
+func boundaryPool(rng *rand.Rand, seq []pattern.Label, omega int) []core.Observation {
+	var sliding []core.Observation
+	if len(seq) >= omega {
+		var err error
+		if sliding, err = core.Windows(seq, nil, omega); err != nil {
+			panic(err)
+		}
+	}
+	k1 := len(sliding) / 3
+	k2 := min(k1+2, len(sliding))
+	obs := slices.Clone(sliding[:k1])
+	for _, o := range sliding[k1:k2] {
+		obs = append(obs, core.Observation{Labels: slices.Clone(o.Labels)})
+	}
+	long := seq[:min(len(seq), omega+1+rng.Intn(70))]
+	obs = append(obs, core.Observation{Labels: slices.Clone(long)})
+	obs = append(obs, sliding[k2:]...)
+	for s := 0; s < min(len(sliding), 70); s++ {
+		obs = append(obs, core.Observation{Labels: seq[s : s+omega : s+omega]})
+	}
+	return obs
+}
+
 func TestEvalWindowMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	alphabet := cfg2.Alphabet()
-	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+	for _, mode := range matchModes {
 		for trial := 0; trial < 40; trial++ {
 			r := randomRule(rng, alphabet, mode)
 			omega := 1 + rng.Intn(5)

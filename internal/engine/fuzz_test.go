@@ -19,6 +19,25 @@ func FuzzEngineMatch(f *testing.F) {
 	f.Add([]byte{1, 0})
 	f.Add([]byte{6, 2, 5, 3, 9, 8, 7, 1, 0, 0, 0, 2, 2, 2, 1, 3, 5, 7})
 	f.Add([]byte{2, 255, 0, 128, 64, 32, 16, 8, 4, 2, 1})
+	// Multi-word seeds: ω = 100 and 130 over 300 labels, so the fuzzer
+	// starts where position shifts and window bitsets cross 64-bit
+	// words. The first draws its labels from five; the second holds one
+	// label 3 at position 280 among zeros under the rule "3 occurs", so
+	// only windows in the last words fire, and only through a start in
+	// the series' last word.
+	for _, mode := range []byte{0, 1} {
+		for _, omega := range []byte{99, 129} {
+			mixed := []byte{mode, omega, 3, 2, 2, 1, 2, 0, 3, 0, 1, 4, 1, 1, 3, 2, 3, 1, 1}
+			sparse := []byte{mode, omega, 0, 1, 1, 3, 0}
+			for i := 0; i < 300; i++ {
+				mixed = append(mixed, byte((i*7+i/3)%5))
+				sparse = append(sparse, 0)
+			}
+			sparse[len(sparse)-20] = 3
+			f.Add(mixed)
+			f.Add(sparse)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		alphabet := cfg2.Alphabet()
 		next := func() byte {
@@ -35,7 +54,7 @@ func FuzzEngineMatch(f *testing.F) {
 		if next()&1 == 1 {
 			mode = core.MatchSubsequence
 		}
-		omega := 1 + int(next())%8
+		omega := 1 + int(next())%130
 		r := rules.Rule{Mode: mode}
 		for np := int(next()) % 5; len(r.Predicates) <= np; {
 			var pred rules.Predicate

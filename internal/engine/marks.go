@@ -1,63 +1,54 @@
 package engine
 
-import "math/bits"
-
-// Marks is the batch result of a sweep: per window, the bitset of fired
-// predicates plus the first (lowest-index) firing predicate — the value
-// ordered rule-list evaluation (quality attribution) needs without
-// re-deriving it. Immutable once returned.
+// Marks is the batch result of a sweep: per predicate, a window bitset
+// with bit w set when the predicate fires on window w, plus the union of
+// those bitsets. bits holds numPreds+1 rows of ⌈n/64⌉ words each:
+// predicate p's row at [p·words, (p+1)·words), the union last. Fired
+// reads one bit; First and AppendFired read one bit per predicate, in
+// rule order, and only for windows the union marks. Immutable once
+// returned.
 type Marks struct {
-	words int
-	rows  []uint64
-	first []int32
+	n, words, preds int
+	bits            []uint64
 }
 
 func newMarks(numPreds, n int) *Marks {
-	m := &Marks{words: (numPreds + 63) / 64}
-	m.first = make([]int32, n)
-	for i := range m.first {
-		m.first[i] = -1
-	}
-	// rows is allocated lazily on the first firing window: a sweep over a
-	// normal series pays for the flag vector only, never the bitsets.
-	return m
+	words := (n + 63) / 64
+	return &Marks{n: n, words: words, preds: numPreds, bits: make([]uint64, (numPreds+1)*words)}
 }
 
-func (m *Marks) set(w int, fired []int) {
-	if len(fired) == 0 {
-		return
-	}
-	m.first[w] = int32(fired[0])
-	if m.rows == nil {
-		m.rows = make([]uint64, m.words*len(m.first))
-	}
-	row := m.rows[w*m.words:]
-	for _, pi := range fired {
-		row[pi>>6] |= 1 << uint(pi&63)
-	}
-}
+// row returns predicate p's window bitset; row(m.preds) is the union.
+func (m *Marks) row(p int) []uint64 { return m.bits[p*m.words : (p+1)*m.words] }
+
+func (m *Marks) has(p, w int) bool { return m.bits[p*m.words+w>>6]>>uint(w&63)&1 != 0 }
 
 // NumWindows returns the number of windows swept.
-func (m *Marks) NumWindows() int { return len(m.first) }
+func (m *Marks) NumWindows() int { return m.n }
 
 // Fired reports whether any predicate fired on window w.
-func (m *Marks) Fired(w int) bool { return m.first[w] >= 0 }
+func (m *Marks) Fired(w int) bool { return m.has(m.preds, w) }
 
 // First returns the 0-based index of the first predicate firing on
 // window w, or -1 when the window is normal.
-func (m *Marks) First(w int) int { return int(m.first[w]) }
+func (m *Marks) First(w int) int {
+	if m.Fired(w) {
+		for p := 0; p < m.preds; p++ {
+			if m.has(p, w) {
+				return p
+			}
+		}
+	}
+	return -1
+}
 
 // AppendFired appends the 0-based indices of the predicates fired on
 // window w to dst, in rule order.
 func (m *Marks) AppendFired(dst []int, w int) []int {
-	if m.rows == nil {
-		return dst
-	}
-	for wi, word := range m.rows[w*m.words : (w+1)*m.words] {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			dst = append(dst, wi<<6+b)
+	if m.Fired(w) {
+		for p := 0; p < m.preds; p++ {
+			if m.has(p, w) {
+				dst = append(dst, p)
+			}
 		}
 	}
 	return dst

@@ -8,7 +8,6 @@ package server
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -44,12 +43,13 @@ func (s *Server) handleBatchDetect(w http.ResponseWriter, r *http.Request) {
 	// Request and response ride the hand-rolled hot-path codec
 	// (fastjson.go): payloads here carry thousands of numbers, and
 	// encoding/json would cost more than the scoring itself.
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	req, err := parseBatchRequest(body)
+	req, err := parseBatchRequest(*body)
+	putBody(body)
 	if err != nil {
 		writeBodyError(w, err)
 		return

@@ -352,12 +352,13 @@ func (s *Server) handlePushPoints(w http.ResponseWriter, r *http.Request) {
 	}
 	// Like batch detect, point pushes use the hand-rolled hot-path codec
 	// (fastjson.go): live feeds push numeric payloads at high rates.
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	req, err := parsePushPoints(body)
+	req, err := parsePushPoints(*body)
+	putBody(body)
 	if err != nil {
 		writeBodyError(w, err)
 		return

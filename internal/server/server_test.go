@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -354,16 +355,21 @@ func TestRegistryRejectsEmptyOrMissingDir(t *testing.T) {
 	}
 }
 
+// Oversized bodies map to 413 on both pooled-body endpoints, sent with a
+// Content-Length or chunked.
 func TestBodyLimit(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{MaxBodyBytes: 1024})
-	big := batchRequest{Series: []seriesPayload{{Name: "big", Values: make([]float64, 4096)}}}
-	b, _ := json.Marshal(big)
-	resp, err := http.Post(ts.URL+"/models/spikes/detect", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
+	var created createStreamResponse
+	if code := doJSON(t, "POST", ts.URL+"/streams", createStreamRequest{Model: "spikes", Min: 60, Max: 420}, &created); code != http.StatusCreated {
+		t.Fatalf("create stream = %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	batch, _ := json.Marshal(batchRequest{Series: []seriesPayload{{Name: "big", Values: make([]float64, 4096)}}})
+	push, _ := json.Marshal(pushPointsRequest{Points: make([]float64, 4096)})
+	for path, body := range map[string][]byte{"/models/spikes/detect": batch, "/streams/" + created.ID + "/points": push} {
+		for name, rd := range map[string]io.Reader{"sized": bytes.NewReader(body), "chunked": chunked{bytes.NewReader(body)}} {
+			if code, out := post(t, ts.URL+path, rd); code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s %s oversized body = %d, want %d: %s", name, path, code, http.StatusRequestEntityTooLarge, out)
+			}
+		}
 	}
 }

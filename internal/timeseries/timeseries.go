@@ -256,7 +256,8 @@ type Split struct {
 
 // ChronologicalSplit partitions the series into contiguous train,
 // validation, and test segments with the given fractions (paper §4.1 uses
-// 60/20/20). Fractions must be positive and sum to 1 within 1e-9.
+// 60/20/20), rounded so that each part keeps at least one point.
+// Fractions must be positive and sum to 1 within 1e-9.
 func ChronologicalSplit(s *Series, trainFrac, valFrac, testFrac float64) (Split, error) {
 	sum := trainFrac + valFrac + testFrac
 	if trainFrac <= 0 || valFrac <= 0 || testFrac <= 0 || math.Abs(sum-1) > 1e-9 {
@@ -266,17 +267,8 @@ func ChronologicalSplit(s *Series, trainFrac, valFrac, testFrac float64) (Split,
 	if n < 3 {
 		return Split{}, fmt.Errorf("timeseries: series of length %d cannot be split three ways", n)
 	}
-	trainEnd := int(math.Round(float64(n) * trainFrac))
-	valEnd := trainEnd + int(math.Round(float64(n)*valFrac))
-	if trainEnd < 1 {
-		trainEnd = 1
-	}
-	if valEnd <= trainEnd {
-		valEnd = trainEnd + 1
-	}
-	if valEnd >= n {
-		valEnd = n - 1
-	}
+	trainEnd := min(max(int(math.Round(float64(n)*trainFrac)), 1), n-2)
+	valEnd := min(max(trainEnd+int(math.Round(float64(n)*valFrac)), trainEnd+1), n-1)
 	return Split{
 		Train:      s.Slice(0, trainEnd),
 		Validation: s.Slice(trainEnd, valEnd),

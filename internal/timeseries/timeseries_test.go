@@ -216,27 +216,25 @@ func TestChronologicalSplitProportions(t *testing.T) {
 }
 
 func TestChronologicalSplitCoversEveryPointOnce(t *testing.T) {
-	f := func(n uint16) bool {
-		size := int(n%5000) + 3
-		vals := make([]float64, size)
-		for i := range vals {
-			vals[i] = float64(i)
+	for _, fr := range [][3]float64{{0.6, 0.2, 0.2}, {0.8, 0.1, 0.1}, {0.1, 0.8, 0.1}, {0.34, 0.33, 0.33}} {
+		for n := 3; n <= 5002; n++ {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(i)
+			}
+			sp, err := ChronologicalSplit(New("p", vals), fr[0], fr[1], fr[2])
+			if err != nil {
+				t.Fatalf("n=%d %v: %v", n, fr, err)
+			}
+			tr, va, te := sp.Train.Len(), sp.Validation.Len(), sp.Test.Len()
+			// Non-empty, contiguous and ordered, covering every point.
+			if tr == 0 || va == 0 || te == 0 || tr+va+te != n ||
+				sp.Train.Values[0] != 0 ||
+				sp.Validation.Values[0] != float64(tr) ||
+				sp.Test.Values[0] != float64(tr+va) {
+				t.Fatalf("n=%d %v: parts %d/%d/%d", n, fr, tr, va, te)
+			}
 		}
-		s := New("p", vals)
-		sp, err := ChronologicalSplit(s, 0.6, 0.2, 0.2)
-		if err != nil {
-			return false
-		}
-		if sp.Train.Len()+sp.Validation.Len()+sp.Test.Len() != size {
-			return false
-		}
-		// Segments must be contiguous and ordered.
-		return sp.Train.Values[0] == 0 &&
-			sp.Validation.Values[0] == float64(sp.Train.Len()) &&
-			sp.Test.Values[0] == float64(sp.Train.Len()+sp.Validation.Len())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
