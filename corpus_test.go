@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"cdt/internal/core"
+	"cdt/internal/engine"
+	"cdt/internal/evalmetrics"
 	"cdt/internal/rules"
 )
 
@@ -435,6 +438,197 @@ func TestOptimizeTrace(t *testing.T) {
 				tr.Score != h.Score || tr.Elapsed != h.Elapsed {
 				t.Errorf("parallelism %d trial %d: %+v diverges from history %+v", par, i, tr, h)
 			}
+		}
+	}
+}
+
+// TestEvaluationMatchesPerWindowOracle holds the batch evaluation paths
+// — EvaluateCorpus's confusion matrix, Audit's per-rule support and
+// false alarms, the predicates PruneRedundant keeps — to a loop over
+// c.Observations that matches each window with Predicate.Matches and
+// lets the first matching predicate claim it. Those paths sweep the
+// corpus's per-series labelings in one call, so it also checks window
+// by window that sweep mark i is pooled observation i, across the
+// series boundaries of three series of different lengths.
+func TestEvaluationMatchesPerWindowOracle(t *testing.T) {
+	// Training labels spikes and dips; the evaluation series have no
+	// dips, and spikes of their own that no one labeled, so some rules
+	// claim nothing and some windows are flagged falsely.
+	dips := spikySeries("dips", 300, []int{70, 220}, 3)
+	for _, p := range []int{40, 150, 260} {
+		dips.Values[p], dips.Anomalies[p] = -100, true
+	}
+	train := append(corpusTestSeries(), dips)
+	eval := []*Series{
+		spikySeries("x", 350, []int{30, 90, 91, 240}, 7),
+		spikySeries("y", 131, []int{60}, 8),
+		spikySeries("z", 277, []int{20, 130, 131, 132, 250}, 9),
+	}
+	for _, s := range eval {
+		s.Values[s.Len()/2+5] = 180
+	}
+	c, err := NewCorpus(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total oracleCounts
+	configs, ran := 0, 0
+	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+		for _, od := range [][2]int{{3, 1}, {5, 2}, {8, 4}, {13, 2}} {
+			configs++
+			t.Run(fmt.Sprintf("%v/omega=%d/delta=%d", mode, od[0], od[1]), func(t *testing.T) {
+				ran++
+				opts := Options{Omega: od[0], Delta: od[1], Match: mode, LeafPolicy: rules.MajorityAnomalyLeaves}
+				m, err := Fit(train, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Predicates read off one tree never overlap, so a variant
+				// appends one predicate per positive composition of the
+				// rule: each fires wherever a predicate holding it does,
+				// and is often shadowed by it.
+				r := m.Rule()
+				overlapping := *m
+				overlapping.rule = Rule{Mode: r.Mode, Predicates: slices.Clone(r.Predicates)}
+				for _, p := range r.Predicates {
+					for _, comp := range p.PositiveCompositions() {
+						overlapping.rule.Predicates = append(overlapping.rule.Predicates,
+							rules.Predicate{Literals: []rules.Literal{{Comp: comp}}})
+					}
+				}
+				overlapping.eng = engine.Compile(overlapping.rule, opts.Omega)
+				for _, v := range []*Model{m, &overlapping} {
+					total.add(checkEvaluationOracle(t, fmt.Sprintf("%d predicates", v.rule.Count()), v, c, eval))
+				}
+			})
+		}
+	}
+	// The oracle must have seen rules pruned both ways and windows
+	// falsely flagged, or the comparisons prove less than they say; a
+	// -run filter that selects some configurations skips this check.
+	if ran < configs {
+		return
+	}
+	if total.shadowed == 0 || total.idle == 0 || total.falseAlarms == 0 {
+		t.Fatalf("over every configuration: %d shadowed and %d idle predicates pruned, %d false alarms; want all > 0",
+			total.shadowed, total.idle, total.falseAlarms)
+	}
+}
+
+// oracleCounts tallies what an oracle comparison exercised: pruned
+// predicates that match an anomalous window another predicate claims
+// first (shadowed) or match none (idle), and false alarms.
+type oracleCounts struct{ shadowed, idle, falseAlarms int }
+
+func (o *oracleCounts) add(p oracleCounts) {
+	o.shadowed, o.idle, o.falseAlarms = o.shadowed+p.shadowed, o.idle+p.idle, o.falseAlarms+p.falseAlarms
+}
+
+// checkEvaluationOracle compares m's sweep marks over c, EvaluateCorpus,
+// Audit and PruneRedundant with the first-match Predicate.Matches loop
+// over c.Observations; eval are c's series.
+func checkEvaluationOracle(t *testing.T, name string, m *Model, c *Corpus, eval []*Series) oracleCounts {
+	t.Helper()
+	obs, err := c.Observations(m.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSeries, err := c.labelsFor(m.pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := m.eng.Sweep(perSeries...)
+	if marks.NumWindows() != len(obs) {
+		t.Fatalf("%s: sweep has %d windows, pool %d", name, marks.NumWindows(), len(obs))
+	}
+	r := m.Rule()
+	var want evalmetrics.Confusion
+	support := make([]int, len(r.Predicates))
+	alarms := make([]int, len(r.Predicates))
+	for i := range obs {
+		first := slices.IndexFunc(r.Predicates, func(p rules.Predicate) bool { return p.Matches(obs[i].Labels, r.Mode) })
+		if got := marks.First(i); got != first {
+			t.Fatalf("%s: window %d: sweep's first predicate %d, oracle %d", name, i, got, first)
+		}
+		actual := obs[i].Class == core.Anomaly
+		want.Add(first >= 0, actual)
+		switch {
+		case first >= 0 && actual:
+			support[first]++
+		case first >= 0:
+			alarms[first]++
+		}
+	}
+
+	rep, err := m.EvaluateCorpus(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Confusion != want {
+		t.Errorf("%s: EvaluateCorpus confusion %+v, oracle %+v", name, rep.Confusion, want)
+	}
+	stats, err := m.Audit(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen oracleCounts
+	var kept []rules.Predicate
+	for i, st := range stats {
+		if st.Support != support[i] || st.FalseAlarms != alarms[i] {
+			t.Errorf("%s: rule %d: Audit support %d, false alarms %d; oracle %d, %d",
+				name, st.Index, st.Support, st.FalseAlarms, support[i], alarms[i])
+		}
+		seen.falseAlarms += alarms[i]
+		p := r.Predicates[i]
+		switch {
+		case support[i] > 0:
+			kept = append(kept, p)
+		case slices.ContainsFunc(obs, func(o Observation) bool { return o.Class == core.Anomaly && p.Matches(o.Labels, r.Mode) }):
+			seen.shadowed++
+		default:
+			seen.idle++
+		}
+	}
+	got, err := m.PruneRedundant(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode != r.Mode || !reflect.DeepEqual(got.Predicates, kept) {
+		t.Errorf("%s: PruneRedundant kept\n%s\noracle keeps\n%s", name,
+			got.Format(m.pcfg), Rule{Mode: r.Mode, Predicates: kept}.Format(m.pcfg))
+	}
+	return seen
+}
+
+// TestPruneRedundantDropsShadowedAndDeadPredicates appends to a trained
+// rule a copy of each of its predicates, which the original claims every
+// window from first, and a predicate that negates the empty composition,
+// which no window satisfies. Pruning against the training series drops
+// both kinds and keeps what pruning the trained rule keeps.
+func TestPruneRedundantDropsShadowedAndDeadPredicates(t *testing.T) {
+	train := corpusTestSeries()
+	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+		m, err := Fit(train, Options{Omega: 5, Delta: 2, Match: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.PruneRedundant(train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Count() == 0 {
+			t.Fatalf("mode=%v: pruning against the training series kept nothing", mode)
+		}
+		padded := *m
+		padded.rule = Rule{Mode: mode, Predicates: slices.Concat(m.rule.Predicates, m.rule.Predicates,
+			[]rules.Predicate{{Literals: []rules.Literal{{Neg: true}}}})}
+		padded.eng = engine.Compile(padded.rule, padded.Opts.Omega)
+		got, err := padded.PruneRedundant(train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("mode=%v: padded rule pruned to\n%s\nwant\n%s", mode, got.Format(m.pcfg), want.Format(m.pcfg))
 		}
 	}
 }

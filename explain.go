@@ -93,14 +93,6 @@ func describePredicate(p rules.Predicate) string {
 	return strings.Join(parts, "; ")
 }
 
-// FiredPredicates evaluates every rule predicate against one window of
-// labels and returns those that matched, in rule order. It returns nil
-// when the window is normal. The window may have any length (it need
-// not be ω); whole-window ⊆o semantics apply.
-func (m *Model) FiredPredicates(labels []Label) []FiredPredicate {
-	return m.firedFromIndices(m.eng.EvalWindow(labels, nil))
-}
-
 // firedFromIndices renders engine predicate indices (0-based) into the
 // cached human-readable FiredPredicate views (1-based, rule order).
 func (m *Model) firedFromIndices(idxs []int) []FiredPredicate {

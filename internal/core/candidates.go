@@ -96,7 +96,7 @@ func anomalousLabels(obs []Observation) iter.Seq[[]pattern.Label] {
 				continue
 			}
 			ls := obs[i].Labels
-			if i > 0 && obs[i-1].Class == Anomaly && SlidingAdjacent(obs[i-1].Labels, ls) {
+			if i > 0 && obs[i-1].Class == Anomaly && slidingAdjacent(obs[i-1].Labels, ls) {
 				ls = ls[len(ls)-1:]
 			}
 			if !yield(ls) {
@@ -107,13 +107,13 @@ func anomalousLabels(obs []Observation) iter.Seq[[]pattern.Label] {
 }
 
 // slidingRuns yields the [lo, hi) bounds of the maximal runs of
-// consecutive sliding windows in obs (see SlidingAdjacent); an isolated
+// consecutive sliding windows in obs (see slidingAdjacent); an isolated
 // window is a run of one.
 func slidingRuns(obs []Observation) iter.Seq2[int, int] {
 	return func(yield func(int, int) bool) {
 		for lo := 0; lo < len(obs); {
 			hi := lo + 1
-			for hi < len(obs) && SlidingAdjacent(obs[hi-1].Labels, obs[hi].Labels) {
+			for hi < len(obs) && slidingAdjacent(obs[hi-1].Labels, obs[hi].Labels) {
 				hi++
 			}
 			if !yield(lo, hi) {

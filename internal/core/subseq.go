@@ -165,7 +165,7 @@ func countSubsequenceSupports(obs []Observation, candidates []Composition, opts 
 			var prev []pattern.Label
 			for i := range obs {
 				ls := obs[i].Labels
-				if prev != nil && SlidingAdjacent(prev, ls) {
+				if prev != nil && slidingAdjacent(prev, ls) {
 					// Next window of a sliding run: only its last label is new.
 					nfa.Step(ls[len(ls)-1])
 				} else {

@@ -263,11 +263,10 @@ func markSlidingRun(run []Observation, pat []pattern.Label, marks []bool) {
 	}
 }
 
-// SlidingAdjacent reports whether b is a's window slid one position
+// slidingAdjacent reports whether b is a's window slid one position
 // right over the same backing array — the shape Corpus window pooling
-// produces. Exported so internal/engine can walk pooled observation
-// sets run by run.
-func SlidingAdjacent(a, b []pattern.Label) bool {
+// produces.
+func slidingAdjacent(a, b []pattern.Label) bool {
 	return len(a) == len(b) && len(a) > 1 && &a[1] == &b[0]
 }
 

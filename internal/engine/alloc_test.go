@@ -1,8 +1,8 @@
 package engine_test
 
 // Allocation tests: the cursor runs once per label on every stream and
-// the sweeps once per batch series or pool, so none of them may
-// allocate per label or per window. Test names contain "Allocates" so
+// the sweep once per batch series or corpus, so neither may allocate
+// per label, run or window. Test names contain "Allocates" so
 // CI's allocation step, which runs without the race detector, selects
 // them.
 
@@ -74,34 +74,6 @@ func TestCursorStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestEvalWindowAllocatesNothing(t *testing.T) {
-	skipUnderRace(t)
-	rng := rand.New(rand.NewSource(62))
-	alphabet := cfg2.Alphabet()
-	for _, mode := range matchModes {
-		fired := 0
-		for trial := 0; trial < 60; trial++ {
-			r := randomRule(rng, alphabet, mode)
-			omega := 1 + rng.Intn(6)
-			e := engine.Compile(r, omega)
-			window := randomLabels(rng, alphabet, omega+rng.Intn(6))
-			dst := make([]int, 0, e.NumPredicates())
-			if len(e.EvalWindow(window, dst)) == 0 {
-				continue
-			}
-			fired++
-			if n := testing.AllocsPerRun(100, func() {
-				dst = e.EvalWindow(window, dst[:0])
-			}); n != 0 {
-				t.Fatalf("mode=%v ω=%d: EvalWindow made %v allocations into a presized dst, want 0", mode, omega, n)
-			}
-		}
-		if fired < 10 {
-			t.Fatalf("mode=%v: only %d firing windows measured", mode, fired)
-		}
-	}
-}
-
 // sweepAllocSlack bounds how many more allocations a sweep may make over
 // a long input than over a short one, should the scratch pool have been
 // emptied by a collection between the two. One allocation per window
@@ -126,50 +98,33 @@ func TestSweepAllocatesPerSweepNotPerWindow(t *testing.T) {
 	for _, mode := range matchModes {
 		for _, omega := range []int{1, 5, 8} {
 			short := long[:64+omega-1]
+			shortRuns, longRuns := cutRuns(short, omega), cutRuns(long, omega)
 			for _, r := range firingRules(t, rng, mode, short, omega, 10) {
 				e := engine.Compile(r, omega)
 				checkSweepAllocs(t, "Sweep "+mode.String(),
 					func() { e.Sweep(short) }, func() { e.Sweep(long) })
+				checkSweepAllocs(t, "Sweep over runs "+mode.String(),
+					func() { e.Sweep(shortRuns...) }, func() { e.Sweep(longRuns...) })
 			}
 		}
 	}
 }
 
-// pooledObservations lays out n ω-windows the way a Corpus pools them:
-// maximal runs of consecutive sliding windows, broken every 32 windows
-// by an isolated copy that forces the cursor to reset.
-func pooledObservations(t *testing.T, labels []pattern.Label, omega, n int) []core.Observation {
-	t.Helper()
-	obs, err := core.Windows(labels[:n+omega-1], nil, omega)
-	if err != nil {
-		t.Fatal(err)
+// cutRuns cuts labels into runs of 32 windows each, the last taking
+// what is left, the way a corpus hands a sweep one run per series.
+func cutRuns(labels []pattern.Label, omega int) [][]pattern.Label {
+	var runs [][]pattern.Label
+	for n := 32 + omega - 1; len(labels) > 0; labels = labels[min(n, len(labels)):] {
+		runs = append(runs, labels[:min(n, len(labels))])
 	}
-	for i := 0; i < len(obs); i += 32 {
-		obs[i].Labels = append([]pattern.Label(nil), obs[i].Labels...)
-	}
-	return obs
-}
-
-func TestSweepObservationsAllocatesPerSweepNotPerWindow(t *testing.T) {
-	skipUnderRace(t)
-	rng := rand.New(rand.NewSource(64))
-	labels := randomLabels(rng, cfg2.Alphabet(), 1<<16+8)
-	for _, mode := range matchModes {
-		for _, omega := range []int{1, 5, 8} {
-			short := pooledObservations(t, labels, omega, 64)
-			long := pooledObservations(t, labels, omega, 1<<16)
-			for _, r := range firingRules(t, rng, mode, labels[:64+omega-1], omega, 10) {
-				e := engine.Compile(r, omega)
-				checkSweepAllocs(t, "SweepObservations "+mode.String(),
-					func() { e.SweepObservations(short) }, func() { e.SweepObservations(long) })
-			}
-		}
-	}
+	return runs
 }
 
 // TestSweepAllocatesOnlyItsMarks: with the scratch pool warm, a sweep
 // allocates exactly its Marks — the header and one bitset slice —
-// whatever the series length and however many windows fire.
+// whatever the series length, however many runs it takes and however
+// many windows fire. A one-run call also shows that the slice the
+// variadic call builds stays on the stack.
 func TestSweepAllocatesOnlyItsMarks(t *testing.T) {
 	skipUnderRace(t)
 	// A collection could empty the scratch pool mid-measurement.
@@ -195,10 +150,14 @@ func TestSweepAllocatesOnlyItsMarks(t *testing.T) {
 						t.Errorf("Sweep mode=%v ω=%d %s over %d labels: %v allocations, want 2",
 							mode, omega, name, len(labels), n)
 					}
-					obs := pooledObservations(t, labels, omega, len(labels)-omega+1)
-					if n := testing.AllocsPerRun(10, func() { e.SweepObservations(obs) }); n != 2 {
-						t.Errorf("SweepObservations mode=%v ω=%d %s over %d windows: %v allocations, want 2",
-							mode, omega, name, len(obs), n)
+					runs := cutRuns(labels, omega)
+					if n := testing.AllocsPerRun(10, func() { e.Sweep(runs...) }); n != 2 {
+						t.Errorf("Sweep mode=%v ω=%d %s over %d runs: %v allocations, want 2",
+							mode, omega, name, len(runs), n)
+					}
+					if n := testing.AllocsPerRun(10, func() { e.Sweep(labels[:omega], labels[omega:]) }); n != 2 {
+						t.Errorf("Sweep mode=%v ω=%d %s over two runs: %v allocations, want 2",
+							mode, omega, name, n)
 					}
 				}
 			}

@@ -1,15 +1,15 @@
 // Package engine compiles a trained rule set into one immutable matcher
 // shared by every detection surface: batch detection
-// (Model.DetectWindows, DetectExplained, EvaluateCorpus), streaming
-// (Stream), and serving (internal/server). A Model compiles its engine
-// once at Fit/Load time; afterwards the engine is read-only and safe for
-// any number of concurrent cursors and sweeps.
+// (Model.DetectWindows, DetectExplained, EvaluateCorpus, Audit),
+// streaming (Stream), and serving (internal/server). A Model compiles
+// its engine once at Fit/Load time; afterwards the engine is read-only
+// and safe for any number of concurrent cursors and sweeps.
 //
 // Compile deduplicates the rule's compositions and masks, per
-// predicate, its positive and negated ones over them. It serves three
-// views:
+// predicate, its positive and negated ones over them. It answers one
+// question, which predicates fire on an ω-window, through two views:
 //
-//   - Batch (Sweep, SweepObservations; sweep.go): every window of a run
+//   - Batch (Sweep; sweep.go): every ω-window of one or more label runs
 //     at once, 64 windows per machine word. One window bitset per
 //     composition — contiguous mode from shifted ANDs of per-label
 //     position bitsets, subsequence mode from the latest-start NFA —
@@ -28,14 +28,12 @@
 //     predicates come from the masks over the composition-match
 //     bitset: predicate p fires iff matched ⊇ pos[p] and
 //     matched ∩ neg[p] = ∅.
-//   - Single window (EvalWindow): one window of any length, through the
-//     cursor's automata.
 //
 // Both automata work in global positions and never reset between
 // windows, runs, or streams (stale state always fails the >= ws test),
 // which is what makes the incremental view O(1) amortized per label.
 //
-// Bit-identity contract: for every window, in both match modes, the
+// Bit-identity contract: for every ω-window, in both match modes, the
 // fired-predicate set equals evaluating rules.Predicate.Matches — i.e.
 // per-window Composition.MatchedBy — on that window. The differential
 // and fuzz tests in this package hold the engine to that contract;
@@ -53,7 +51,7 @@ import (
 
 // Engine is the compiled, immutable matcher for one rule set at one
 // window size. Safe for concurrent use; per-consumer mutable state lives
-// in Cursors and in a pooled scratch for EvalWindow.
+// in Cursors and in the pooled sweep scratch.
 type Engine struct {
 	mode  core.MatchMode
 	omega int
@@ -71,18 +69,15 @@ type Engine struct {
 	// window (an empty conjunction is TRUE, and positive empty
 	// compositions impose no constraint).
 	pos, neg [][]uint64
-	// deadAll marks predicates containing a negated empty composition:
-	// an empty composition matches every window, so they never fire.
-	deadAll []bool
-	// live lists the predicates that can fire on an ω-window: not
-	// deadAll and no positive composition longer than ω. The cursor path
-	// walks only these.
+	// live lists the predicates that can fire on an ω-window: none of
+	// their literals negates an empty composition (which matches every
+	// window) and none of their positive compositions is longer than ω.
+	// Both views walk only these.
 	live []int32
 
 	ac *acAutomaton // contiguous mode; nil when comps is empty
 
-	scratch sync.Pool // *matchState, for EvalWindow
-	sweeps  sync.Pool // *sweepScratch, for the batch views
+	sweeps sync.Pool // *sweepScratch
 }
 
 // Compile builds the engine for a rule set at window size omega
@@ -93,12 +88,12 @@ func Compile(r rules.Rule, omega int) *Engine {
 	index := make(map[string]int32)
 	posList := make([][]int32, e.numPreds)
 	negList := make([][]int32, e.numPreds)
-	e.deadAll = make([]bool, e.numPreds)
+	deadAll := make([]bool, e.numPreds)
 	for pi, p := range r.Predicates {
 		for _, lit := range p.Literals {
 			if len(lit.Comp.Labels) == 0 {
 				if lit.Neg {
-					e.deadAll[pi] = true
+					deadAll[pi] = true
 				}
 				continue
 			}
@@ -126,15 +121,9 @@ func Compile(r rules.Rule, omega int) *Engine {
 	for pi := 0; pi < e.numPreds; pi++ {
 		e.pos[pi] = maskOf(posList[pi], e.words)
 		e.neg[pi] = maskOf(negList[pi], e.words)
-		if e.deadAll[pi] {
-			continue
-		}
-		alive := true
+		alive := !deadAll[pi]
 		for _, ci := range posList[pi] {
-			if e.compLen[ci] > omega {
-				alive = false
-				break
-			}
+			alive = alive && e.compLen[ci] <= omega
 		}
 		if alive {
 			e.live = append(e.live, int32(pi))
@@ -143,7 +132,6 @@ func Compile(r rules.Rule, omega int) *Engine {
 	if e.mode == core.MatchContiguous && len(e.comps) > 0 {
 		e.ac = newAC(e.comps)
 	}
-	e.scratch.New = func() any { return e.newMatchState() }
 	e.sweeps.New = func() any { return e.newSweepScratch() }
 	return e
 }
@@ -168,152 +156,65 @@ func (e *Engine) Omega() int { return e.omega }
 // NumPredicates returns the number of rule predicates.
 func (e *Engine) NumPredicates() int { return e.numPreds }
 
-// matchState is the per-consumer mutable automaton state: one per
-// Cursor, pooled for EvalWindow. Positions are global (labels consumed
-// since creation); neither automaton re-initializes between windows.
-type matchState struct {
-	pos   int
-	state int32 // AC state (contiguous mode)
-	// until holds, per comp, the last window start its latest occurrence
-	// still covers: lastEnd − len + 1, in global positions (contiguous).
-	until   []int
-	nfa     *core.SubseqNFA // subsequence mode
-	matched []uint64
-	// active lists the compositions whose bit is currently set in matched
-	// (contiguous cursor path only, where matched is maintained by events:
-	// an automaton hit sets a bit, and the per-window expiry scan walks
-	// just this list instead of every composition).
-	active []int32
-	// prev/fired cache the last evaluated window: when the matched
-	// bitset is unchanged — the overwhelmingly common case on normal
-	// stretches, where it stays empty — the fired set is reused without
-	// re-testing any predicate mask.
-	prev       []uint64
-	fired      []int
-	firedValid bool
-}
-
-func (e *Engine) newMatchState() *matchState {
-	s := &matchState{
-		matched: make([]uint64, e.words),
-		prev:    make([]uint64, e.words),
-	}
-	if e.mode == core.MatchContiguous {
-		s.until = make([]int, len(e.comps))
-		for i := range s.until {
-			s.until[i] = -1
-		}
-	} else {
-		s.nfa = core.NewSubseqNFA(e.comps)
-	}
-	return s
-}
-
-// step consumes one label, updating per-composition occurrence state.
-func (s *matchState) step(e *Engine, l pattern.Label) {
-	if e.mode == core.MatchContiguous {
-		if e.ac != nil {
-			s.state = e.ac.step(s.state, l)
-			for _, ci := range e.ac.out[s.state] {
-				s.until[ci] = s.pos - e.compLen[ci] + 1
+// appendFired appends the 0-based indices of the live predicates firing
+// on the composition-match bitset matched, in rule order.
+func (e *Engine) appendFired(matched []uint64, dst []int) []int {
+next:
+	for _, pi := range e.live {
+		for w, m := range e.pos[pi] {
+			if matched[w]&m != m {
+				continue next
 			}
 		}
-	} else {
-		s.nfa.Step(l)
-	}
-	s.pos++
-}
-
-// setMatched rebuilds the composition-match bitset for the window of
-// global positions [ws, s.pos-1].
-func (s *matchState) setMatched(e *Engine, ws int) {
-	clear(s.matched)
-	if e.mode == core.MatchContiguous {
-		for ci := range e.compLen {
-			if s.until[ci] >= ws {
-				s.matched[ci>>6] |= 1 << uint(ci&63)
+		for w, m := range e.neg[pi] {
+			if matched[w]&m != 0 {
+				continue next
 			}
 		}
-		return
-	}
-	for ci := range e.comps {
-		if s.nfa.LatestStart(ci) >= ws {
-			s.matched[ci>>6] |= 1 << uint(ci&63)
-		}
-	}
-}
-
-// evalCached returns the fired set for the current matched bitset,
-// reusing the previous window's result when the bitset is unchanged.
-func (s *matchState) evalCached(e *Engine) []int {
-	same := s.firedValid
-	if same {
-		for w, m := range s.matched {
-			if s.prev[w] != m {
-				same = false
-				break
-			}
-		}
-	}
-	if !same {
-		s.fired = e.appendFired(s.matched, true, s.fired[:0])
-		copy(s.prev, s.matched)
-		s.firedValid = true
-	}
-	return s.fired
-}
-
-// appendFired appends the 0-based indices of predicates firing on the
-// matched bitset. omegaOnly restricts the scan to predicates alive at
-// ω-windows (the cursor path); EvalWindow passes false because a
-// longer window can satisfy compositions longer than ω.
-func (e *Engine) appendFired(matched []uint64, omegaOnly bool, dst []int) []int {
-	if omegaOnly {
-		for _, pi := range e.live {
-			if e.fires(matched, int(pi)) {
-				dst = append(dst, int(pi))
-			}
-		}
-		return dst
-	}
-	for pi := 0; pi < e.numPreds; pi++ {
-		if e.deadAll[pi] {
-			continue
-		}
-		if e.fires(matched, pi) {
-			dst = append(dst, pi)
-		}
+		dst = append(dst, int(pi))
 	}
 	return dst
 }
 
-func (e *Engine) fires(matched []uint64, pi int) bool {
-	for w, m := range e.pos[pi] {
-		if matched[w]&m != m {
-			return false
-		}
-	}
-	for w, m := range e.neg[pi] {
-		if matched[w]&m != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Cursor is the incremental view: one label in, O(1) amortized state
 // work, and for each label completing an ω-window the fired-predicate
-// set of that window. Not safe for concurrent use; create one per
-// consumer (the Engine itself stays shared).
+// set of that window. Positions are global (labels consumed since
+// creation); neither automaton re-initializes between windows or runs.
+// Not safe for concurrent use; create one per consumer (the Engine
+// itself stays shared).
 type Cursor struct {
 	e      *Engine
-	s      *matchState
-	runLen int
+	pos    int // labels consumed since creation
+	runLen int // labels consumed since the last Reset
+
+	state int32 // AC state (contiguous mode)
+	// until holds, per composition, the last window start its latest
+	// occurrence still covers: lastEnd − len + 1 (contiguous mode).
+	until []int
+	nfa   *core.SubseqNFA // subsequence mode
+
+	// matched is the composition-match bitset of the current window. In
+	// contiguous mode it is kept by events — an automaton hit sets a bit,
+	// the expiry scan clears it — and active lists its set bits, so the
+	// scan walks just those.
+	matched []uint64
+	active  []int32
+	// fired is the fired set of matched, recomputed only after a matched
+	// bit flips (stale). On normal stretches none does, so the set is
+	// returned without re-testing any predicate mask.
+	fired []int
+	stale bool
 }
 
 // NewCursor starts an incremental matcher against the shared engine.
 func (e *Engine) NewCursor() *Cursor {
-	return &Cursor{e: e, s: e.newMatchState()}
+	c := &Cursor{e: e, matched: make([]uint64, e.words), stale: true}
+	if e.mode == core.MatchContiguous {
+		c.until = make([]int, len(e.comps))
+	} else {
+		c.nfa = core.NewSubseqNFA(e.comps)
+	}
+	return c
 }
 
 // Step consumes the next label. complete reports whether a full
@@ -324,63 +225,57 @@ func (e *Engine) NewCursor() *Cursor {
 func (c *Cursor) Step(l pattern.Label) (fired []int, complete bool) {
 	e := c.e
 	if e.mode == core.MatchContiguous {
-		return c.stepContiguous(l)
-	}
-	c.s.step(e, l)
-	c.runLen++
-	if c.runLen < e.omega {
-		return nil, false
-	}
-	c.s.setMatched(e, c.s.pos-e.omega)
-	return c.s.evalCached(e), true
-}
-
-// stepContiguous is the contiguous-mode cursor step. Instead of
-// rebuilding the matched bitset every window it maintains it by events:
-// an automaton hit sets the composition's bit (for compositions that fit
-// in ω — longer ones can never match an ω-window), and the expiry scan
-// over the short active list clears bits whose latest occurrence the
-// advancing window start has left behind. On normal stretches both are
-// no-ops, the cached fired set is returned untouched, and the per-label
-// cost collapses to one automaton transition.
-func (c *Cursor) stepContiguous(l pattern.Label) ([]int, bool) {
-	e, s := c.e, c.s
-	if e.ac != nil {
-		s.state = e.ac.step(s.state, l)
-		for _, ci := range e.ac.out[s.state] {
-			s.until[ci] = s.pos - e.compLen[ci] + 1
-			w, b := ci>>6, uint64(1)<<uint(ci&63)
-			if s.matched[w]&b == 0 && e.compLen[ci] <= e.omega {
-				s.matched[w] |= b
-				s.active = append(s.active, ci)
-				s.firedValid = false
+		if e.ac != nil {
+			c.state = e.ac.step(c.state, l)
+			for _, ci := range e.ac.out[c.state] {
+				c.until[ci] = c.pos - e.compLen[ci] + 1
+				// A composition longer than ω never matches an ω-window.
+				if e.compLen[ci] <= e.omega && c.flip(ci, true) {
+					c.active = append(c.active, ci)
+				}
 			}
 		}
+	} else {
+		c.nfa.Step(l)
 	}
-	s.pos++
+	c.pos++
 	c.runLen++
 	if c.runLen < e.omega {
 		return nil, false
 	}
-	if len(s.active) > 0 {
-		ws := s.pos - e.omega
-		for i := 0; i < len(s.active); {
-			ci := s.active[i]
-			if s.until[ci] < ws {
-				s.matched[ci>>6] &^= 1 << uint(ci&63)
-				s.active[i] = s.active[len(s.active)-1]
-				s.active = s.active[:len(s.active)-1]
-				s.firedValid = false
+	ws := c.pos - e.omega
+	if e.mode == core.MatchSubsequence {
+		for ci := range e.comps {
+			c.flip(int32(ci), c.nfa.LatestStart(ci) >= ws)
+		}
+	} else if len(c.active) > 0 {
+		for i := 0; i < len(c.active); {
+			if ci := c.active[i]; c.until[ci] < ws {
+				c.flip(ci, false)
+				c.active[i] = c.active[len(c.active)-1]
+				c.active = c.active[:len(c.active)-1]
 			} else {
 				i++
 			}
 		}
 	}
-	if !s.firedValid {
-		s.fired = e.appendFired(s.matched, true, s.fired[:0])
-		s.firedValid = true
+	if c.stale {
+		c.fired = e.appendFired(c.matched, c.fired[:0])
+		c.stale = false
 	}
-	return s.fired, true
+	return c.fired, true
+}
+
+// flip sets composition ci's matched bit to on, marking the fired set
+// stale, and reports whether the bit changed.
+func (c *Cursor) flip(ci int32, on bool) bool {
+	w, b := ci>>6, uint64(1)<<uint(ci&63)
+	if (c.matched[w]&b != 0) == on {
+		return false
+	}
+	c.matched[w] ^= b
+	c.stale = true
+	return true
 }
 
 // RunLen returns the number of labels consumed since the last Reset (or
@@ -392,24 +287,5 @@ func (c *Cursor) RunLen() int { return c.runLen }
 // stale occurrences cannot fire post-Reset windows — so Reset is O(1).
 func (c *Cursor) Reset() {
 	c.runLen = 0
-	c.s.state = 0
-}
-
-// EvalWindow evaluates one window of labels in isolation — whole-slice
-// ⊆o semantics, exactly rules.Predicate.Matches per predicate —
-// appending the 0-based indices of fired predicates to dst. Unlike the
-// cursor path it makes no assumption that len(labels) == ω: public
-// callers (Model.FiredPredicates) accept windows of any length, where
-// compositions longer than ω may still match. Safe for concurrent use.
-func (e *Engine) EvalWindow(labels []pattern.Label, dst []int) []int {
-	s := e.scratch.Get().(*matchState)
-	base := s.pos
-	s.state = 0
-	for _, l := range labels {
-		s.step(e, l)
-	}
-	s.setMatched(e, base)
-	dst = e.appendFired(s.matched, false, dst)
-	e.scratch.Put(s)
-	return dst
+	c.state = 0
 }

@@ -2,8 +2,8 @@ package engine_test
 
 // Differential tests: the compiled engine must be bit-identical to the
 // reference semantics — rules.Predicate.Matches, i.e. per-window
-// Composition.MatchedBy — in both match modes, across every view
-// (Sweep, SweepObservations, Cursor, EvalWindow).
+// Composition.MatchedBy — in both match modes, in both views (Sweep
+// over one or many runs, Cursor).
 
 import (
 	"fmt"
@@ -73,30 +73,37 @@ func checkWindow(t *testing.T, ctx string, got, want []int) {
 	}
 }
 
-// checkSweep fails t unless e.Sweep(labels) marks every ω-window of
-// labels as the oracle evaluates r on it.
-func checkSweep(t *testing.T, r rules.Rule, omega int, labels []pattern.Label) {
+// checkSweep fails t unless e.Sweep(runs...) marks every ω-window of
+// each run, in run order, as the oracle evaluates r on it.
+func checkSweep(t *testing.T, r rules.Rule, omega int, runs ...[]pattern.Label) {
 	t.Helper()
-	marks := engine.Compile(r, omega).Sweep(labels)
-	wantWindows := max(len(labels)-omega+1, 0)
+	marks := engine.Compile(r, omega).Sweep(runs...)
+	wantWindows := 0
+	for _, labels := range runs {
+		wantWindows += max(len(labels)-omega+1, 0)
+	}
 	if marks.NumWindows() != wantWindows {
-		t.Fatalf("mode=%v omega=%d len=%d: %d windows, want %d",
-			r.Mode, omega, len(labels), marks.NumWindows(), wantWindows)
+		t.Fatalf("mode=%v omega=%d %d runs: %d windows, want %d",
+			r.Mode, omega, len(runs), marks.NumWindows(), wantWindows)
 	}
 	var got []int
-	for w := 0; w < marks.NumWindows(); w++ {
-		want := oracleFired(r, labels[w:w+omega])
-		got = marks.AppendFired(got[:0], w)
-		checkWindow(t, fmt.Sprintf("mode=%v omega=%d len=%d window %d", r.Mode, omega, len(labels), w), got, want)
-		if marks.Fired(w) != (len(want) > 0) {
-			t.Fatalf("Fired(%d) = %v, oracle %v", w, marks.Fired(w), want)
-		}
-		wantFirst := -1
-		if len(want) > 0 {
-			wantFirst = want[0]
-		}
-		if marks.First(w) != wantFirst {
-			t.Fatalf("First(%d) = %d, want %d", w, marks.First(w), wantFirst)
+	w := 0
+	for ri, labels := range runs {
+		for s := 0; s+omega <= len(labels); s, w = s+1, w+1 {
+			want := oracleFired(r, labels[s:s+omega])
+			got = marks.AppendFired(got[:0], w)
+			checkWindow(t, fmt.Sprintf("mode=%v omega=%d run %d (len %d) window %d (mark %d)",
+				r.Mode, omega, ri, len(labels), s, w), got, want)
+			if marks.Fired(w) != (len(want) > 0) {
+				t.Fatalf("Fired(%d) = %v, oracle %v", w, marks.Fired(w), want)
+			}
+			wantFirst := -1
+			if len(want) > 0 {
+				wantFirst = want[0]
+			}
+			if marks.First(w) != wantFirst {
+				t.Fatalf("First(%d) = %d, want %d", w, marks.First(w), wantFirst)
+			}
 		}
 	}
 }
@@ -209,102 +216,124 @@ func TestCursorResetIsolatesRuns(t *testing.T) {
 	}
 }
 
-// checkSweepObservations fails t unless e.SweepObservations(obs) marks
-// every observation as the oracle evaluates r on it.
-func checkSweepObservations(t *testing.T, r rules.Rule, omega int, obs []core.Observation) {
-	t.Helper()
-	marks := engine.Compile(r, omega).SweepObservations(obs)
-	if marks.NumWindows() != len(obs) {
-		t.Fatalf("%d windows for %d observations", marks.NumWindows(), len(obs))
-	}
-	var got []int
-	for i := range obs {
-		want := oracleFired(r, obs[i].Labels)
-		got = marks.AppendFired(got[:0], i)
-		checkWindow(t, fmt.Sprintf("obs mode=%v omega=%d observation %d of %d", r.Mode, omega, i, len(obs)), got, want)
-	}
-}
-
-func TestSweepObservationsMatchesOracle(t *testing.T) {
+func TestSweepRunsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	alphabet := cfg2.Alphabet()
 	for _, mode := range matchModes {
 		for trial := 0; trial < 25; trial++ {
 			r := randomRule(rng, alphabet, mode)
 			omega := 1 + rng.Intn(5)
-			seq := randomLabels(rng, alphabet, omega+20)
-			sliding, err := core.Windows(seq, nil, omega)
-			if err != nil {
-				t.Fatal(err)
+			var runs [][]pattern.Label
+			for k := rng.Intn(6); k >= 0; k-- {
+				runs = append(runs, randomLabels(rng, alphabet, rng.Intn(3*omega)))
 			}
-			// Mixed pool: run, isolated copies (fresh backing arrays), an
-			// off-ω observation, then the tail of the run.
-			obs := append([]core.Observation(nil), sliding[:8]...)
-			for i := 8; i < 12; i++ {
-				obs = append(obs, core.Observation{
-					Labels: append([]pattern.Label(nil), sliding[i].Labels...),
-				})
-			}
-			obs = append(obs, core.Observation{Labels: randomLabels(rng, alphabet, omega+3)})
-			obs = append(obs, sliding[12:]...)
-			checkSweepObservations(t, r, omega, obs)
+			checkSweep(t, r, omega, runs...)
 		}
 	}
-	for _, mode := range matchModes {
-		for _, omega := range boundaryOmegas {
-			for _, extra := range boundaryExtras {
-				seq := randomLabels(rng, alphabet, omega+extra)
-				checkSweepObservations(t, drawnRule(rng, seq, omega, mode), omega, boundaryPool(rng, seq, omega))
-			}
-		}
-	}
-}
-
-// boundaryPool lays out the ω-windows of seq as a pool whose runs start
-// at many offsets modulo 64: a run, isolated copies, an observation
-// longer than ω, the rest of the run, then up to 70 windows capped at
-// their own length, whose run labels cannot be resliced from the first
-// window.
-func boundaryPool(rng *rand.Rand, seq []pattern.Label, omega int) []core.Observation {
-	var sliding []core.Observation
-	if len(seq) >= omega {
-		var err error
-		if sliding, err = core.Windows(seq, nil, omega); err != nil {
-			panic(err)
-		}
-	}
-	k1 := len(sliding) / 3
-	k2 := min(k1+2, len(sliding))
-	obs := slices.Clone(sliding[:k1])
-	for _, o := range sliding[k1:k2] {
-		obs = append(obs, core.Observation{Labels: slices.Clone(o.Labels)})
-	}
-	long := seq[:min(len(seq), omega+1+rng.Intn(70))]
-	obs = append(obs, core.Observation{Labels: slices.Clone(long)})
-	obs = append(obs, sliding[k2:]...)
-	for s := 0; s < min(len(sliding), 70); s++ {
-		obs = append(obs, core.Observation{Labels: seq[s : s+omega : s+omega]})
-	}
-	return obs
-}
-
-func TestEvalWindowMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	alphabet := cfg2.Alphabet()
-	for _, mode := range matchModes {
-		for trial := 0; trial < 40; trial++ {
-			r := randomRule(rng, alphabet, mode)
-			omega := 1 + rng.Intn(5)
-			e := engine.Compile(r, omega)
-			// Arbitrary lengths: shorter than ω, ω, and longer — longer
-			// windows may satisfy compositions longer than ω.
-			for _, n := range []int{0, omega - 1, omega, omega + 4, omega + 9} {
-				if n < 0 {
-					continue
+	// One subtest per ω, each with its own seed, so that -run reproduces
+	// a failing case's draws.
+	for _, omega := range boundaryOmegas {
+		t.Run(fmt.Sprintf("omega=%d", omega), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(530 + omega)))
+			for _, mode := range matchModes {
+				for _, extra := range boundaryExtras {
+					seq := randomLabels(rng, alphabet, omega+extra)
+					checkSweep(t, drawnRule(rng, seq, omega, mode), omega, boundaryRuns(rng, seq, omega)...)
 				}
-				window := randomLabels(rng, alphabet, n)
-				got := e.EvalWindow(window, nil)
-				checkWindow(t, "evalwindow "+mode.String(), got, oracleFired(r, window))
+			}
+		})
+	}
+}
+
+// boundaryRuns cuts seq into consecutive runs that hold 0 windows
+// (shorter than ω), 1 (exactly ω long), 63, 64 or 65 windows, in an
+// order rotated at random, the last run taking what is left; so each
+// run's first window lands on both sides of word boundaries of the
+// marks, and each run's own windows fill, or just miss, a word.
+func boundaryRuns(rng *rand.Rand, seq []pattern.Label, omega int) [][]pattern.Label {
+	windows := []int{0, 1, 63, 64, 65}
+	var runs [][]pattern.Label
+	for k := rng.Intn(len(windows)); len(seq) > 0; k++ {
+		n := min(len(seq), omega-1+windows[k%len(windows)])
+		runs = append(runs, seq[:n])
+		seq = seq[n:]
+	}
+	return runs
+}
+
+// checkCursor fails t unless one cursor, stepped through runs and reset
+// before each, completes each run's ω-windows at their last labels with
+// the fired sets the oracle evaluates r to on them.
+func checkCursor(t *testing.T, r rules.Rule, omega int, runs ...[]pattern.Label) {
+	t.Helper()
+	cur := engine.Compile(r, omega).NewCursor()
+	for ri, labels := range runs {
+		cur.Reset()
+		for i, l := range labels {
+			fired, complete := cur.Step(l)
+			if complete != (i+1 >= omega) {
+				t.Fatalf("mode=%v omega=%d run %d (len %d) label %d: complete=%v",
+					r.Mode, omega, ri, len(labels), i, complete)
+			}
+			if complete {
+				checkWindow(t, fmt.Sprintf("cursor mode=%v omega=%d run %d (len %d) window %d",
+					r.Mode, omega, ri, len(labels), i+1-omega), fired, oracleFired(r, labels[i+1-omega:i+1]))
+			}
+		}
+	}
+}
+
+// TestCursorRunsMatchOracle steps cursors through the word-boundary
+// table: windows of up to 130 labels and compositions of up to ω+1 cut
+// from the series, which the contiguous expiry scan and the subsequence
+// NFA must track across ω steps and across the resets between runs.
+func TestCursorRunsMatchOracle(t *testing.T) {
+	alphabet := cfg2.Alphabet()
+	for _, omega := range boundaryOmegas {
+		t.Run(fmt.Sprintf("omega=%d", omega), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(560 + omega)))
+			for _, mode := range matchModes {
+				for _, extra := range boundaryExtras {
+					seq := randomLabels(rng, alphabet, omega+extra)
+					checkCursor(t, drawnRule(rng, seq, omega, mode), omega, boundaryRuns(rng, seq, omega)...)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepRunLayout spells out a multi-run sweep at ω = 3 for the rule
+// "a then b": runs [c a], [b c a], [b a c b] and [a b c] make windows
+// bca, bac, acb and abc, in that order. The first run is shorter than ω
+// and adds none; the last is exactly ω long and adds one. "a then b"
+// occurs across both of the first run boundaries, which no window spans,
+// so only acb (in subsequence mode) and abc fire.
+func TestSweepRunLayout(t *testing.T) {
+	alphabet := cfg2.Alphabet()
+	a, b, c := alphabet[0], alphabet[1], alphabet[2]
+	runs := [][]pattern.Label{{c, a}, {b, c, a}, {b, a, c, b}, {a, b, c}}
+	for _, tc := range []struct {
+		mode core.MatchMode
+		want []bool
+	}{
+		{core.MatchContiguous, []bool{false, false, false, true}},
+		{core.MatchSubsequence, []bool{false, false, true, true}},
+	} {
+		e := engine.Compile(rules.Rule{Mode: tc.mode, Predicates: []rules.Predicate{
+			{Literals: []rules.Literal{{Comp: core.Composition{Labels: []pattern.Label{a, b}}}}},
+		}}, 3)
+		for _, none := range [][][]pattern.Label{nil, {nil}, runs[:1]} {
+			if m := e.Sweep(none...); m.NumWindows() != 0 {
+				t.Errorf("mode=%v: sweep of %d runs shorter than ω has %d windows", tc.mode, len(none), m.NumWindows())
+			}
+		}
+		m := e.Sweep(runs...)
+		if m.NumWindows() != len(tc.want) {
+			t.Fatalf("mode=%v: %d windows, want %d", tc.mode, m.NumWindows(), len(tc.want))
+		}
+		for w, want := range tc.want {
+			if m.Fired(w) != want {
+				t.Errorf("mode=%v: window %d fired %v, want %v", tc.mode, w, m.Fired(w), want)
 			}
 		}
 	}
@@ -312,15 +341,14 @@ func TestEvalWindowMatchesOracle(t *testing.T) {
 
 func TestEmptyAndDegenerateRules(t *testing.T) {
 	alphabet := cfg2.Alphabet()
-	win := alphabet[:3]
 
 	// No predicates: nothing ever fires.
 	e := engine.Compile(rules.Rule{}, 3)
-	if got := e.EvalWindow(win, nil); len(got) != 0 {
-		t.Fatalf("empty rule fired %v", got)
-	}
 	if m := e.Sweep(alphabet[:6]); m.NumWindows() != 4 || m.Fired(0) {
 		t.Fatal("empty rule sweep fired")
+	}
+	if fired, complete := stepAll(e.NewCursor(), alphabet[:3]); !complete || len(fired) != 0 {
+		t.Fatalf("empty rule cursor fired %v (complete %v)", fired, complete)
 	}
 
 	// TRUE predicate (no literals) fires on every window; a predicate
@@ -332,8 +360,8 @@ func TestEmptyAndDegenerateRules(t *testing.T) {
 	}}
 	e = engine.Compile(r, 3)
 	want := []int{0, 2}
-	if got := e.EvalWindow(win, nil); !slices.Equal(got, want) {
-		t.Fatalf("degenerate rule fired %v, want %v", got, want)
+	if fired, _ := stepAll(e.NewCursor(), alphabet[:3]); !slices.Equal(fired, want) {
+		t.Fatalf("degenerate rule fired %v, want %v", fired, want)
 	}
 	m := e.Sweep(alphabet[:6])
 	for w := 0; w < m.NumWindows(); w++ {
@@ -341,6 +369,14 @@ func TestEmptyAndDegenerateRules(t *testing.T) {
 			t.Fatalf("window %d fired %v, want %v", w, got, want)
 		}
 	}
+}
+
+// stepAll steps cur over labels and returns the last Step's result.
+func stepAll(cur *engine.Cursor, labels []pattern.Label) (fired []int, complete bool) {
+	for _, l := range labels {
+		fired, complete = cur.Step(l)
+	}
+	return fired, complete
 }
 
 func TestEngineSharedAcrossGoroutines(t *testing.T) {
@@ -355,13 +391,21 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			m := e.Sweep(labels)
-			for w := 0; w < m.NumWindows(); w++ {
-				if m.First(w) != wantMarks.First(w) {
-					t.Errorf("concurrent sweep diverged at window %d", w)
+			cur := e.NewCursor()
+			for i, l := range labels {
+				fired, complete := cur.Step(l)
+				if !complete {
+					continue
+				}
+				w, first := i+1-4, -1
+				if len(fired) > 0 {
+					first = fired[0]
+				}
+				if m.First(w) != wantMarks.First(w) || first != wantMarks.First(w) {
+					t.Errorf("concurrent sweep or cursor diverged at window %d", w)
 					return
 				}
 			}
-			_ = e.EvalWindow(labels[:10], nil)
 		}()
 	}
 	for g := 0; g < 8; g++ {

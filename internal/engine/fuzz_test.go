@@ -77,25 +77,33 @@ func FuzzEngineMatch(f *testing.F) {
 
 		e := engine.Compile(r, omega)
 
-		// Batch view.
-		marks := e.Sweep(labels)
-		var got []int
-		for w := 0; w < marks.NumWindows(); w++ {
-			window := labels[w : w+omega]
-			want := oracleFired(r, window)
-			got = marks.AppendFired(got[:0], w)
-			if !firedEqual(got, want) {
-				t.Fatalf("sweep mode=%v omega=%d window %d: engine %v, oracle %v",
-					mode, omega, w, got, want)
+		// Batch view over one run, then over two runs cut where the
+		// cursor below cuts.
+		cut := 0
+		if len(labels) > 0 {
+			cut = int(labels[0].Var) % (len(labels) + 1)
+		}
+		for _, runs := range [][][]pattern.Label{{labels}, {labels[:cut], labels[cut:]}} {
+			marks := e.Sweep(runs...)
+			var got []int
+			w := 0
+			for ri, run := range runs {
+				for s := 0; s+omega <= len(run); s, w = s+1, w+1 {
+					want := oracleFired(r, run[s:s+omega])
+					got = marks.AppendFired(got[:0], w)
+					if !firedEqual(got, want) {
+						t.Fatalf("sweep mode=%v omega=%d cut=%d run %d window %d: engine %v, oracle %v",
+							mode, omega, cut, ri, s, got, want)
+					}
+				}
+			}
+			if marks.NumWindows() != w {
+				t.Fatalf("sweep mode=%v omega=%d cut=%d: %d windows, want %d", mode, omega, cut, marks.NumWindows(), w)
 			}
 		}
 
 		// Incremental view, with a run boundary mid-series.
 		cur := e.NewCursor()
-		cut := 0
-		if len(labels) > 0 {
-			cut = int(labels[0].Var) % (len(labels) + 1)
-		}
 		for _, run := range [][]pattern.Label{labels[:cut], labels[cut:]} {
 			cur.Reset()
 			for i, l := range run {
@@ -109,13 +117,6 @@ func FuzzEngineMatch(f *testing.F) {
 						mode, omega, i, fired, want)
 				}
 			}
-		}
-
-		// Isolated-window view on an arbitrary-length prefix.
-		window := labels[:min(len(labels), omega+3)]
-		if gotW := e.EvalWindow(window, nil); !firedEqual(gotW, oracleFired(r, window)) {
-			t.Fatalf("evalwindow mode=%v: engine %v, oracle %v",
-				mode, gotW, oracleFired(r, window))
 		}
 	})
 }

@@ -7,9 +7,9 @@ import (
 	"cdt/internal/pattern"
 )
 
-// Batch views. A sweep answers "which predicates fire on window w" for
-// every window of a run at once, 64 windows per machine word, in the
-// bit-parallel style of Shift-And (Baeza-Yates & Gonnet, CACM 1992):
+// The batch view. A sweep answers "which predicates fire on window w"
+// for every window of a run at once, 64 windows per machine word, in
+// the bit-parallel style of Shift-And (Baeza-Yates & Gonnet, CACM 1992):
 //
 //  1. one window bitset per composition, bit w set iff the composition
 //     occurs in window w. Contiguous mode ANDs per-label position
@@ -18,15 +18,14 @@ import (
 //     that every window holding a start is set. Subsequence mode steps
 //     the latest-start NFA once per label and tests LatestStart ≥ ws
 //     once per (composition, window).
-//  2. per predicate, the AND of its positive compositions' sets with its
-//     negated compositions' sets cleared, ORed into the Marks row of the
-//     predicate and into the union row.
+//  2. per live predicate, the AND of its positive compositions' sets
+//     with its negated compositions' sets cleared, ORed into the Marks
+//     row of the predicate and into the union row.
 //
-// A composition longer than the window gets an empty set, so a
-// predicate with such a positive composition gets an empty row, as the
-// cursor's compLen <= ω test has it. The working memory comes from
-// a pool on the engine, so a sweep allocates its Marks and nothing per
-// window.
+// A composition longer than ω gets an empty set, and a predicate with
+// such a positive composition is not live, so its row stays empty. The
+// working memory comes from a pool on the engine, so a sweep allocates
+// its Marks and nothing per run or window.
 
 // sweepScratch is one sweep's working memory, pooled on the engine.
 type sweepScratch struct {
@@ -34,7 +33,6 @@ type sweepScratch struct {
 	starts []uint64        // contiguous: one composition's occurrence starts, dilated in place
 	comp   []uint64        // per composition, its window bitset
 	pred   []uint64        // one predicate's window bitset
-	labels []pattern.Label // a run's labels when its windows do not share one array
 	nfa    *core.SubseqNFA // subsequence mode
 }
 
@@ -46,92 +44,45 @@ func (e *Engine) newSweepScratch() *sweepScratch {
 	return sc
 }
 
-// Sweep evaluates every sliding ω-window of one labeled series,
-// returning per-window marks. Window w covers labels[w : w+ω]; a series
-// shorter than ω yields zero windows.
-func (e *Engine) Sweep(labels []pattern.Label) *Marks {
-	m := newMarks(e.numPreds, max(len(labels)-e.omega+1, 0))
-	if m.n > 0 {
-		sc := e.sweeps.Get().(*sweepScratch)
-		e.sweepRun(sc, labels, e.omega, m, 0)
-		e.sweeps.Put(sc)
+// Sweep evaluates every ω-window of each label run and returns their
+// marks in run order: first the windows of runs[0], window w covering
+// runs[0][w : w+ω], then those of runs[1], and so on. No window spans
+// two runs, and a run shorter than ω adds none.
+func (e *Engine) Sweep(runs ...[]pattern.Label) *Marks {
+	n := 0
+	for _, labels := range runs {
+		n += max(len(labels)-e.omega+1, 0)
 	}
-	return m
-}
-
-// SweepObservations evaluates a pooled observation set — the Corpus
-// layout: maximal runs of consecutive sliding ω-windows with isolated
-// windows in between — sweeping each run once. Marks index i
-// corresponds to obs[i]. An observation whose length differs from ω
-// (not produced by the pooling, but legal for direct callers) is a run
-// of its own, evaluated with whole-window semantics.
-func (e *Engine) SweepObservations(obs []core.Observation) *Marks {
-	m := newMarks(e.numPreds, len(obs))
-	if len(obs) == 0 {
+	m := newMarks(e.numPreds, n)
+	if n == 0 {
 		return m
 	}
 	sc := e.sweeps.Get().(*sweepScratch)
-	for i := 0; i < len(obs); {
-		win := len(obs[i].Labels)
-		j := i + 1
-		if win == e.omega {
-			for j < len(obs) && slidOne(obs[j-1].Labels, obs[j].Labels) {
-				j++
-			}
+	off := 0
+	for _, labels := range runs {
+		if len(labels) >= e.omega {
+			e.sweepRun(sc, labels, m, off)
+			off += len(labels) - e.omega + 1
 		}
-		e.sweepRun(sc, sc.runLabels(obs[i:j]), win, m, i)
-		i = j
 	}
 	e.sweeps.Put(sc)
 	return m
 }
 
-// slidOne reports whether b is window a slid one label right over the
-// same array. Unlike core.SlidingAdjacent it also chains one-label
-// windows, through a's spare capacity.
-func slidOne(a, b []pattern.Label) bool {
-	if len(a) == 1 && len(b) == 1 {
-		return cap(a) > 1 && &a[:2][1] == &b[0]
-	}
-	return core.SlidingAdjacent(a, b)
-}
-
-// runLabels returns the labels under a run of sliding windows: the first
-// window extended over its array to the run's end when its capacity
-// allows, else a copy in scratch.
-func (sc *sweepScratch) runLabels(run []core.Observation) []pattern.Label {
-	first := run[0].Labels
-	n := len(first) + len(run) - 1
-	if cap(first) >= n {
-		return first[:n]
-	}
-	sc.labels = append(sc.labels[:0], first...)
-	for _, o := range run[1:] {
-		sc.labels = append(sc.labels, o.Labels[len(o.Labels)-1])
-	}
-	return sc.labels
-}
-
-// sweepRun marks the win-windows of labels — window w covers
-// labels[w : w+win] — into m as windows off, off+1, ….
-func (e *Engine) sweepRun(sc *sweepScratch, labels []pattern.Label, win int, m *Marks, off int) {
-	n := len(labels) - win + 1
-	if n <= 0 {
-		return
-	}
+// sweepRun marks the ω-windows of labels (len(labels) >= ω) into m as
+// windows off, off+1, ….
+func (e *Engine) sweepRun(sc *sweepScratch, labels []pattern.Label, m *Marks, off int) {
+	n := len(labels) - e.omega + 1
 	nw := (n + 63) / 64
 	sc.comp = grow(sc.comp, len(e.comps)*nw)
 	if e.mode == core.MatchContiguous {
-		e.contiguousSets(sc, labels, win, n, nw)
+		e.contiguousSets(sc, labels, n, nw)
 	} else {
-		e.subsequenceSets(sc, labels, win, nw)
+		e.subsequenceSets(sc, labels, nw)
 	}
 	sc.pred = grow(sc.pred, nw)
 	pred, union := sc.pred, m.row(m.preds)
-	for pi := 0; pi < e.numPreds; pi++ {
-		if e.deadAll[pi] {
-			continue
-		}
+	for _, pi := range e.live {
 		for i := range pred {
 			pred[i] = ^uint64(0)
 		}
@@ -152,14 +103,14 @@ func (e *Engine) sweepRun(sc *sweepScratch, labels []pattern.Label, win int, m *
 				}
 			}
 		}
-		orAt(m.row(pi), pred, off)
+		orAt(m.row(int(pi)), pred, off)
 		orAt(union, pred, off)
 	}
 }
 
 // contiguousSets fills sc.comp with each composition's window bitset
-// over the n win-windows of labels.
-func (e *Engine) contiguousSets(sc *sweepScratch, labels []pattern.Label, win, n, nw int) {
+// over the n ω-windows of labels.
+func (e *Engine) contiguousSets(sc *sweepScratch, labels []pattern.Label, n, nw int) {
 	if e.ac == nil {
 		return // no compositions
 	}
@@ -177,7 +128,7 @@ func (e *Engine) contiguousSets(sc *sweepScratch, labels []pattern.Label, win, n
 	starts := sc.starts
 	for ci, c := range e.comps {
 		set := sc.comp[ci*nw : (ci+1)*nw]
-		if len(c) > win {
+		if len(c) > e.omega {
 			clear(set)
 			continue
 		}
@@ -187,24 +138,24 @@ func (e *Engine) contiguousSets(sc *sweepScratch, labels []pattern.Label, win, n
 			id := int(in.ID(c[j]))
 			andShifted(starts, occ[id*lw:(id+1)*lw], j)
 		}
-		dilate(starts, win-len(c))
+		dilate(starts, e.omega-len(c))
 		copy(set, starts)
 		set[nw-1] &= tailMask(n)
 	}
 }
 
 // subsequenceSets fills sc.comp with each composition's window bitset
-// over the win-windows of labels, stepping the pooled NFA. Its positions
+// over the ω-windows of labels, stepping the pooled NFA. Its positions
 // are global and never reset: a window starting at global position ws
 // holds composition c iff LatestStart(c) >= ws, which no embedding from
 // an earlier sweep can satisfy.
-func (e *Engine) subsequenceSets(sc *sweepScratch, labels []pattern.Label, win, nw int) {
+func (e *Engine) subsequenceSets(sc *sweepScratch, labels []pattern.Label, nw int) {
 	comp := sc.comp
 	clear(comp)
 	base := sc.nfa.Pos() // global position of labels[0], the start of window 0
 	for p, l := range labels {
 		sc.nfa.Step(l)
-		w := p - win + 1
+		w := p - e.omega + 1
 		if w < 0 {
 			continue
 		}

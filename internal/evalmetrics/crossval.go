@@ -5,30 +5,11 @@ import (
 	"math/rand"
 )
 
-// KFoldIndices partitions {0..n-1} into k shuffled folds of near-equal
-// size — the 10-fold cross-validation protocol the paper uses to
-// evaluate the WEKA rule learners (§4.3). Every index appears in exactly
-// one fold; fold sizes differ by at most one.
-func KFoldIndices(n, k int, seed int64) ([][]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("metrics: k = %d, want >= 2", k)
-	}
-	if n < k {
-		return nil, fmt.Errorf("metrics: %d samples cannot fill %d folds", n, k)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	folds := make([][]int, k)
-	for i, idx := range perm {
-		f := i % k
-		folds[f] = append(folds[f], idx)
-	}
-	return folds, nil
-}
-
-// StratifiedKFoldIndices partitions indices into k folds preserving the
-// class ratio given by positive flags — important for the heavily
-// imbalanced anomaly windows, where plain folds can end up with no
-// positive at all.
+// StratifiedKFoldIndices partitions indices into k shuffled folds — the
+// 10-fold cross-validation protocol the paper uses to evaluate the WEKA
+// rule learners (§4.3) — preserving the class ratio given by positive
+// flags: with heavily imbalanced anomaly windows, plain folds can end up
+// with no positive at all.
 func StratifiedKFoldIndices(positive []bool, k int, seed int64) ([][]int, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("metrics: k = %d, want >= 2", k)

@@ -1,72 +1,17 @@
 package evalmetrics
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
-func TestKFoldPartition(t *testing.T) {
-	folds, err := KFoldIndices(10, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 3 {
-		t.Fatalf("got %d folds", len(folds))
-	}
-	seen := map[int]int{}
-	for _, fold := range folds {
-		for _, idx := range fold {
-			seen[idx]++
-		}
-	}
-	if len(seen) != 10 {
-		t.Errorf("covered %d indices", len(seen))
-	}
-	for idx, n := range seen {
-		if n != 1 {
-			t.Errorf("index %d appears %d times", idx, n)
-		}
-	}
-}
-
 func TestKFoldErrors(t *testing.T) {
-	if _, err := KFoldIndices(10, 1, 1); err == nil {
-		t.Error("k=1 accepted")
-	}
-	if _, err := KFoldIndices(2, 5, 1); err == nil {
-		t.Error("n<k accepted")
-	}
 	if _, err := StratifiedKFoldIndices(nil, 2, 1); err == nil {
 		t.Error("empty stratified input accepted")
 	}
 	if _, err := StratifiedKFoldIndices(make([]bool, 10), 1, 1); err == nil {
 		t.Error("stratified k=1 accepted")
-	}
-}
-
-func TestKFoldBalancedSizes(t *testing.T) {
-	f := func(nRaw, kRaw uint8, seed int64) bool {
-		k := int(kRaw%8) + 2
-		n := k + int(nRaw%100)
-		folds, err := KFoldIndices(n, k, seed)
-		if err != nil {
-			return false
-		}
-		min, max := n, 0
-		total := 0
-		for _, fold := range folds {
-			if len(fold) < min {
-				min = len(fold)
-			}
-			if len(fold) > max {
-				max = len(fold)
-			}
-			total += len(fold)
-		}
-		return total == n && max-min <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -109,6 +54,57 @@ func TestStratifiedKFoldCoversAll(t *testing.T) {
 	}
 	if len(seen) != len(positive) {
 		t.Errorf("covered %d of %d", len(seen), len(positive))
+	}
+}
+
+// TestStratifiedKFoldBalancedPerClass: over random inputs, the k folds
+// partition the indices, and each class is dealt evenly, so its counts
+// in any two folds differ by at most one.
+func TestStratifiedKFoldBalancedPerClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		k := 2 + rng.Intn(9)
+		positive := make([]bool, k+rng.Intn(120))
+		rate := rng.Float64()
+		for i := range positive {
+			positive[i] = rng.Float64() < rate
+		}
+		folds, err := StratifiedKFoldIndices(positive, k, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(folds) != k {
+			t.Fatalf("%d folds, want %d", len(folds), k)
+		}
+		seen := make([]bool, len(positive))
+		var lo, hi [2]int
+		for f, fold := range folds {
+			var n [2]int
+			for _, idx := range fold {
+				if seen[idx] {
+					t.Fatalf("k=%d: index %d dealt twice", k, idx)
+				}
+				seen[idx] = true
+				if positive[idx] {
+					n[1]++
+				} else {
+					n[0]++
+				}
+			}
+			for c := range n {
+				if f == 0 || n[c] < lo[c] {
+					lo[c] = n[c]
+				}
+				hi[c] = max(hi[c], n[c])
+			}
+		}
+		if i := slices.Index(seen, false); i >= 0 {
+			t.Fatalf("k=%d: index %d of %d in no fold", k, i, len(positive))
+		}
+		if hi[0]-lo[0] > 1 || hi[1]-lo[1] > 1 {
+			t.Fatalf("k=%d over %d samples: per-fold negatives %d..%d, positives %d..%d; want each within one",
+				k, len(positive), lo[0], hi[0], lo[1], hi[1])
+		}
 	}
 }
 

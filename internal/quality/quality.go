@@ -81,10 +81,11 @@ func (r Report) Objective() float64 { return r.F1() * r.Q }
 // interpretability terms.
 //
 // marks carries the per-observation match results — r's compiled engine
-// swept over obs (engine.Compile(r, ω).SweepObservations(obs)); marks
-// index i must correspond to obs[i]. Evaluate itself re-matches nothing:
-// the engine's bit-identity contract guarantees marks agree with
-// per-window Predicate.Matches.
+// swept over the labelings the observations were windowed from
+// (engine.Compile(r, ω).Sweep(perSeries...), as Model.evaluate does for
+// a Corpus); marks index i must correspond to obs[i]. Evaluate itself
+// re-matches nothing: the engine's bit-identity contract guarantees
+// marks agree with per-window Predicate.Matches.
 func Evaluate(r rules.Rule, obs []core.Observation, marks *engine.Marks, omega, maxLabels int) Report {
 	rep := Report{
 		PredicateSupports:       make([]int, len(r.Predicates)),

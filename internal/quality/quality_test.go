@@ -2,6 +2,7 @@ package quality
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,10 +104,15 @@ func makeObs(labels [][]pattern.Label, classes []core.Class) []core.Observation 
 	return obs
 }
 
-// sweep compiles the rule's engine and matches the observations — the
-// marks every Evaluate caller provides.
+// sweep compiles the rule's engine and sweeps each ω-long observation
+// as a run of its own, so mark i belongs to obs[i] — the marks every
+// Evaluate caller provides.
 func sweep(r rules.Rule, obs []core.Observation, omega int) *engine.Marks {
-	return engine.Compile(r, omega).SweepObservations(obs)
+	runs := make([][]pattern.Label, len(obs))
+	for i := range obs {
+		runs[i] = obs[i].Labels
+	}
+	return engine.Compile(r, omega).Sweep(runs...)
 }
 
 func TestEvaluatePerfectRule(t *testing.T) {
@@ -148,6 +154,30 @@ func TestEvaluateAttributesToFirstMatch(t *testing.T) {
 	rep := Evaluate(r, obs, sweep(r, obs, 2), 2, 25)
 	if rep.PredicateSupports[0] != 1 || rep.PredicateSupports[1] != 0 {
 		t.Errorf("supports = %v, want [1 0]", rep.PredicateSupports)
+	}
+}
+
+// TestEvaluateCreditsNoShadowedOrIdlePredicate: a predicate earns
+// support only from the anomalous windows it matches first. The second
+// predicate here matches only where the first does, and the third only
+// a normal window, so both stay at zero support, which is what
+// Model.PruneRedundant drops on.
+func TestEvaluateCreditsNoShadowedOrIdlePredicate(t *testing.T) {
+	r := rules.Rule{Predicates: []rules.Predicate{
+		{Literals: []rules.Literal{{Comp: comp(la)}}},
+		{Literals: []rules.Literal{{Comp: comp(la)}, {Comp: comp(lb)}}},
+		{Literals: []rules.Literal{{Comp: comp(lc)}}},
+	}}
+	obs := makeObs(
+		[][]pattern.Label{{la, lb}, {lc, lc}},
+		[]core.Class{core.Anomaly, core.Normal},
+	)
+	rep := Evaluate(r, obs, sweep(r, obs, 2), 2, 25)
+	if want := []int{1, 0, 0}; !slices.Equal(rep.PredicateSupports, want) {
+		t.Errorf("supports = %v, want %v", rep.PredicateSupports, want)
+	}
+	if rep.Confusion.TP != 1 || rep.Confusion.FP != 1 {
+		t.Errorf("confusion = %+v, want one true and one false positive", rep.Confusion)
 	}
 }
 

@@ -1,15 +1,15 @@
 package rules
 
 // The paper's future work (§5): "combine rules by a generalization and
-// eliminate redundant rules". This file implements both improvements:
-//
-//   - RemoveRedundant drops rule predicates that never contribute a true
-//     positive on a labeled reference set;
-//   - Generalize widens the magnitude intervals of rule compositions —
-//     e.g. PP[L,H] → PP[+,+] ("any positive peak") — greedily, keeping a
-//     widening only when the rule's F1 on a labeled reference set does
-//     not degrade. Generalized rules transfer better across magnitude
-//     regimes (seasons, sensors) and read even more naturally.
+// eliminate redundant rules". This file implements the generalization:
+// Generalize widens the magnitude intervals of rule compositions — e.g.
+// PP[L,H] → PP[+,+] ("any positive peak") — greedily, keeping a
+// widening only when the rule's F1 on a labeled reference set does not
+// degrade. Generalized rules transfer better across magnitude regimes
+// (seasons, sensors) and read even more naturally. Eliminating
+// redundant rules needs only the per-predicate true-positive counts a
+// quality evaluation already makes, so it lives with that evaluation:
+// cdt's Model.PruneRedundant.
 
 import (
 	"fmt"
@@ -19,32 +19,6 @@ import (
 	"cdt/internal/evalmetrics"
 	"cdt/internal/pattern"
 )
-
-// RemoveRedundant returns the rule without predicates that detect no
-// true positive on the reference observations. Evaluation is ordered:
-// a predicate's support is the true positives *it* claims first, so a
-// predicate fully shadowed by earlier ones is redundant and removed.
-func RemoveRedundant(r Rule, obs []core.Observation) Rule {
-	supports := make([]int, len(r.Predicates))
-	for i := range obs {
-		if obs[i].Class != core.Anomaly {
-			continue
-		}
-		for pi, p := range r.Predicates {
-			if p.Matches(obs[i].Labels, r.Mode) {
-				supports[pi]++
-				break
-			}
-		}
-	}
-	out := Rule{Mode: r.Mode}
-	for pi, p := range r.Predicates {
-		if supports[pi] > 0 {
-			out.Predicates = append(out.Predicates, p)
-		}
-	}
-	return out
-}
 
 // MagnitudeRange is an inclusive interval-code range. The zero-width
 // range pins an exact code; the full positive range [1,δ] means "any

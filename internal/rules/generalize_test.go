@@ -132,7 +132,7 @@ func TestGeneralizeWidensWhenJustified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := Extract(tree, PureAnomalyLeaves)
+	exact := Simplify(FromTree(tree, PureAnomalyLeaves))
 	if exact.Count() == 0 {
 		t.Fatal("no rules learned")
 	}
@@ -168,7 +168,7 @@ func TestGeneralizeNeverDegradesReferenceF1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := Extract(tree, MajorityAnomalyLeaves)
+		exact := Simplify(FromTree(tree, MajorityAnomalyLeaves))
 		lifted := liftRule(exact)
 		general := Generalize(exact, obs, 2)
 		if general.F1(obs)+1e-12 < lifted.F1(obs) {
@@ -203,24 +203,6 @@ func TestGeneralRuleFormat(t *testing.T) {
 	}
 	if (GeneralRule{}).Format(cfg2) != "(no anomaly rules)" {
 		t.Error("empty format wrong")
-	}
-}
-
-func TestRemoveRedundant(t *testing.T) {
-	// Second predicate is shadowed by the first; third never fires on an
-	// anomaly.
-	r := Rule{Predicates: []Predicate{
-		{Literals: []Literal{pos(comp(la))}},
-		{Literals: []Literal{pos(comp(la)), pos(comp(lb))}},
-		{Literals: []Literal{pos(comp(lc))}},
-	}}
-	obs := []core.Observation{
-		{Labels: []pattern.Label{la, lb}, Class: core.Anomaly},
-		{Labels: []pattern.Label{lc, lc}, Class: core.Normal},
-	}
-	out := RemoveRedundant(r, obs)
-	if out.Count() != 1 {
-		t.Fatalf("got %d predicates, want 1:\n%s", out.Count(), out.Format(cfg2))
 	}
 }
 

@@ -179,9 +179,3 @@ func FromTree(t *core.Tree, policy LeafPolicy) Rule {
 	walk(t.Root)
 	return r
 }
-
-// Extract builds and simplifies the rule in one call — the pipeline the
-// paper applies after tree induction.
-func Extract(t *core.Tree, policy LeafPolicy) Rule {
-	return Simplify(FromTree(t, policy))
-}

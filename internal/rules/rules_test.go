@@ -232,9 +232,9 @@ func TestFromTreeMatchesTreePredictions(t *testing.T) {
 	}
 }
 
-func TestExtractSimplifiedStillMatchesTree(t *testing.T) {
+func TestSimplifiedStillMatchesTree(t *testing.T) {
 	tree, obs := buildSeparableTree(t)
-	r := Extract(tree, PureAnomalyLeaves)
+	r := Simplify(FromTree(tree, PureAnomalyLeaves))
 	for i := range obs {
 		want := tree.Predict(obs[i].Labels) == core.Anomaly
 		if got := r.Detect(obs[i].Labels); got != want {

@@ -129,7 +129,7 @@ func (s *Server) scoreBatch(ctx context.Context, m *servedModel, series []series
 			m.apply(ruleCounts)
 			s.tel.batchSeries.Inc()
 			s.tel.batchDetections.Add(uint64(len(dets)))
-			windows := max(len(sp.Values)-m.info.Omega, 0)
+			windows := windowCount(len(sp.Values), m.info.Omega)
 			s.drift.observe(ctx, m, windows, len(dets), ruleCounts)
 			if shadow != nil {
 				incRanges := make([][2]int, len(dets))

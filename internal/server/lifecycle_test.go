@@ -285,6 +285,117 @@ func TestShadowStopEndpoint(t *testing.T) {
 	}
 }
 
+// TestShadowCountsDetectWindows: the shadow counts the windows detection
+// sweeps, n readings making n−ω−1 ω-windows. A batch series counts
+// len(DetectWindows) of them, and a fresh session pushed its ω+1
+// warm-up readings counts none.
+func TestShadowCountsDetectWindows(t *testing.T) {
+	s, ts, _ := newStoreServer(t, Config{})
+	if code := doJSON(t, "POST", ts.URL+"/models/spikes/shadow", versionRequest{Version: 2}, nil); code != 201 {
+		t.Fatalf("shadow start: status %d", code)
+	}
+	const seed = 100
+	batchDetect(t, ts, "spikes", 1, seed)
+	s.shadows.drain()
+	flags, err := trainModel(t).DetectWindows(cdt.NewSeries("s", spiky("s", 300, []int{120, 240}, seed).Values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum ShadowSummary
+	if code := doJSON(t, "GET", ts.URL+"/models/spikes/shadow", nil, &sum); code != 200 {
+		t.Fatalf("shadow summary: status %d", code)
+	}
+	if sum.Windows != uint64(len(flags)) {
+		t.Fatalf("shadow counted %d windows for a 300-point series, DetectWindows %d", sum.Windows, len(flags))
+	}
+
+	var sess createStreamResponse
+	if code := doJSON(t, "POST", ts.URL+"/streams", createStreamRequest{Model: "spikes", Min: 60, Max: 420}, &sess); code != 201 {
+		t.Fatalf("create stream: status %d", code)
+	}
+	warmUp := spiky("live", 5+1, nil, 31).Values // ω+1 readings
+	if code := doJSON(t, "POST", ts.URL+"/streams/"+sess.ID+"/points", pushPointsRequest{Points: warmUp}, nil); code != 200 {
+		t.Fatal("push failed")
+	}
+	before := sum.Windows
+	if code := doJSON(t, "GET", ts.URL+"/models/spikes/shadow", nil, &sum); code != 200 {
+		t.Fatalf("shadow summary: status %d", code)
+	}
+	if sum.Windows != before {
+		t.Fatalf("a session pushed ω+1 readings counted %d windows, want 0", sum.Windows-before)
+	}
+}
+
+// TestWindowCount: n readings make n−2 transition labels and n−ω−1
+// ω-windows, as many as DetectWindows returns, and none before the
+// (ω+2)-th reading.
+func TestWindowCount(t *testing.T) {
+	for _, c := range []struct{ points, omega, want int }{
+		{0, 1, 0}, {2, 1, 0}, {3, 1, 1}, {0, 5, 0}, {6, 5, 0}, {7, 5, 1}, {20, 5, 14},
+	} {
+		if got := windowCount(c.points, c.omega); got != c.want {
+			t.Errorf("windowCount(%d, %d) = %d, want %d", c.points, c.omega, got, c.want)
+		}
+	}
+	m := trainModel(t)
+	for _, n := range []int{7, 8, 20, 300} {
+		flags, err := m.DetectWindows(cdt.NewSeries("s", spiky("s", n, nil, 5).Values))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := windowCount(n, m.Opts.Omega); got != len(flags) {
+			t.Errorf("windowCount(%d, %d) = %d, DetectWindows %d", n, m.Opts.Omega, got, len(flags))
+		}
+	}
+}
+
+// TestSessionShadowCountsWindowsAcrossResets: each push adds the windows
+// its readings complete, however the readings are split into pushes, and
+// a reset starts the count over, so a mirrored session counts
+// len(DetectWindows) windows per run of at least ω+2 readings and none
+// for a shorter run.
+func TestSessionShadowCountsWindowsAcrossResets(t *testing.T) {
+	_, ts, _ := newStoreServer(t, Config{})
+	if code := doJSON(t, "POST", ts.URL+"/models/spikes/shadow", versionRequest{Version: 2}, nil); code != 201 {
+		t.Fatalf("shadow start: status %d", code)
+	}
+	var sess createStreamResponse
+	if code := doJSON(t, "POST", ts.URL+"/streams", createStreamRequest{Model: "spikes", Min: 60, Max: 420}, &sess); code != 201 {
+		t.Fatalf("create stream: status %d", code)
+	}
+	m := trainModel(t)
+	omega := m.Opts.Omega
+	values := spiky("live", 200, []int{70, 150}, 41).Values
+	want := uint64(0)
+	// Runs of 3, ω+1, ω+2 and 120 readings, pushed in chunks.
+	for _, chunks := range [][]int{{3}, {2, omega - 1}, {1, 1, omega}, {50, 1, 6, 63}} {
+		if code := doJSON(t, "POST", ts.URL+"/streams/"+sess.ID+"/reset", nil, nil); code != 204 {
+			t.Fatalf("reset: status %d", code)
+		}
+		n := 0
+		for _, c := range chunks {
+			if code := doJSON(t, "POST", ts.URL+"/streams/"+sess.ID+"/points", pushPointsRequest{Points: values[n : n+c]}, nil); code != 200 {
+				t.Fatalf("push of %d readings: status %d", c, code)
+			}
+			n += c
+		}
+		if n >= omega+2 {
+			flags, err := m.DetectWindows(cdt.NewSeries("run", values[:n]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += uint64(len(flags))
+		}
+		var sum ShadowSummary
+		if code := doJSON(t, "GET", ts.URL+"/models/spikes/shadow", nil, &sum); code != 200 {
+			t.Fatalf("shadow summary: status %d", code)
+		}
+		if sum.Windows != want {
+			t.Fatalf("after a run of %d readings pushed as %v: shadow counted %d windows, want %d", n, chunks, sum.Windows, want)
+		}
+	}
+}
+
 // TestLifecycleEndpointsRequireStore: a directory-backed server refuses
 // the store-only endpoints instead of panicking or half-working.
 func TestLifecycleEndpointsRequireStore(t *testing.T) {

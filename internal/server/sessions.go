@@ -208,8 +208,8 @@ func (sess *Session) Push(ctx context.Context, values []float64) ([]cdt.Detectio
 	for _, v := range values {
 		out = append(out, sess.stream.Push(v)...)
 	}
-	windows := streamWindows(sess.stream.Points(), sess.Omega) -
-		streamWindows(pointsBefore, sess.Omega)
+	windows := windowCount(sess.stream.Points(), sess.Omega) -
+		windowCount(pointsBefore, sess.Omega)
 	if sess.shadow != nil {
 		var candDets []cdt.Detection
 		for _, v := range values {
@@ -241,13 +241,11 @@ func (sess *Session) Push(ctx context.Context, values []float64) ([]cdt.Detectio
 	return out, sess.stream.Points(), sess.stream.Ready()
 }
 
-// streamWindows is the number of complete windows a stream of n points
-// has swept: n−1 transition labels make n−ω windows.
-func streamWindows(points, omega int) int {
-	if w := points - omega; w > 0 {
-		return w
-	}
-	return 0
+// windowCount is the number of ω-windows n readings make, in a batch
+// series or a stream since its last reset: n readings make n−2
+// transition labels, and those make n−ω−1 windows.
+func windowCount(points, omega int) int {
+	return max(points-omega-1, 0)
 }
 
 // detectionRanges projects stream detections to their point ranges for

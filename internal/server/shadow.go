@@ -302,11 +302,7 @@ func (s *Shadows) score(job shadowJob) {
 	}
 	agree, incOnly, candOnly := compareRanges(job.incRanges, st.Ranges)
 	sh.record(job.windows, agree, incOnly, candOnly)
-	candWindows := len(job.values) - sh.omega
-	if candWindows < 0 {
-		candWindows = 0
-	}
-	observeRates(sh, job.windows, len(job.incRanges), candWindows, len(st.Ranges))
+	observeRates(sh, job.windows, len(job.incRanges), windowCount(len(job.values), sh.omega), len(st.Ranges))
 	sh.observeScaleRates(st)
 	span.End()
 	if s.logger != nil {

@@ -132,13 +132,11 @@ func (s *Series) Normalize() (Scale, error) {
 	return sc, nil
 }
 
-// Scale records a min-max normalization so it can be inverted.
+// Scale records a min-max normalization so it can be applied to new
+// readings.
 type Scale struct {
 	Min, Max float64
 }
-
-// Invert maps a normalized value back to the original range.
-func (sc Scale) Invert(v float64) float64 { return sc.Min + v*(sc.Max-sc.Min) }
 
 // Apply maps an original-range value to the normalized range. A degenerate
 // scale (Max == Min) maps everything to 0.
@@ -160,15 +158,6 @@ func Mean(bucket []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(bucket))
-}
-
-// Sum totals a bucket (natural for consumption counters).
-func Sum(bucket []float64) float64 {
-	sum := 0.0
-	for _, v := range bucket {
-		sum += v
-	}
-	return sum
 }
 
 // Max takes the bucket maximum.
@@ -223,32 +212,6 @@ func Downsample(s *Series, factor int, agg Aggregator) (*Series, error) {
 	return out, nil
 }
 
-// MovingAverage smooths the series with a centered moving average of the
-// given odd window width, used as optional noise removal (paper §3.1:
-// "resampling could also be used ... to smooth time series and remove any
-// noise"). Anomaly flags are preserved point-for-point.
-func MovingAverage(s *Series, width int) (*Series, error) {
-	if width <= 0 || width%2 == 0 {
-		return nil, fmt.Errorf("timeseries: moving-average width %d, want odd and >= 1", width)
-	}
-	if len(s.Values) == 0 {
-		return nil, ErrEmpty
-	}
-	half := width / 2
-	out := s.Clone()
-	for i := range s.Values {
-		lo, hi := i-half, i+half+1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(s.Values) {
-			hi = len(s.Values)
-		}
-		out.Values[i] = Mean(s.Values[lo:hi])
-	}
-	return out, nil
-}
-
 // Split holds the chronological partition used by the evaluation protocol.
 type Split struct {
 	Train, Validation, Test *Series
@@ -284,33 +247,4 @@ func (s *Series) Slice(lo, hi int) *Series {
 		out.Anomalies = s.Anomalies[lo:hi]
 	}
 	return out
-}
-
-// Stats summarizes a series for reporting.
-type Stats struct {
-	N         int
-	Min, Max  float64
-	Mean, Std float64
-	Anomalies int
-}
-
-// Summarize computes descriptive statistics. It fails where MinMax does.
-func Summarize(s *Series) (Stats, error) {
-	min, max, err := s.MinMax()
-	if err != nil {
-		return Stats{}, err
-	}
-	st := Stats{N: len(s.Values), Min: min, Max: max, Anomalies: s.AnomalyCount()}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	st.Mean = sum / float64(st.N)
-	ss := 0.0
-	for _, v := range s.Values {
-		d := v - st.Mean
-		ss += d * d
-	}
-	st.Std = math.Sqrt(ss / float64(st.N))
-	return st, nil
 }

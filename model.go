@@ -28,8 +28,8 @@ type Model struct {
 
 	// eng is the rule set compiled into one immutable matcher
 	// (internal/engine); every detection surface — DetectWindows,
-	// DetectExplained, FiredPredicates, EvaluateCorpus, Stream, and the
-	// serving layer — evaluates through it. Compiled once in
+	// DetectExplained, EvaluateCorpus, Audit, Stream, and the serving
+	// layer — evaluates through it. Compiled once in
 	// finalizeRules, read-only afterwards.
 	eng *engine.Engine
 
@@ -204,12 +204,10 @@ func (m *Model) Evaluate(eval []*Series) (Report, error) {
 // scoring many models that share hyper-parameter candidates against one
 // validation corpus re-labels and re-windows nothing.
 func (m *Model) EvaluateCorpus(c *Corpus) (Report, error) {
-	pooled, err := c.Observations(m.Opts)
+	qrep, err := m.evaluate(c)
 	if err != nil {
 		return Report{}, err
 	}
-	marks := m.eng.SweepObservations(pooled)
-	qrep := quality.Evaluate(m.rule, pooled, marks, m.Opts.Omega, m.pcfg.AlphabetSize())
 	return Report{
 		Confusion: qrep.Confusion,
 		F1:        qrep.F1(),
@@ -217,6 +215,23 @@ func (m *Model) EvaluateCorpus(c *Corpus) (Report, error) {
 		FH:        qrep.Objective(),
 		NumRules:  m.rule.Count(),
 	}, nil
+}
+
+// evaluate scores the rule on the corpus's ω-windows: one sweep over
+// the corpus's cached per-series labelings, whose windows, series by
+// series, are exactly Corpus.Observations' pool in order, so mark i
+// belongs to observation i.
+func (m *Model) evaluate(c *Corpus) (quality.Report, error) {
+	pooled, err := c.Observations(m.Opts)
+	if err != nil {
+		return quality.Report{}, err
+	}
+	perSeries, err := c.labelsFor(m.pcfg)
+	if err != nil {
+		return quality.Report{}, err
+	}
+	marks := m.eng.Sweep(perSeries...)
+	return quality.Evaluate(m.rule, pooled, marks, m.Opts.Omega, m.pcfg.AlphabetSize()), nil
 }
 
 // Predict classifies one window of labels directly (for callers managing
@@ -230,14 +245,27 @@ type GeneralRule = rules.GeneralRule
 
 // PruneRedundant returns a copy of the rule set without predicates that
 // contribute no true positive on the reference series — the paper's
-// "eliminate redundant rules" improvement. The reference should be
-// labeled data not used for training (e.g. the validation split).
+// "eliminate redundant rules" improvement. Evaluation is ordered: a
+// predicate's true positives are the anomalous windows it matches
+// first, so a predicate fully shadowed by earlier ones is removed. The
+// reference should be labeled data not used for training (e.g. the
+// validation split).
 func (m *Model) PruneRedundant(reference []*Series) (Rule, error) {
-	obs, err := m.pooledObservations(reference)
+	c, err := referenceCorpus(reference)
 	if err != nil {
 		return Rule{}, err
 	}
-	return rules.RemoveRedundant(m.rule, obs), nil
+	rep, err := m.evaluate(c)
+	if err != nil {
+		return Rule{}, err
+	}
+	out := Rule{Mode: m.rule.Mode}
+	for i, p := range m.rule.Predicates {
+		if rep.PredicateSupports[i] > 0 {
+			out.Predicates = append(out.Predicates, p)
+		}
+	}
+	return out, nil
 }
 
 // Generalize widens the magnitude intervals of the learned rules —
@@ -247,7 +275,11 @@ func (m *Model) PruneRedundant(reference []*Series) (Rule, error) {
 // rules transfer better across magnitude regimes and read more
 // naturally. The reference should be labeled data not used for training.
 func (m *Model) Generalize(reference []*Series) (GeneralRule, error) {
-	obs, err := m.pooledObservations(reference)
+	c, err := referenceCorpus(reference)
+	if err != nil {
+		return GeneralRule{}, err
+	}
+	obs, err := c.Observations(m.Opts)
 	if err != nil {
 		return GeneralRule{}, err
 	}
@@ -258,18 +290,14 @@ func (m *Model) Generalize(reference []*Series) (GeneralRule, error) {
 // δ-aware label names.
 func (m *Model) GeneralRuleText(g GeneralRule) string { return g.Format(m.pcfg) }
 
-// pooledObservations labels and windows a set of series into one pool,
-// through a throwaway corpus so every trainer-side consumer shares one
-// pipeline implementation.
-func (m *Model) pooledObservations(series []*Series) ([]core.Observation, error) {
+// referenceCorpus wraps reference or evaluation series in a throwaway
+// corpus, so every trainer-side consumer shares one pipeline
+// implementation.
+func referenceCorpus(series []*Series) (*Corpus, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("cdt: no reference series")
 	}
-	c, err := NewCorpus(series)
-	if err != nil {
-		return nil, err
-	}
-	return c.Observations(m.Opts)
+	return NewCorpus(series)
 }
 
 // RuleStat summarizes one rule predicate's behaviour on an evaluation
@@ -300,11 +328,14 @@ func (r RuleStat) Precision() float64 {
 // Audit evaluates every rule predicate on labeled series and returns
 // per-rule support, false alarms, and interpretability, in rule order.
 func (m *Model) Audit(eval []*Series) ([]RuleStat, error) {
-	obs, err := m.pooledObservations(eval)
+	c, err := referenceCorpus(eval)
 	if err != nil {
 		return nil, err
 	}
-	rep := quality.Evaluate(m.rule, obs, m.eng.SweepObservations(obs), m.Opts.Omega, m.pcfg.AlphabetSize())
+	rep, err := m.evaluate(c)
+	if err != nil {
+		return nil, err
+	}
 	stats := make([]RuleStat, len(m.rule.Predicates))
 	for i, p := range m.rule.Predicates {
 		stats[i] = RuleStat{

@@ -14,8 +14,8 @@ package analysis
 // "cdtlint", so a typo cannot silently disable a check.
 //
 // Suppressed findings do not fail a cdtlint run, but they are not
-// discarded: Run returns them separately and the -format json/sarif
-// outputs count and carry them, so suppression growth stays visible.
+// discarded: Run returns them separately and the -format sarif output
+// carries them, so suppression growth stays visible.
 
 import (
 	"go/ast"

@@ -13,7 +13,7 @@
 // Two contracts are enforced elsewhere: go vet's copylocks rejects every
 // copy of a Corpus (it holds a sync.RWMutex), and allocation tests
 // (named *Allocates*, run without -race) pin the engine's cursor and
-// sweeps and the fastjson response appenders.
+// sweep and the fastjson response appenders.
 //
 // Test files are analyzed by the view/lock analyzers too — a test that
 // corrupts a cached view poisons every later test sharing the corpus.
@@ -29,7 +29,7 @@
 //
 // trailing the offending line, or standing alone on the line above it.
 // Suppressed findings do not fail the run but are carried (with their
-// justifications) in the -format json and sarif outputs.
+// justifications) in the -format sarif output.
 //
 // Usage, from the repository root:
 //
@@ -104,9 +104,9 @@ func scope(a *analysis.Analyzer, u *analysis.Unit) bool {
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
+	format := flag.String("format", "text", "output format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cdtlint [-list] [-format text|json|sarif] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: cdtlint [-list] [-format text|sarif] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -117,8 +117,8 @@ func main() {
 		}
 		return
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "cdtlint: unknown format %q (want text, json, or sarif)\n", *format)
+	if *format != "text" && *format != "sarif" {
+		fmt.Fprintf(os.Stderr, "cdtlint: unknown format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
 
@@ -139,22 +139,14 @@ func main() {
 	}
 
 	cwd, _ := os.Getwd()
-	switch *format {
-	case "json":
-		out, err := renderJSON(findings, suppressed, cwd)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cdtlint: %v\n", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(out)
-	case "sarif":
+	if *format == "sarif" {
 		out, err := renderSARIF(findings, suppressed, analyzers, cwd)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cdtlint: %v\n", err)
 			os.Exit(2)
 		}
 		os.Stdout.Write(out)
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(cwd, f.Position.Filename), f.Position.Line, f.Position.Column, f.Analyzer, f.Message)
 		}

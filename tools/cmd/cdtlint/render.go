@@ -1,10 +1,8 @@
 package main
 
-// Structured output renderers. The JSON form is cdtlint's own stable
-// shape (findings + suppressed + counts, for scripts and the golden
-// tests); the SARIF form is the 2.1.0 interchange subset GitHub code
-// scanning consumes: one run, one driver carrying a rule per analyzer,
-// one result per finding. Suppressed findings are emitted as results
+// The SARIF renderer: the 2.1.0 interchange subset GitHub code scanning
+// consumes — one run, one driver carrying a rule per analyzer, one
+// result per finding. Suppressed findings are emitted as results
 // carrying an inSource suppression with the directive's justification —
 // code scanning shows them as dismissed instead of open, and suppression
 // growth stays reviewable.
@@ -15,63 +13,6 @@ import (
 
 	"cdt/tools/analysis"
 )
-
-// jsonFinding is one finding in -format json output.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-	// Reason is the suppression justification; only set under
-	// "suppressed".
-	Reason string `json:"reason,omitempty"`
-}
-
-// jsonCounts summarizes a run.
-type jsonCounts struct {
-	Findings   int `json:"findings"`
-	Suppressed int `json:"suppressed"`
-}
-
-// jsonReport is the -format json document.
-type jsonReport struct {
-	Findings   []jsonFinding `json:"findings"`
-	Suppressed []jsonFinding `json:"suppressed"`
-	Counts     jsonCounts    `json:"counts"`
-}
-
-func renderJSON(findings []analysis.Finding, suppressed []analysis.SuppressedFinding, root string) ([]byte, error) {
-	report := jsonReport{
-		Findings:   make([]jsonFinding, 0, len(findings)),
-		Suppressed: make([]jsonFinding, 0, len(suppressed)),
-		Counts:     jsonCounts{Findings: len(findings), Suppressed: len(suppressed)},
-	}
-	for _, f := range findings {
-		report.Findings = append(report.Findings, jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     relPath(root, f.Position.Filename),
-			Line:     f.Position.Line,
-			Column:   f.Position.Column,
-			Message:  f.Message,
-		})
-	}
-	for _, s := range suppressed {
-		report.Suppressed = append(report.Suppressed, jsonFinding{
-			Analyzer: s.Analyzer,
-			File:     relPath(root, s.Position.Filename),
-			Line:     s.Position.Line,
-			Column:   s.Position.Column,
-			Message:  s.Message,
-			Reason:   s.Reason,
-		})
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
 
 // SARIF 2.1.0 subset.
 

@@ -155,54 +155,3 @@ func TestRenderSARIFShape(t *testing.T) {
 		t.Errorf("justification = %q", last.Suppressions[0].Justification)
 	}
 }
-
-// TestRenderJSONShape checks the stable cdtlint JSON document: findings
-// and suppressed arrays (never null), counts, and suppression reasons.
-func TestRenderJSONShape(t *testing.T) {
-	root := string(filepath.Separator) + "repo"
-	findings, suppressed := fixtureFindings(root)
-	out, err := renderJSON(findings, suppressed, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(out, &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	var report jsonReport
-	if err := json.Unmarshal(out, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Counts.Findings != 2 || report.Counts.Suppressed != 1 {
-		t.Errorf("counts = %+v, want {2 1}", report.Counts)
-	}
-	if len(report.Findings) != 2 || len(report.Suppressed) != 1 {
-		t.Fatalf("findings/suppressed = %d/%d", len(report.Findings), len(report.Suppressed))
-	}
-	if report.Findings[0].File != filepath.Join("internal", "engine", "engine.go") {
-		t.Errorf("file = %q, want root-relative path", report.Findings[0].File)
-	}
-	if report.Findings[0].Reason != "" {
-		t.Errorf("active finding has a reason: %q", report.Findings[0].Reason)
-	}
-	if report.Suppressed[0].Reason == "" {
-		t.Error("suppressed finding lost its justification")
-	}
-
-	// Empty runs must still render arrays, not nulls: the CI consumer
-	// indexes .findings unconditionally.
-	out, err = renderJSON(nil, nil, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var empty map[string]any
-	if err := json.Unmarshal(out, &empty); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := empty["findings"].([]any); !ok {
-		t.Errorf("empty findings rendered as %T, want array", empty["findings"])
-	}
-	if _, ok := empty["suppressed"].([]any); !ok {
-		t.Errorf("empty suppressed rendered as %T, want array", empty["suppressed"])
-	}
-}
