@@ -119,11 +119,9 @@ func (o Options) coreOptions() core.Options {
 
 // ensureNormalized returns a series whose values lie in [0,1]: the input
 // itself when already in range (so pre-normalized splits keep a common
-// scale), otherwise a min-max-normalized clone (§3.1).
+// scale), otherwise a min-max-normalized clone (§3.1). It scans the
+// values for their range once; Normalize would scan them again.
 func ensureNormalized(s *Series) (*Series, error) {
-	if s.Len() == 0 {
-		return nil, timeseries.ErrEmpty
-	}
 	min, max, err := s.MinMax()
 	if err != nil {
 		return nil, err
@@ -132,38 +130,49 @@ func ensureNormalized(s *Series) (*Series, error) {
 		return s, nil
 	}
 	c := s.Clone()
-	if _, err := c.Normalize(); err != nil {
-		return nil, err
+	sc := timeseries.Scale{Min: min, Max: max}
+	for i, v := range c.Values {
+		c.Values[i] = sc.Apply(v)
 	}
 	return c, nil
 }
 
-// labeledSeries normalizes and labels a series and validates ω against
-// its label count — the shared front half of observations (training,
-// truth pooling) and of the engine sweep (detection), so both paths
-// reject the same inputs with the same errors.
-func labeledSeries(s *Series, pcfg pattern.Config, omega int) ([]pattern.Label, []bool, error) {
-	ns, err := ensureNormalized(s)
+// labeledSeries appends the labels of a series' normalization to dst
+// and validates ω against their count — the shared front half of
+// observations (training, truth pooling) and of the engine sweep
+// (detection), so both paths reject the same inputs with the same
+// errors. It follows ensureNormalized's rule without copying the
+// series: one MinMax scan, then a series already in [0,1] is labeled as
+// it is and any other is normalized inside the labeling pass, with
+// Normalize's arithmetic, so the labels are bit-identical to labeling
+// ensureNormalized's result. On error dst is returned unchanged.
+func labeledSeries(dst []pattern.Label, s *Series, pcfg pattern.Config, omega int) ([]pattern.Label, error) {
+	min, max, err := s.MinMax()
 	if err != nil {
-		return nil, nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
+		return dst, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 	}
-	labels, err := pcfg.LabelSeries(ns.Values)
+	var labels []pattern.Label
+	if min >= 0 && max <= 1 {
+		labels, err = pcfg.LabelSeriesInto(dst, s.Values)
+	} else {
+		labels, err = pcfg.LabelNormalizedInto(dst, s.Values, min, max)
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
+		return dst, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 	}
-	if omega > len(labels) {
-		return nil, nil, fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", s.Name, omega, len(labels))
+	if n := len(labels) - len(dst); omega > n {
+		return dst, fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", s.Name, omega, n)
 	}
-	return labels, ns.Anomalies, nil
+	return labels, nil
 }
 
 // observations labels a series and cuts it into classed windows.
 func observations(s *Series, pcfg pattern.Config, omega int) ([]core.Observation, error) {
-	labels, anomalies, err := labeledSeries(s, pcfg, omega)
+	labels, err := labeledSeries(nil, s, pcfg, omega)
 	if err != nil {
 		return nil, err
 	}
-	obs, err := core.Windows(labels, anomalies, omega)
+	obs, err := core.Windows(labels, s.Anomalies, omega)
 	if err != nil {
 		return nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 	}

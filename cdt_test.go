@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"cdt/internal/pattern"
 )
 
 // spikySeries generates a smooth seasonal series with labeled spike
@@ -490,6 +493,72 @@ func TestNonFiniteReadingsAreRejected(t *testing.T) {
 			}
 			if tc.name != "clean" && err == nil {
 				t.Errorf("%s: %s accepted the series", tc.name, p.name)
+			}
+		}
+	}
+}
+
+// TestLabeledSeriesMatchesNormalize: labeledSeries labels a series as
+// labeling its normalized copy does — the series itself when it lies in
+// [0,1], otherwise a Clone with Normalize applied — for series inside
+// and outside [0,1], constant ones on either side, and negative ranges;
+// and ensureNormalized's copy holds Normalize's exact values.
+func TestLabeledSeriesMatchesNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	cases := [][]float64{
+		{0, 0.5, 1, 0.25, 0.75},
+		{0.2, 0.2, 0.2, 0.2},
+		{7, 7, 7, 7, 7},
+		{-7, -7, -7},
+		{-5, 5, 15, 5, -5},
+		{-3e-3, -1e-3, -2e-3, -1e-3, -4e-3},
+		{-1e300, 1e300, 0, -1e300},
+		{0.5, 1.5, 0.5, 1.5},
+	}
+	for range 50 {
+		values := make([]float64, 3+rng.Intn(300))
+		lo, width := 200*rng.Float64()-100, math.Pow(10, float64(rng.Intn(9)-4))
+		for i := range values {
+			if i > 0 && rng.Intn(4) == 0 {
+				values[i] = values[i-1]
+			} else {
+				values[i] = lo + width*rng.Float64()
+			}
+		}
+		cases = append(cases, values)
+	}
+	for _, delta := range []int{1, 2, 3, 7} {
+		pcfg := pattern.NewConfig(delta)
+		for _, values := range cases {
+			s := NewSeries("s", values)
+			ref := s
+			if min, max, err := s.MinMax(); err != nil {
+				t.Fatal(err)
+			} else if min < 0 || max > 1 {
+				ref = s.Clone()
+				if _, err := ref.Normalize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := pcfg.LabelSeries(ref.Values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := labeledSeries(nil, s, pcfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("delta=%d: labeledSeries(%v) = %v, want %v", delta, values, got, want)
+			}
+			ns, err := ensureNormalized(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range ns.Values {
+				if math.Float64bits(v) != math.Float64bits(ref.Values[i]) {
+					t.Fatalf("ensureNormalized(%v)[%d] = %v, Normalize gives %v", values, i, v, ref.Values[i])
+				}
 			}
 		}
 	}

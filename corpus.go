@@ -177,11 +177,9 @@ func (c *Corpus) Observations(opts Options) ([]Observation, error) {
 			if opts.Omega > len(labels) {
 				return nil, fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", s.Name, opts.Omega, len(labels))
 			}
-			obs, err := core.Windows(labels, s.Anomalies, opts.Omega)
-			if err != nil {
+			if pooled, err = core.AppendWindows(pooled, labels, s.Anomalies, opts.Omega); err != nil {
 				return nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 			}
-			pooled = append(pooled, obs...)
 		}
 		return pooled, nil
 	})

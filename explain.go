@@ -101,20 +101,36 @@ func (m *Model) firedFromIndices(idxs []int) []FiredPredicate {
 	}
 	out := make([]FiredPredicate, len(idxs))
 	for k, pi := range idxs {
-		out[k] = FiredPredicate{
-			Index:       pi + 1,
-			Text:        m.predTexts[pi],
-			Description: m.predDescs[pi],
-		}
+		out[k] = m.firedPredicate(pi)
 	}
 	return out
+}
+
+// firedPredicate is the cached rendering of engine predicate pi.
+func (m *Model) firedPredicate(pi int) FiredPredicate {
+	return FiredPredicate{Index: pi + 1, Text: m.predTexts[pi], Description: m.predDescs[pi]}
+}
+
+// appendFired appends the renderings of the predicates that fired on
+// window w of marks to dst, in rule order.
+func (m *Model) appendFired(dst []FiredPredicate, marks *engine.Marks, w int) []FiredPredicate {
+	for pi := range m.predTexts {
+		if marks.Has(pi, w) {
+			dst = append(dst, m.firedPredicate(pi))
+		}
+	}
+	return dst
 }
 
 // DetectExplained runs the rule over a series and returns one entry per
 // fired window, each carrying the rule predicates that fired — the
 // batch-scoring analogue of DetectWindows for callers who need the
-// explanation, not just the flag. A sampled ctx (internal/trace) gets a
-// "detect" span over the scoring plus an "engine_sweep" child.
+// explanation, not just the flag. The detections are sized from the
+// marks' fired-window count, and every detection's Fired is a
+// three-index subslice of one slab sized from their firing count, so
+// rendering makes two allocations however many windows fire (none when
+// none does). A sampled ctx (internal/trace) gets a "detect" span over
+// the scoring plus an "engine_sweep" child.
 func (m *Model) DetectExplained(ctx context.Context, s *Series) ([]WindowDetection, error) {
 	ctx, span := trace.StartSpan(ctx, "detect")
 	marks, err := m.detectMarks(ctx, s)
@@ -123,20 +139,23 @@ func (m *Model) DetectExplained(ctx context.Context, s *Series) ([]WindowDetecti
 		return nil, err
 	}
 	var out []WindowDetection
-	var idxs []int
-	for w := 0; w < marks.NumWindows(); w++ {
-		if !marks.Fired(w) {
-			continue
+	if n := marks.NumFired(); n > 0 {
+		out = make([]WindowDetection, 0, n)
+		slab := make([]FiredPredicate, 0, marks.NumHits())
+		for w := marks.NextFired(0); w >= 0; w = marks.NextFired(w + 1) {
+			start := len(slab)
+			slab = m.appendFired(slab, marks, w)
+			out = append(out, WindowDetection{
+				Window: w,
+				Start:  w + 1,
+				End:    w + m.Opts.Omega,
+				Fired:  slab[start:len(slab):len(slab)],
+			})
 		}
-		idxs = marks.AppendFired(idxs[:0], w)
-		out = append(out, WindowDetection{
-			Window: w,
-			Start:  w + 1,
-			End:    w + m.Opts.Omega,
-			Fired:  m.firedFromIndices(idxs),
-		})
 	}
-	span.SetAttr("fired", strconv.Itoa(len(out)))
+	if span != nil {
+		span.SetAttr("fired", strconv.Itoa(len(out)))
+	}
 	span.End()
 	return out, nil
 }
@@ -157,7 +176,9 @@ func (m *Model) ScoreRanges(ctx context.Context, s *Series) (RangeStats, error) 
 			st.Ranges = append(st.Ranges, [2]int{w + 1, w + m.Opts.Omega})
 		}
 	}
-	span.SetAttr("fired", strconv.Itoa(len(st.Ranges)))
+	if span != nil {
+		span.SetAttr("fired", strconv.Itoa(len(st.Ranges)))
+	}
 	span.End()
 	return st, nil
 }

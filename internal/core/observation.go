@@ -51,16 +51,31 @@ type Observation struct {
 // [start+1, start+omega] — is flagged. Pass nil pointAnomalies to build
 // unlabeled observations (all Normal), e.g. for detection on new data.
 func Windows(labels []pattern.Label, pointAnomalies []bool, omega int) ([]Observation, error) {
+	var n int
+	if omega >= 1 && omega <= len(labels) {
+		n = len(labels) - omega + 1
+	}
+	out, err := AppendWindows(make([]Observation, 0, n), labels, pointAnomalies, omega)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AppendWindows appends the observations Windows returns to dst and
+// returns the extended slice, allocating only when dst lacks capacity —
+// so a caller pooling many series' windows fills one presized slice in
+// place. On error dst is returned unchanged.
+func AppendWindows(dst []Observation, labels []pattern.Label, pointAnomalies []bool, omega int) ([]Observation, error) {
 	if omega < 1 {
-		return nil, fmt.Errorf("core: window size %d, want >= 1", omega)
+		return dst, fmt.Errorf("core: window size %d, want >= 1", omega)
 	}
 	if omega > len(labels) {
-		return nil, fmt.Errorf("core: window size %d exceeds %d labels", omega, len(labels))
+		return dst, fmt.Errorf("core: window size %d exceeds %d labels", omega, len(labels))
 	}
 	if pointAnomalies != nil && len(pointAnomalies) != len(labels)+2 {
-		return nil, fmt.Errorf("core: %d anomaly flags for %d labels, want %d", len(pointAnomalies), len(labels), len(labels)+2)
+		return dst, fmt.Errorf("core: %d anomaly flags for %d labels, want %d", len(pointAnomalies), len(labels), len(labels)+2)
 	}
-	out := make([]Observation, 0, len(labels)-omega+1)
 	for start := 0; start+omega <= len(labels); start++ {
 		obs := Observation{Labels: labels[start : start+omega], Start: start}
 		if pointAnomalies != nil {
@@ -73,9 +88,9 @@ func Windows(labels []pattern.Label, pointAnomalies []bool, omega int) ([]Observ
 				}
 			}
 		}
-		out = append(out, obs)
+		dst = append(dst, obs)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ClassCounts tallies observations per class.

@@ -73,6 +73,17 @@ func checkWindow(t *testing.T, ctx string, got, want []int) {
 	}
 }
 
+// appendFired appends the 0-based indices of the predicates that marks
+// has firing on window w, out of numPreds, in rule order.
+func appendFired(dst []int, marks *engine.Marks, numPreds, w int) []int {
+	for p := range numPreds {
+		if marks.Has(p, w) {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
 // checkSweep fails t unless e.Sweep(runs...) marks every ω-window of
 // each run, in run order, as the oracle evaluates r on it.
 func checkSweep(t *testing.T, r rules.Rule, omega int, runs ...[]pattern.Label) {
@@ -91,7 +102,7 @@ func checkSweep(t *testing.T, r rules.Rule, omega int, runs ...[]pattern.Label) 
 	for ri, labels := range runs {
 		for s := 0; s+omega <= len(labels); s, w = s+1, w+1 {
 			want := oracleFired(r, labels[s:s+omega])
-			got = marks.AppendFired(got[:0], w)
+			got = appendFired(got[:0], marks, len(r.Predicates), w)
 			checkWindow(t, fmt.Sprintf("mode=%v omega=%d run %d (len %d) window %d (mark %d)",
 				r.Mode, omega, ri, len(labels), s, w), got, want)
 			if marks.Fired(w) != (len(want) > 0) {
@@ -105,6 +116,22 @@ func checkSweep(t *testing.T, r rules.Rule, omega int, runs ...[]pattern.Label) 
 				t.Fatalf("First(%d) = %d, want %d", w, marks.First(w), wantFirst)
 			}
 		}
+	}
+	// The whole-word views agree with the per-window ones just checked.
+	var wantNext, gotNext []int
+	hits := 0
+	for w := range marks.NumWindows() {
+		if marks.Fired(w) {
+			wantNext = append(wantNext, w)
+		}
+		hits += len(appendFired(got[:0], marks, len(r.Predicates), w))
+	}
+	for w := marks.NextFired(0); w >= 0; w = marks.NextFired(w + 1) {
+		gotNext = append(gotNext, w)
+	}
+	if !slices.Equal(gotNext, wantNext) || marks.NumFired() != len(wantNext) || marks.NumHits() != hits {
+		t.Fatalf("mode=%v omega=%d %d runs: NextFired visits %v, NumFired %d, NumHits %d; want %v, %d, %d",
+			r.Mode, omega, len(runs), gotNext, marks.NumFired(), marks.NumHits(), wantNext, len(wantNext), hits)
 	}
 }
 
@@ -365,7 +392,7 @@ func TestEmptyAndDegenerateRules(t *testing.T) {
 	}
 	m := e.Sweep(alphabet[:6])
 	for w := 0; w < m.NumWindows(); w++ {
-		if got := m.AppendFired(nil, w); !slices.Equal(got, want) {
+		if got := appendFired(nil, m, len(r.Predicates), w); !slices.Equal(got, want) {
 			t.Fatalf("window %d fired %v, want %v", w, got, want)
 		}
 	}

@@ -90,7 +90,7 @@ func FuzzEngineMatch(f *testing.F) {
 			for ri, run := range runs {
 				for s := 0; s+omega <= len(run); s, w = s+1, w+1 {
 					want := oracleFired(r, run[s:s+omega])
-					got = marks.AppendFired(got[:0], w)
+					got = appendFired(got[:0], marks, len(r.Predicates), w)
 					if !firedEqual(got, want) {
 						t.Fatalf("sweep mode=%v omega=%d cut=%d run %d window %d: engine %v, oracle %v",
 							mode, omega, cut, ri, s, got, want)

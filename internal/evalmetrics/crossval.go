@@ -9,7 +9,10 @@ import (
 // 10-fold cross-validation protocol the paper uses to evaluate the WEKA
 // rule learners (§4.3) — preserving the class ratio given by positive
 // flags: with heavily imbalanced anomaly windows, plain folds can end up
-// with no positive at all.
+// with no positive at all. Both classes are dealt round-robin, the
+// negatives picking up at the fold after the last positive's, so each
+// class's per-fold counts and the fold totals each differ by at most
+// one, and no fold is empty.
 func StratifiedKFoldIndices(positive []bool, k int, seed int64) ([][]int, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("metrics: k = %d, want >= 2", k)
@@ -33,7 +36,8 @@ func StratifiedKFoldIndices(positive []bool, k int, seed int64) ([][]int, error)
 		folds[i%k] = append(folds[i%k], idx)
 	}
 	for i, idx := range neg {
-		folds[i%k] = append(folds[i%k], idx)
+		f := (len(pos) + i) % k
+		folds[f] = append(folds[f], idx)
 	}
 	return folds, nil
 }

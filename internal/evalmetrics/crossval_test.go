@@ -57,9 +57,54 @@ func TestStratifiedKFoldCoversAll(t *testing.T) {
 	}
 }
 
+// checkStratifiedFolds fails t unless folds partition the indices of
+// positive into k folds that deal each class evenly (its counts in any
+// two folds differ by at most one) and balance the fold totals the same
+// way, leaving no fold empty.
+func checkStratifiedFolds(t *testing.T, positive []bool, k int, folds [][]int) {
+	t.Helper()
+	if len(folds) != k {
+		t.Fatalf("%d folds, want %d", len(folds), k)
+	}
+	seen := make([]bool, len(positive))
+	var lo, hi [3]int // negatives, positives, totals
+	for f, fold := range folds {
+		var n [3]int
+		for _, idx := range fold {
+			if seen[idx] {
+				t.Fatalf("k=%d: index %d dealt twice", k, idx)
+			}
+			seen[idx] = true
+			if positive[idx] {
+				n[1]++
+			} else {
+				n[0]++
+			}
+		}
+		n[2] = len(fold)
+		for c := range n {
+			if f == 0 || n[c] < lo[c] {
+				lo[c] = n[c]
+			}
+			hi[c] = max(hi[c], n[c])
+		}
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("k=%d: index %d of %d in no fold", k, i, len(positive))
+	}
+	if hi[0]-lo[0] > 1 || hi[1]-lo[1] > 1 {
+		t.Fatalf("k=%d over %d samples: per-fold negatives %d..%d, positives %d..%d; want each within one",
+			k, len(positive), lo[0], hi[0], lo[1], hi[1])
+	}
+	if hi[2]-lo[2] > 1 || lo[2] == 0 {
+		t.Fatalf("k=%d over %d samples: fold sizes %d..%d; want them within one and none empty",
+			k, len(positive), lo[2], hi[2])
+	}
+}
+
 // TestStratifiedKFoldBalancedPerClass: over random inputs, the k folds
-// partition the indices, and each class is dealt evenly, so its counts
-// in any two folds differ by at most one.
+// partition the indices, each class is dealt evenly, and so are the fold
+// totals: no fold is empty.
 func TestStratifiedKFoldBalancedPerClass(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -73,37 +118,26 @@ func TestStratifiedKFoldBalancedPerClass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(folds) != k {
-			t.Fatalf("%d folds, want %d", len(folds), k)
+		checkStratifiedFolds(t, positive, k, folds)
+	}
+}
+
+// TestStratifiedKFoldNoEmptyFold: inputs where dealing both classes from
+// fold 0 leaves the last folds empty — 2 positives and 2 negatives at
+// k = 3 gave folds of 2, 2 and 0, and 4 positives and 6 negatives at
+// k = 10 gave four empty folds to test on.
+func TestStratifiedKFoldNoEmptyFold(t *testing.T) {
+	for _, tc := range []struct{ pos, neg, k int }{{2, 2, 3}, {4, 6, 10}} {
+		positive := make([]bool, tc.pos+tc.neg)
+		for i := range tc.pos {
+			positive[i] = true
 		}
-		seen := make([]bool, len(positive))
-		var lo, hi [2]int
-		for f, fold := range folds {
-			var n [2]int
-			for _, idx := range fold {
-				if seen[idx] {
-					t.Fatalf("k=%d: index %d dealt twice", k, idx)
-				}
-				seen[idx] = true
-				if positive[idx] {
-					n[1]++
-				} else {
-					n[0]++
-				}
+		for seed := range int64(20) {
+			folds, err := StratifiedKFoldIndices(positive, tc.k, seed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for c := range n {
-				if f == 0 || n[c] < lo[c] {
-					lo[c] = n[c]
-				}
-				hi[c] = max(hi[c], n[c])
-			}
-		}
-		if i := slices.Index(seen, false); i >= 0 {
-			t.Fatalf("k=%d: index %d of %d in no fold", k, i, len(positive))
-		}
-		if hi[0]-lo[0] > 1 || hi[1]-lo[1] > 1 {
-			t.Fatalf("k=%d over %d samples: per-fold negatives %d..%d, positives %d..%d; want each within one",
-				k, len(positive), lo[0], hi[0], lo[1], hi[1])
+			checkStratifiedFolds(t, positive, tc.k, folds)
 		}
 	}
 }

@@ -54,6 +54,9 @@ func FuzzClassify(f *testing.F) {
 // FuzzLabelSeries feeds arbitrary finite series through the labeler: it
 // must never panic, must produce exactly len(values)-2 labels on
 // success, and every emitted label must be in the configured alphabet.
+// Where every difference keeps |diff|·δ below 2⁶², each label must also
+// match the per-point oracle, and so must LabelNormalizedInto's labels
+// against the oracle over the min-max-normalized values.
 func FuzzLabelSeries(f *testing.F) {
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(2), mustBytes(1, 2, 3))
@@ -84,6 +87,9 @@ func FuzzLabelSeries(f *testing.F) {
 			if !cfg.Valid(l) {
 				t.Fatalf("label %d (%s) is outside the delta=%d alphabet", i, cfg.LabelName(l), delta)
 			}
+		}
+		if refSafe(cfg, values) {
+			checkAgainstReference(t, cfg, values)
 		}
 	})
 }

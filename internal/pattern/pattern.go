@@ -13,6 +13,7 @@ package pattern
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -157,34 +158,41 @@ func (c Config) AlphabetSize() int {
 // Classify returns the magnitude interval code of a difference value in
 // [-1,1]. Differences within Epsilon of zero map to the Z interval; the
 // remainder of ]0,1] is split into Delta equal sub-intervals (and
-// symmetrically for negatives). Values outside [-1,1] are clamped to the
-// outermost interval, so labeling never fails on slightly out-of-range
-// input.
+// symmetrically for negatives). Values outside [-1,1], infinities
+// included, clamp to the outermost interval ±δ, so labeling never fails
+// on out-of-range input. NaN maps to +1.
 func (c Config) Classify(diff float64) Interval {
-	if diff >= -c.Epsilon && diff <= c.Epsilon {
-		return 0
-	}
-	neg := diff < 0
-	if neg {
-		diff = -diff
-	}
-	// k-th sub-interval of ]0,1]: ]((k-1)/δ, k/δ], i.e. k = ⌈diff·δ⌉.
+	return classify(diff, float64(c.Delta), c.Epsilon)
+}
+
+// classify is Classify with δ already converted. It runs once per point
+// of every labeled series, so it has no data-dependent branch: the
+// absolute value clears the sign bit, the clamp is a float min, and
+// every choice after the conversion is a select the compiler turns into
+// a conditional move. Mispredicted branches on the signs and on the Z
+// test were most of the labeler's cost.
+func classify(diff, delta, eps float64) Interval {
+	a := math.Abs(diff)
+	// k-th sub-interval of ]0,1]: ]((k-1)/δ, k/δ], i.e. k = ⌈a·δ⌉.
 	// An exact boundary such as 0.5 with δ=2 belongs to the lower
 	// interval (]0,0.5] per the paper's L = ]0,0.5]), which is what the
-	// ceiling gives.
-	f := diff * float64(c.Delta)
+	// ceiling gives. The clamp comes before the conversion: int of a
+	// float64 at or past 2⁶³, or of +Inf, is implementation-dependent
+	// in Go (MinInt64 on amd64, which would clamp to 1 instead of δ).
+	f := min(a*delta, delta)
 	k := int(f)
-	if float64(k) != f {
+	if float64(k) < f {
 		k++
 	}
-	if k < 1 {
+	k = max(k, 1)
+	if a != a { // NaN, whose conversion above is implementation-dependent
 		k = 1
 	}
-	if k > c.Delta {
-		k = c.Delta
+	if a <= eps {
+		k = 0
 	}
-	if neg {
-		return Interval(-k)
+	if diff < 0 {
+		k = -k
 	}
 	return Interval(k)
 }
@@ -198,29 +206,25 @@ func (c Config) LabelPoint(prev, mid, next float64) Label {
 	return Label{Var: variationOf(alpha, beta), Alpha: alpha, Beta: beta}
 }
 
-// variationOf selects the variation type from the signs of α and β.
+// variationTable is Table 1 as a 3×3 table of 4-bit entries packed into
+// one word: entry 3·sign(α) + sign(β) + 4 holds the variation type.
+// Shifting a constant, unlike indexing an array, is not a load, so the
+// compiler keeps the selects that feed the index as conditional moves
+// (it refuses them on values that address a load).
+const variationTable = uint64(PN) | uint64(SCN)<<4 | uint64(VN)<<8 | // α < 0
+	uint64(ECP)<<12 | uint64(CST)<<16 | uint64(ECN)<<20 | // α = 0
+	uint64(VP)<<24 | uint64(SCP)<<28 | uint64(PP)<<32 // α > 0
+
+// variationOf selects the variation type from the signs of α and β by
+// a table lookup, so the labeler does not branch on them.
 func variationOf(alpha, beta Interval) Variation {
-	switch {
-	case alpha > 0 && beta > 0:
-		return PP
-	case alpha < 0 && beta < 0:
-		return PN
-	case alpha > 0 && beta == 0:
-		return SCP
-	case alpha < 0 && beta == 0:
-		return SCN
-	case alpha == 0 && beta < 0:
-		return ECP
-	case alpha == 0 && beta > 0:
-		return ECN
-	case alpha == 0 && beta == 0:
-		return CST
-	case alpha > 0 && beta < 0:
-		return VP
-	default: // alpha < 0 && beta > 0
-		return VN
-	}
+	i := 3*sign(alpha) + sign(beta) + 4
+	return Variation(variationTable >> (4 * i & 63) & 0xF)
 }
+
+// sign returns −1, 0 or 1 from two arithmetic shifts, without a branch.
+// Interval codes stay within ±127, where negation cannot overflow.
+func sign(iv Interval) int { return int(iv>>7) - int(-iv>>7) }
 
 // LabelSeries labels every interior point of values (Definition 3): the
 // result has len(values)-2 labels, where label j corresponds to point
@@ -245,24 +249,72 @@ func (c Config) LabelSeries(values []float64) ([]Label, error) {
 // many series into it without per-series garbage. On error dst is
 // returned unchanged.
 func (c Config) LabelSeriesInto(dst []Label, values []float64) ([]Label, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.check(values); err != nil {
 		return dst, err
 	}
-	if len(values) < 3 {
-		return dst, fmt.Errorf("pattern: series of length %d, want >= 3", len(values))
+	return c.labelInto(dst, values, 0, 0, false), nil
+}
+
+// LabelNormalizedInto appends the labels LabelSeriesInto gives for the
+// min-max normalization of values, (v−min)/(max−min), without writing
+// the normalized values anywhere: each is computed once, inside the
+// labeling pass, with the arithmetic of timeseries.Series.Normalize, so
+// the labels are bit-identical to normalizing a copy and labeling it.
+// min and max must be the extremes of values (Series.MinMax); when they
+// are equal, Normalize maps every value to 0 and every label is
+// CST[Z,Z]. On error dst is returned unchanged.
+func (c Config) LabelNormalizedInto(dst []Label, values []float64, min, max float64) ([]Label, error) {
+	if err := c.check(values); err != nil {
+		return dst, err
 	}
+	den := max - min
+	if den == 0 {
+		for range len(values) - 2 {
+			dst = append(dst, Label{Var: CST})
+		}
+		return dst, nil
+	}
+	return c.labelInto(dst, values, min, den, true), nil
+}
+
+// check validates the configuration and the series length.
+func (c Config) check(values []float64) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if len(values) < 3 {
+		return fmt.Errorf("pattern: series of length %d, want >= 3", len(values))
+	}
+	return nil
+}
+
+// labelInto appends the labels of values (at least three), each value
+// first mapped to (v−min)/den when scaled.
+func (c Config) labelInto(dst []Label, values []float64, min, den float64, scaled bool) []Label {
+	at := func(i int) float64 {
+		v := values[i]
+		if scaled {
+			v = (v - min) / den
+		}
+		return v
+	}
+	delta, eps := float64(c.Delta), c.Epsilon
+	n := len(dst)
+	dst = slices.Grow(dst, len(values)-2)[:n+len(values)-2]
+	out := dst[n:]
 	// Point i's β is Classify(vᵢ−vᵢ₊₁) = −Classify(vᵢ₊₁−vᵢ) — Classify is
 	// odd, and negating an (exact) IEEE difference is exact — so each
 	// consecutive pair is classified once and serves as point i+1's α and
 	// point i's −β, halving the classifier work of the batch labeler.
-	alpha := c.Classify(values[1] - values[0])
-	for i := 1; i < len(values)-1; i++ {
-		next := c.Classify(values[i+1] - values[i])
-		beta := -next
-		dst = append(dst, Label{Var: variationOf(alpha, beta), Alpha: alpha, Beta: beta})
-		alpha = next
+	cur := at(1)
+	alpha := classify(cur-at(0), delta, eps)
+	for i := range out {
+		next := at(i + 2)
+		beta := -classify(next-cur, delta, eps)
+		out[i] = Label{Var: variationOf(alpha, beta), Alpha: alpha, Beta: beta}
+		alpha, cur = -beta, next
 	}
-	return dst, nil
+	return dst
 }
 
 // LabelName renders a label with δ-aware interval names, e.g. "PP[L,H]"

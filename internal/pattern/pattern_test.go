@@ -3,6 +3,7 @@ package pattern
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -342,5 +343,193 @@ func TestIntervalNames(t *testing.T) {
 	}
 	if Interval(3).Name(5) != "P3" || Interval(-1).Name(5) != "N1" {
 		t.Error("generic names wrong")
+	}
+}
+
+// TestClassifyClampsHugeDifferences: differences far outside [-1,1]
+// clamp to ±δ like any other out-of-range value. Converting |diff|·δ to
+// an int first made those at or past 2⁶³ depend on the CPU: on amd64
+// they came out as ±1.
+func TestClassifyClampsHugeDifferences(t *testing.T) {
+	for delta := 1; delta <= 3; delta++ {
+		cfg := NewConfig(delta)
+		for _, diff := range []float64{4e18, 1e19, 1e300, math.Inf(1)} {
+			for _, sgn := range []float64{1, -1} {
+				want := Interval(sgn) * Interval(delta)
+				if got := cfg.Classify(sgn * diff); got != want {
+					t.Errorf("delta=%d: Classify(%v) = %d, want %d", delta, sgn*diff, got, want)
+				}
+			}
+		}
+		if got := cfg.Classify(math.NaN()); got != 1 {
+			t.Errorf("delta=%d: Classify(NaN) = %d, want 1", delta, got)
+		}
+	}
+}
+
+// refClassify and refVariationOf are the per-point classifier and Table
+// 1 lookup as first written, with a branch per case, kept as the oracle
+// for the branch-free labeler. refClassify is exact while |diff|·δ stays
+// below 2⁶³, where its float-to-int conversion is defined.
+func refClassify(c Config, diff float64) Interval {
+	if diff >= -c.Epsilon && diff <= c.Epsilon {
+		return 0
+	}
+	neg := diff < 0
+	if neg {
+		diff = -diff
+	}
+	f := diff * float64(c.Delta)
+	k := int(f)
+	if float64(k) != f {
+		k++
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > c.Delta {
+		k = c.Delta
+	}
+	if neg {
+		return Interval(-k)
+	}
+	return Interval(k)
+}
+
+func refVariationOf(alpha, beta Interval) Variation {
+	switch {
+	case alpha > 0 && beta > 0:
+		return PP
+	case alpha < 0 && beta < 0:
+		return PN
+	case alpha > 0 && beta == 0:
+		return SCP
+	case alpha < 0 && beta == 0:
+		return SCN
+	case alpha == 0 && beta < 0:
+		return ECP
+	case alpha == 0 && beta > 0:
+		return ECN
+	case alpha == 0 && beta == 0:
+		return CST
+	case alpha > 0 && beta < 0:
+		return VP
+	default:
+		return VN
+	}
+}
+
+// refLabels labels values point by point with the oracle.
+func refLabels(c Config, values []float64) []Label {
+	var out []Label
+	for j := 1; j+1 < len(values); j++ {
+		alpha := refClassify(c, values[j]-values[j-1])
+		beta := refClassify(c, values[j]-values[j+1])
+		out = append(out, Label{Var: refVariationOf(alpha, beta), Alpha: alpha, Beta: beta})
+	}
+	return out
+}
+
+// refSafe reports whether every difference of successive values keeps
+// |diff|·δ below 2⁶², inside the oracle's defined range.
+func refSafe(c Config, values []float64) bool {
+	for j := 1; j < len(values); j++ {
+		if !(math.Abs(values[j]-values[j-1])*float64(c.Delta) < 1<<62) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstReference fails t unless LabelSeriesInto labels values as
+// the oracle does, and LabelNormalizedInto labels them as the oracle
+// labels their min-max normalization.
+func checkAgainstReference(t *testing.T, c Config, values []float64) {
+	t.Helper()
+	prefix := []Label{{Var: PP, Alpha: 1, Beta: 1}} // labels append after it
+	got, err := c.LabelSeriesInto(prefix, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(prefix, refLabels(c, values)...)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("delta=%d: label %d of %v = %v, oracle %v", c.Delta, j-1, values, got[j], want[j])
+		}
+	}
+	lo, hi := slices.Min(values), slices.Max(values)
+	if math.IsInf(hi-lo, 0) {
+		return // Series.MinMax rejects the range
+	}
+	norm := make([]float64, len(values))
+	for i, v := range values {
+		if hi > lo {
+			norm[i] = (v - lo) / (hi - lo)
+		}
+	}
+	got, err = c.LabelNormalizedInto(prefix, values, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(prefix, refLabels(c, norm)...)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("delta=%d: normalized label %d of %v = %v, oracle %v", c.Delta, j-1, values, got[j], want[j])
+		}
+	}
+}
+
+// TestLabelSeriesMatchesReference holds the branch-free labeler to the
+// per-point oracle at δ 1–21 over random series, series whose
+// differences sit exactly on the interval boundaries j/δ and on ±ε,
+// signed zeros, constant runs, and raw values whose differences reach
+// |diff|·δ close to 2⁶².
+func TestLabelSeriesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for delta := 1; delta <= 21; delta++ {
+		c := NewConfig(delta)
+		var boundaries []float64 // 0, ±j/δ and their neighbours, ±ε
+		for j := 0; j <= delta; j++ {
+			b := float64(j) / float64(delta)
+			boundaries = append(boundaries, b, -b, math.Nextafter(b, 2), math.Nextafter(b, -2))
+		}
+		eps := c.Epsilon
+		boundaries = append(boundaries, eps, -eps, math.Nextafter(eps, 1), math.Nextafter(-eps, -1), math.Copysign(0, -1))
+		for trial := 0; trial < 200; trial++ {
+			values := make([]float64, 3+rng.Intn(60))
+			scale := 1.0
+			switch trial % 4 {
+			case 1:
+				scale = 1e3
+			case 2:
+				scale = math.Ldexp(1, 56) / float64(delta) // |diff|·δ < 2⁶²
+			}
+			for i := range values {
+				switch rng.Intn(5) {
+				case 0:
+					if i > 0 {
+						values[i] = values[i-1] // a constant run
+					}
+				case 1:
+					// A difference exactly on a boundary: v and 0 are
+					// exact, so v−0 is too.
+					values[i] = boundaries[rng.Intn(len(boundaries))]
+					if i > 0 {
+						values[i-1] = 0
+					}
+				default:
+					values[i] = scale * (2*rng.Float64() - 1)
+				}
+			}
+			checkAgainstReference(t, c, values)
+		}
+		for _, values := range [][]float64{
+			{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+			{5, 5, 5, 5},
+			{-3, -3, -2, -2, -2},
+			{0, eps, 0, -eps, 0, math.Nextafter(eps, 1), 0},
+		} {
+			checkAgainstReference(t, c, values)
+		}
 	}
 }

@@ -26,16 +26,18 @@ package server
 //
 // Numbers are the bulk of every hot-path body, so each is read in one
 // pass that checks the grammar while it accumulates the digits and the
-// decimal exponent. The conversion then takes the first of three tiers
-// that applies: an exact float multiply or divide, Eisel–Lemire over a
-// 128-bit powers-of-ten table, or strconv.ParseFloat on the token (see
-// number). Each tier rounds correctly, which is what makes the result
-// bit-identical.
+// decimal exponent, and each number array is allocated once, at its
+// element count (floatArray). The conversion then takes the first of
+// three tiers that applies: an exact float multiply or divide,
+// Eisel–Lemire over a 128-bit powers-of-ten table, or strconv.ParseFloat
+// on the token (see number). Each tier rounds correctly, which is what
+// makes the result bit-identical.
 //
 // Known divergence, on malformed input only: syntax-error wording
 // differs (callers only surface that a 400 has *a* message).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -546,27 +548,48 @@ func buildPowersOfTen() (t [maxPow10 - minPow10 + 1][2]uint64) {
 	return t
 }
 
-// floatArray parses an array of numbers (or null → nil slice).
+// floatArray parses an array of numbers (or null → nil slice). Its slice
+// is allocated once: a valid array of n numbers holds n−1 commas before
+// its closing bracket, so that count sizes it exactly. Invalid input may
+// miscount, which only costs a regrowth or spare capacity before the
+// parse fails; the size is capped by the bytes up to the bracket, which
+// hold at most half as many numbers plus one.
 func (p *jsonParser) floatArray() ([]float64, error) {
 	p.skipSpace()
 	if p.tryNull() {
 		return nil, nil
 	}
-	out := []float64{}
-	err := p.array(func() error {
+	if !p.consume('[') {
+		return nil, p.syntaxf("expected array")
+	}
+	p.skipSpace()
+	if p.consume(']') {
+		return []float64{}, nil
+	}
+	rest := p.data[p.pos:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	out := make([]float64, 0, min(bytes.Count(rest, comma)+1, len(rest)/2+1))
+	for {
 		p.skipSpace()
 		f, err := p.number()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out = append(out, f)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		p.skipSpace()
+		if p.consume(',') {
+			continue
+		}
+		if p.consume(']') {
+			return out, nil
+		}
+		return nil, p.syntaxf("expected ',' or ']' in array")
 	}
-	return out, nil
 }
+
+var comma = []byte{','}
 
 // parseBatchRequest decodes the body of POST /models/{name}/detect.
 func parseBatchRequest(data []byte) (batchRequest, error) {

@@ -17,6 +17,7 @@ import (
 	"unicode/utf8"
 
 	cdt "cdt"
+	"cdt/internal/datasets/sge"
 )
 
 // refDecode reproduces readJSON's decode semantics with encoding/json:
@@ -264,11 +265,74 @@ func checkNumberParity(t *testing.T, tok []byte) {
 	}
 }
 
+// FuzzParseNumber seeds the fuzzer with numberSeeds and every 97th of
+// digitRunTokens: a prime stride, so the picks rotate through lengths,
+// exponents, terminators and pads. All 49,000 would keep the fuzzer
+// gathering baseline coverage for minutes before it mutates anything;
+// TestParseNumberDigitRuns runs them all.
 func FuzzParseNumber(f *testing.F) {
 	for _, tok := range numberSeeds {
 		f.Add([]byte(tok))
 	}
+	for i, tok := range digitRunTokens() {
+		if i%97 == 0 {
+			f.Add([]byte(tok))
+		}
+	}
 	f.Fuzz(checkNumberParity)
+}
+
+// digitRunTokens builds tokens whose integer and fraction parts are
+// 0–20 digits long (a part of 0 digits is left out, so some tokens are
+// invalid), with no exponent, a positive or a negative one, every other
+// one negated. Each comes bare, ending the buffer, and followed by ',',
+// ']', '}' or a space and then 0–8 more digits, so every digit run,
+// whatever its length, ends on each terminator, at the buffer's end, and
+// with digits close behind that must not be taken.
+func digitRunTokens() []string {
+	rng := rand.New(rand.NewSource(25))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		if n > 1 && b[0] == '0' {
+			b[0] = '1' + byte(rng.Intn(9)) // no leading zero
+		}
+		return string(b)
+	}
+	var out []string
+	for ni := 0; ni <= 20; ni++ {
+		for nf := 0; nf <= 20; nf++ {
+			for e, exp := range []string{"", "e5", "E-17"} {
+				tok := digits(ni)
+				if nf > 0 {
+					tok += "." + digits(nf)
+				}
+				tok += exp
+				if (ni+nf+e)%2 == 1 {
+					tok = "-" + tok
+				}
+				out = append(out, tok)
+				for _, term := range []string{",", "]", "}", " "} {
+					for pad := 0; pad <= 8; pad++ {
+						out = append(out, tok+term+digits(pad))
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestParseNumberDigitRuns holds number to encoding/json (and so to
+// strconv.ParseFloat's bits) on digitRunTokens: a value and a stop byte
+// for each. TestParseNumberMatchesStrconv's buffers each hold one token,
+// so none of its digit runs ends on ',', ']', '}' or a space.
+func TestParseNumberDigitRuns(t *testing.T) {
+	for _, tok := range digitRunTokens() {
+		checkNumberParity(t, []byte(tok))
+	}
 }
 
 // TestParseNumberMatchesStrconv sweeps a million seeded float64s, drawn
@@ -336,6 +400,49 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParseBatchRequestAllocatesEachValuesOnce: decoding 8 series of
+// 2,000 readings allocates each series' values slice once, at its exact
+// length — as many allocations as decoding 8 series of 20 readings, so
+// no slice grows as its readings arrive.
+func TestParseBatchRequestAllocatesEachValuesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	const series = 8
+	ds := sge.Calorie(sge.CalorieOptions{Sensors: series, Days: 2000, Seed: 1})
+	body := func(readings int) []byte {
+		req := batchRequest{}
+		for _, s := range ds.Series {
+			req.Series = append(req.Series, seriesPayload{Name: s.Name, Values: s.Values[:readings]})
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	short, long := body(20), body(2000)
+	req, err := parseBatchRequest(long)
+	if err != nil || len(req.Series) != series {
+		t.Fatalf("%d series, err %v", len(req.Series), err)
+	}
+	for _, sp := range req.Series {
+		if len(sp.Values) != 2000 || cap(sp.Values) != 2000 {
+			t.Fatalf("series %s: %d values in a slice of capacity %d, want 2000 in 2000", sp.Name, len(sp.Values), cap(sp.Values))
+		}
+	}
+	parse := func(b []byte) func() {
+		return func() {
+			if _, err := parseBatchRequest(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s, l := testing.AllocsPerRun(10, parse(short)), testing.AllocsPerRun(10, parse(long)); l != s {
+		t.Fatalf("%v allocations for 8×2000 readings, %v for 8×20; want the same", l, s)
 	}
 }
 

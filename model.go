@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cdt/internal/core"
 	"cdt/internal/engine"
@@ -118,20 +119,38 @@ func (m *Model) TrainingAnomalyRate() float64 {
 
 // detectMarks labels a series and sweeps the compiled engine over it in
 // one pass, returning per-window match marks — the shared back end of
-// every batch detection surface. A sampled ctx (internal/trace) gets an
-// "engine_sweep" span; the unsampled path pays one context lookup.
+// every batch detection surface. The labels go into a pooled buffer:
+// they are garbage once the marks are out. A sampled ctx
+// (internal/trace) gets an "engine_sweep" span; the unsampled path pays
+// one context lookup.
 func (m *Model) detectMarks(ctx context.Context, s *Series) (*engine.Marks, error) {
 	_, span := trace.StartSpan(ctx, "engine_sweep")
-	labels, _, err := labeledSeries(s, m.pcfg, m.Opts.Omega)
+	bp := labelBufs.Get().(*[]pattern.Label)
+	labels, err := labeledSeries((*bp)[:0], s, m.pcfg, m.Opts.Omega)
+	var marks *engine.Marks
+	if err == nil {
+		marks = m.eng.Sweep(labels)
+	}
+	if cap(labels) <= maxPooledLabels {
+		*bp = labels[:0]
+		labelBufs.Put(bp)
+	}
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	marks := m.eng.Sweep(labels)
-	span.SetAttr("windows", strconv.Itoa(marks.NumWindows()))
+	if span != nil {
+		span.SetAttr("windows", strconv.Itoa(marks.NumWindows()))
+	}
 	span.End()
 	return marks, nil
 }
+
+// labelBufs pools detectMarks' label buffers. maxPooledLabels bounds
+// what goes back, so one huge series does not pin its buffer for good.
+var labelBufs = sync.Pool{New: func() any { return new([]pattern.Label) }}
+
+const maxPooledLabels = 1 << 20
 
 // DetectWindows runs the rule over a series and returns one flag per
 // sliding window (window i covers points [i+1, i+ω] of the series).

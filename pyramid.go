@@ -390,15 +390,18 @@ func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]Windo
 	}
 	ctx, span := trace.StartSpan(ctx, "detect")
 	perScale := make([][]ScaleDetection, len(pm.models))
-	var idxs []int
+	// Every scale detection's Fired is a three-index subslice of one
+	// slab; a subslice taken before the slab grows keeps the old array.
+	var slab []FiredPredicate
 	coverage, _, err := pm.sweep(ctx, ns, func(i, w, start, end int, marks *engine.Marks) {
-		idxs = marks.AppendFired(idxs[:0], w)
+		from := len(slab)
+		slab = pm.models[i].appendFired(slab, marks, w)
 		perScale[i] = append(perScale[i], ScaleDetection{
 			Factor: pm.Config.Factors[i],
 			Window: w,
 			Start:  start,
 			End:    end,
-			Fired:  pm.models[i].firedFromIndices(idxs),
+			Fired:  slab[from:len(slab):len(slab)],
 		})
 	})
 	if err != nil {
@@ -435,7 +438,9 @@ func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]Windo
 			Scales: scales,
 		})
 	}
-	span.SetAttr("fired", strconv.Itoa(len(out)))
+	if span != nil {
+		span.SetAttr("fired", strconv.Itoa(len(out)))
+	}
 	span.End()
 	return out, nil
 }
