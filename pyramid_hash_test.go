@@ -5,7 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
+
+	"cdt/internal/datasets/sge"
 )
 
 // pyramidScoringHash is the SHA-256 of every pyramid scoring surface's
@@ -124,5 +127,76 @@ func TestPyramidScoringBitIdentity(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != pyramidScoringHash {
 		t.Fatalf("pyramid scoring digest = %s, want %s", got, pyramidScoringHash)
+	}
+}
+
+// pyramidServingHash is the SHA-256 of TestPyramidServingDigest's
+// scoring output: a serving-shaped pyramid over 384 stretches of hourly
+// electricity readings. A change to it is a change in what served
+// pyramids return.
+const pyramidServingHash = "e0355ca1c7d77d8d5a43c743e78e10b67718576cc3b72cde3bb85c7bf9348c5b"
+
+// TestPyramidServingDigest hashes what a served pyramid returns on the
+// traffic the repository benchmark sends it: factors ×1/×4/×16 over max
+// buckets, ω = 8, δ = 2, weighted fusion learned on a second year, and
+// 2,000-reading stretches of sge.Electricity at seeds 1–3. Every
+// DetectExplained, ScoreRanges and PointFlags result is encoded as
+// returned, so a nil slice and an empty one hash differently.
+func TestPyramidServingDigest(t *testing.T) {
+	const (
+		year    = 365 * 24
+		stretch = 2000
+		count   = 128 // stretches per seed
+	)
+	el := sge.Electricity(sge.ElectricityOptions{Hours: 2 * year, Seed: 2}).Series[0]
+	pm, err := FitPyramid([]*Series{el.Slice(0, year)}, Options{Omega: 8, Delta: 2}, PyramidConfig{
+		Factors:    []int{1, 4, 16},
+		Aggregator: "max",
+		Fusion:     Fusion{Policy: FuseWeighted, Threshold: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.TrainFusion([]*Series{el.Slice(year, 2*year)}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	put := func(v any) {
+		t.Helper()
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(pm.Config.Fusion)
+	detections := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		feed := sge.Electricity(sge.ElectricityOptions{Hours: count * stretch, Seed: seed}).Series[0]
+		for k := range count {
+			s := NewSeries(fmt.Sprintf("electricity-%d-%d", seed, k), feed.Values[k*stretch:(k+1)*stretch])
+			dets, err := pm.DetectExplained(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			detections += len(dets)
+			put(dets)
+			st, err := pm.ScoreRanges(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(st)
+			flags, err := pm.PointFlags(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(flags)
+		}
+	}
+	if detections < 1000 {
+		t.Fatalf("%d detections over %d stretches; the digest pins too little", detections, 3*count)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pyramidServingHash {
+		t.Fatalf("pyramid serving digest = %s, want %s (%d detections)", got, pyramidServingHash, detections)
 	}
 }
