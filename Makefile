@@ -21,7 +21,7 @@ FUZZ_TARGETS := \
 	./internal/server:FuzzHandlers
 FUZZTIME ?= 10s
 
-.PHONY: all lint lint-sarif test test-hammer perfbench-test examples bench bench-trace fuzz-smoke fmt-check tidy-check vuln loc
+.PHONY: all lint lint-sarif test test-hammer perfbench-test examples paper bench bench-trace fuzz-smoke fmt-check tidy-check vuln loc
 
 all: lint test
 
@@ -78,6 +78,29 @@ examples:
 		echo "run $$d"; \
 		$(GO) run ./$$d > "$$out"; \
 		diff -u "$${d}stdout.golden" "$$out"; \
+	done
+
+# paper: regenerate the paper's tables and figures (cmd/experiments
+# -md: laptop scale, seed 42, BO 5+12) at GOMAXPROCS=1 and at the
+# default setting, and diff each report, minus its Generated line,
+# against the committed golden; any difference fails the target. So a
+# change that moves a paper number, or makes one depend on parallelism,
+# fails here. After an intended change, re-record the golden with
+# `go run ./cmd/experiments -exp none -md r.md && grep -v '^Generated ' r.md > $(PAPER_GOLDEN)`
+# and name every changed cell in CHANGES.md. (`-exp cv` is left out:
+# it runs for many minutes.)
+PAPER_GOLDEN := cmd/experiments/testdata/paper.golden.md
+paper:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/experiments" ./cmd/experiments; \
+	for procs in 1 default; do \
+		echo "paper report at GOMAXPROCS=$$procs"; \
+		if [ $$procs = default ]; then \
+			"$$dir/experiments" -exp none -md "$$dir/report.md" >/dev/null; \
+		else \
+			GOMAXPROCS=$$procs "$$dir/experiments" -exp none -md "$$dir/report.md" >/dev/null; \
+		fi; \
+		grep -v '^Generated ' "$$dir/report.md" | diff -u $(PAPER_GOLDEN) -; \
 	done
 
 bench:

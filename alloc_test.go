@@ -117,3 +117,67 @@ func TestCorpusObservationsAllocatesOnlyItsPool(t *testing.T) {
 		t.Fatalf("filling a %d-byte pool allocated %d bytes, want at most %d", pool, fewest, pool+pool/10)
 	}
 }
+
+// TestPyramidDetectExplainedAllocatesPerSeriesNotPerDetection: with the
+// pass, label and sweep pools warm, a pyramid's DetectExplained makes
+// the same number of allocations for a series with one fused detection
+// as for one with several hundred — each scale's Marks, the slab of
+// fired predicates, the slab of breakdowns and the detections — and a
+// series with none keeps only the Marks.
+func TestPyramidDetectExplainedAllocatesPerSeriesNotPerDetection(t *testing.T) {
+	skipUnderRace(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	train := spikySeries("train", 2000, []int{150, 420, 700, 1010, 1330, 1600, 1870}, 1)
+	// The ×4 scale votes, but only the ×1 scale's weight reaches the
+	// threshold, so each spike stays its own fused run.
+	pm, err := FitPyramid([]*Series{train}, Options{Omega: 5, Delta: 2}, PyramidConfig{
+		Factors:    []int{1, 4},
+		Aggregator: "max",
+		Fusion:     Fusion{Policy: FuseWeighted, Weights: []float64{1, 0.5}, Threshold: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	detections := func(s *Series) (n, multi int) {
+		t.Helper()
+		dets, err := pm.DetectExplained(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dets {
+			if len(d.Scales) > 1 && d.Scales[len(d.Scales)-1].Factor == 4 {
+				multi++
+			}
+		}
+		return len(dets), multi
+	}
+	allocs := func(s *Series) float64 {
+		return testing.AllocsPerRun(20, func() { _, _ = pm.DetectExplained(ctx, s) })
+	}
+
+	quiet := spikySeries("quiet", 2000, nil, 31)
+	var spikes []int
+	for p := 20; p < 7980; p += 20 {
+		spikes = append(spikes, p)
+	}
+	busy := spikySeries("busy", 8000, spikes, 32)
+	one := spikySeries("one", 2000, []int{1000}, 33)
+	if got, _ := detections(quiet); got != 0 {
+		t.Fatalf("quiet series: %d detections, want 0", got)
+	}
+	if got, _ := detections(one); got != 1 {
+		t.Fatalf("one-spike series: %d detections, want 1", got)
+	}
+	if got, multi := detections(busy); got < 300 || multi == 0 {
+		t.Fatalf("busy series: %d detections, %d with a ×4 breakdown; want several hundred, some", got, multi)
+	}
+
+	none, single, many := allocs(quiet), allocs(one), allocs(busy)
+	if single != many || none != single-3 {
+		t.Fatalf("allocations with 0, 1 and several hundred detections: %v, %v, %v; want n−3, n, n", none, single, many)
+	}
+	if want := 7.0; many != want {
+		t.Fatalf("%v allocations per detecting call, want %v (two per scale's Marks, fired slab, breakdowns, detections)", many, want)
+	}
+}

@@ -468,7 +468,7 @@ func BenchmarkRuleDetectionBaseline(b *testing.B) {
 
 // BenchmarkPyramidDetect measures multi-scale detection end to end: one
 // compiled-engine sweep per resolution over downsampled views of the
-// target, point-level fusion of the per-scale flags, and anomaly-type
+// target, fusion of the per-scale coverage runs, and anomaly-type
 // classification of each fused run. Compare against
 // BenchmarkRuleDetection (single scale, no fusion, same target length)
 // for the overhead each extra resolution adds.
@@ -490,6 +490,41 @@ func BenchmarkPyramidDetect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pm.DetectExplained(context.Background(), target); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPyramidDetectElectricity runs DetectExplained as the
+// repository benchmark's batch-pyramid requests do: a ×1/×4/×16
+// max-bucket pyramid (ω = 8, δ = 2) fitted on a year of hourly
+// electricity at seed 2, weighted fusion learned on the next year, and
+// 8 consecutive 2,000-reading stretches of the seed-1 feed per op.
+func BenchmarkPyramidDetectElectricity(b *testing.B) {
+	const year = 365 * 24
+	el := sge.Electricity(sge.ElectricityOptions{Hours: 2 * year, Seed: 2}).Series[0]
+	pm, err := cdt.FitPyramid([]*cdt.Series{el.Slice(0, year)}, cdt.Options{Omega: 8, Delta: 2}, cdt.PyramidConfig{
+		Factors:    []int{1, 4, 16},
+		Aggregator: "max",
+		Fusion:     cdt.Fusion{Policy: cdt.FuseWeighted, Threshold: 1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pm.TrainFusion([]*cdt.Series{el.Slice(year, 2*year)}); err != nil {
+		b.Fatal(err)
+	}
+	feed := sge.Electricity(sge.ElectricityOptions{Hours: 8 * 2000, Seed: 1}).Series[0]
+	series := make([]*cdt.Series, 8)
+	for i := range series {
+		series[i] = cdt.NewSeries(fmt.Sprint("electricity-", i), feed.Values[i*2000:(i+1)*2000])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range series {
+			if _, err := pm.DetectExplained(context.Background(), s); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -92,6 +92,9 @@ func (o Options) Validate() error {
 	if o.Delta < 1 {
 		return fmt.Errorf("cdt: delta %d, want >= 1", o.Delta)
 	}
+	if o.Delta > pattern.MaxDelta {
+		return fmt.Errorf("cdt: delta %d, want <= %d", o.Delta, pattern.MaxDelta)
+	}
 	if o.Epsilon < 0 {
 		return fmt.Errorf("cdt: epsilon %v, want >= 0", o.Epsilon)
 	}
@@ -142,26 +145,36 @@ func ensureNormalized(s *Series) (*Series, error) {
 // observations (training, truth pooling) and of the engine sweep
 // (detection), so both paths reject the same inputs with the same
 // errors. It follows ensureNormalized's rule without copying the
-// series: one MinMax scan, then a series already in [0,1] is labeled as
-// it is and any other is normalized inside the labeling pass, with
-// Normalize's arithmetic, so the labels are bit-identical to labeling
-// ensureNormalized's result. On error dst is returned unchanged.
+// series: one MinMax scan, then labelValues. On error dst is returned
+// unchanged.
 func labeledSeries(dst []pattern.Label, s *Series, pcfg pattern.Config, omega int) ([]pattern.Label, error) {
 	min, max, err := s.MinMax()
 	if err != nil {
 		return dst, fmt.Errorf("cdt: series %q: %w", s.Name, err)
 	}
+	return labelValues(dst, s.Name, s.Values, min, max, pcfg, omega)
+}
+
+// labelValues is labeledSeries past its MinMax scan, for readings
+// bounded by min and max: readings already in [0,1] (min >= 0 and
+// max <= 1) are labeled as they are, and any others are normalized
+// inside the labeling pass, with Normalize's arithmetic, so the labels
+// are bit-identical to labeling ensureNormalized's result; min and max
+// must then be the readings' extremes. name names the series in
+// errors. On error dst is returned unchanged.
+func labelValues(dst []pattern.Label, name string, values []float64, min, max float64, pcfg pattern.Config, omega int) ([]pattern.Label, error) {
 	var labels []pattern.Label
+	var err error
 	if min >= 0 && max <= 1 {
-		labels, err = pcfg.LabelSeriesInto(dst, s.Values)
+		labels, err = pcfg.LabelSeriesInto(dst, values)
 	} else {
-		labels, err = pcfg.LabelNormalizedInto(dst, s.Values, min, max)
+		labels, err = pcfg.LabelNormalizedInto(dst, values, min, max)
 	}
 	if err != nil {
-		return dst, fmt.Errorf("cdt: series %q: %w", s.Name, err)
+		return dst, fmt.Errorf("cdt: series %q: %w", name, err)
 	}
 	if n := len(labels) - len(dst); omega > n {
-		return dst, fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", s.Name, omega, n)
+		return dst, fmt.Errorf("cdt: series %q: omega %d exceeds %d labels", name, omega, n)
 	}
 	return labels, nil
 }

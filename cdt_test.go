@@ -281,6 +281,14 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize([]*Series{s}, []*Series{s}, ObjectiveF1, OptimizeOptions{OmegaMin: 10, OmegaMax: 5}); err == nil {
 		t.Error("inverted bounds accepted")
 	}
+	// δ past the int8 intervals is refused before any candidate trains.
+	_, err := Optimize([]*Series{s}, []*Series{s}, ObjectiveF1, OptimizeOptions{DeltaMax: 128})
+	if want := "cdt: delta bound 128, want <= 127"; err == nil || err.Error() != want {
+		t.Errorf("DeltaMax 128: error %v, want %q", err, want)
+	}
+	if _, err := Fit([]*Series{s}, Options{Omega: 5, Delta: 200}); err == nil {
+		t.Error("Fit accepted delta 200")
+	}
 }
 
 func TestObjectiveString(t *testing.T) {

@@ -36,6 +36,7 @@ func TestErrorLinePrefixesOnce(t *testing.T) {
 		want string
 	}{
 		{[]string{"train", "-in", in, "-omega", "0"}, "cdt: omega 0, want >= 1"},
+		{[]string{"train", "-in", in, "-delta", "200"}, "cdt: delta 200, want <= 127"},
 		{[]string{"train", "-in", in, "-scales", "1,4", "-fusion", "k-of-n", "-k", "5"},
 			"cdt: pyramid scales [1 4]: fusion quorum k=5 outside [1,2]"},
 		{[]string{"train", "-in", in, "-scales", "1,4", "-fusion", "nope"}, `cdt: unknown fusion policy "nope"`},

@@ -100,7 +100,7 @@ func (f Fusion) Validate(context string, members int) error {
 		if f.Weights != nil && len(f.Weights) != members {
 			return fmt.Errorf("cdt: %s: %d fusion weights for %d members", context, len(f.Weights), members)
 		}
-		// Sum in member order, as fusePoints and FitFusionWeights do, so a
+		// Sum in member order, as decideMask and FitFusionWeights do, so a
 		// threshold capped at the total compares equal to it here.
 		total := 0.0
 		for i := 0; i < members; i++ {
@@ -149,6 +149,22 @@ func (f Fusion) decide(count int, weight float64, n int) bool {
 		return weight >= f.Threshold
 	}
 	return count > 0
+}
+
+// decideMask is decide over the members whose bits mask sets: it
+// counts them and sums their weights in member order, as Decide does
+// over a verdict vector, so a weighted threshold meets the same sum.
+// It is the pyramid's fusion kernel: every point of a segment covered
+// by one set of scales shares that set's decision.
+func (f Fusion) decideMask(mask uint, n int) bool {
+	count, weight := 0, 0.0
+	for i := 0; i < n; i++ {
+		if mask>>i&1 != 0 {
+			count++
+			weight += f.weight(i)
+		}
+	}
+	return f.decide(count, weight, n)
 }
 
 // Decide combines one per-member verdict vector into the fused verdict.

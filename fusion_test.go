@@ -582,7 +582,7 @@ func TestScoreRangesMatchesDetectExplained(t *testing.T) {
 		}
 	}
 
-	// Weighted fusion exercises the shared fusePoints policy path.
+	// Weighted fusion exercises the shared fusion kernel.
 	train := plateauSeries("train", 480, []int{50, 150, 250}, 350, 40, 7)
 	wpm, err := FitPyramid([]*Series{train}, Options{Omega: 5, Delta: 2}, PyramidConfig{
 		Factors:    []int{1, 4},

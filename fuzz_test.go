@@ -21,6 +21,7 @@ func FuzzLoad(f *testing.F) {
 	// trees, negative counts, and syntax errors.
 	f.Add(`{"version": 2, "options": {"omega": 5, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}`)
 	f.Add(`{"version": 1, "options": {"omega": 9000000000000000000, "delta": 2}, "tree": {"normal": 1, "anomaly": 0}}`)
+	f.Add(`{"version": 1, "options": {"omega": 5, "delta": 200}, "tree": {"normal": 1, "anomaly": 0}}`)
 	f.Add(`{"version": 1, "options": {"omega": 5, "delta": 2}, "tree": {"normal": 1, "anomaly": 0, "composition": [[99,99,99]], "true": {"normal":0,"anomaly":0}, "false": {"normal":0,"anomaly":0}}}`)
 	f.Add(`{"version": 1, "options": {"omega": 5, "delta": 2}, "tree": {"normal": 1, "anomaly": 0, "composition": [[0,1,1]]}}`)
 	f.Add(`{"version": 1, "options": {"omega": 5, "delta": 2}, "tree": {"normal": -1, "anomaly": 0}}`)

@@ -80,6 +80,10 @@ func Variations() []Variation {
 // names apply: +1=L, +2=H, −1=-L, −2=-H, 0=Z.
 type Interval int8
 
+// MaxDelta is the largest magnitude granularity δ: an Interval holds
+// ±δ in an int8.
+const MaxDelta = 127
+
 // Name renders an interval code using the paper's δ=2 nomenclature when
 // delta == 2 (L, H, -L, -H, Z) and a generic ±k/δ form otherwise.
 func (iv Interval) Name(delta int) string {
@@ -139,6 +143,9 @@ func NewConfig(delta int) Config { return Config{Delta: delta, Epsilon: DefaultE
 func (c Config) Validate() error {
 	if c.Delta < 1 {
 		return fmt.Errorf("pattern: delta %d, want >= 1", c.Delta)
+	}
+	if c.Delta > MaxDelta {
+		return fmt.Errorf("pattern: delta %d, want <= %d", c.Delta, MaxDelta)
 	}
 	if c.Epsilon < 0 {
 		return fmt.Errorf("pattern: epsilon %v, want >= 0", c.Epsilon)

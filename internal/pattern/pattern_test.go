@@ -163,6 +163,37 @@ func TestLabelSeriesInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestDeltaCappedAtInt8: an Interval holds ±δ in an int8, so δ = 127
+// still labels into its alphabet and δ = 128 or 200, which would wrap
+// (PN[-56,-56] for 0, 1, 0 at δ = 200), is rejected.
+func TestDeltaCappedAtInt8(t *testing.T) {
+	cfg := NewConfig(MaxDelta)
+	rng := rand.New(rand.NewSource(127))
+	values := []float64{0, 1, 0, 0.5, 0.5, 1e-3, 0.999, 0}
+	for range 200 {
+		values = append(values, rng.Float64())
+	}
+	labels, err := cfg.LabelSeries(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extreme := false
+	for i, l := range labels {
+		if !cfg.Valid(l) {
+			t.Fatalf("label %d (%+v) is outside the delta=%d alphabet", i, l, MaxDelta)
+		}
+		extreme = extreme || l.Alpha == -MaxDelta || l.Beta == MaxDelta
+	}
+	if !extreme {
+		t.Error("no label reached the outermost interval; the check is vacuous")
+	}
+	for _, delta := range []int{MaxDelta + 1, 200} {
+		if _, err := NewConfig(delta).LabelSeries([]float64{0, 1, 0}); err == nil {
+			t.Errorf("delta %d accepted", delta)
+		}
+	}
+}
+
 func TestAlphabetSizeFormula(t *testing.T) {
 	for delta := 1; delta <= 10; delta++ {
 		cfg := NewConfig(delta)

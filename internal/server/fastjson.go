@@ -704,13 +704,20 @@ func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s as a quoted, escaped JSON string.
+// appendJSONString appends s as a quoted, escaped JSON string. It
+// skips eight bytes at a time to the next word holding a byte to escape
+// (skipClean) and copies each clean span with one append; that word,
+// and the tail shorter than a word, go byte by byte.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '"' || c == '\\' || c < 0x20 {
+	for i := 0; i < len(s); {
+		i = skipClean(s, i)
+		for end := min(i+8, len(s)); i < end; i++ {
+			c := s[i]
+			if c != '"' && c != '\\' && c >= 0x20 {
+				continue
+			}
 			dst = append(dst, s[start:i]...)
 			switch c {
 			case '"', '\\':
@@ -729,6 +736,34 @@ func appendJSONString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// Byte lanes for skipClean: a one in every byte, and every byte's top
+// bit.
+const (
+	laneOnes = 0x0101010101010101
+	laneTops = 0x8080808080808080
+)
+
+// skipClean returns the start of the first eight-byte word of s at or
+// after i that holds a byte appendJSONString escapes ('"', '\\' or one
+// below 0x20), or of the tail shorter than a word. It loads each word as
+// one little-endian uint64 w and tests it with the has-zero-byte trick:
+// (x − n·laneOnes) &^ x & laneTops is non-zero exactly when some byte
+// of x is below n, for n ≤ 0x80. So it tests w for a byte below 0x20,
+// and w XOR each escaped character, repeated, for a zero byte.
+func skipClean(s string, i int) int {
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		quote := w ^ ('"' * laneOnes)
+		slash := w ^ ('\\' * laneOnes)
+		if ((w-0x20*laneOnes)&^w|(quote-laneOnes)&^quote|(slash-laneOnes)&^slash)&laneTops != 0 {
+			return i
+		}
+	}
+	return i
 }
 
 // appendFiredRules encodes fired predicates as the "rules" array, which

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -683,5 +684,91 @@ func TestAppendResponseAllocatesNothing(t *testing.T) {
 		check("appendPushPointsResponse", func(dst []byte) []byte {
 			return appendPushPointsResponse(dst, tc.dets, tc.consumed, tc.ready)
 		})
+	}
+}
+
+// appendJSONStringBytewise is appendJSONString as it was before it
+// scanned eight bytes at a time: the oracle the word scan is held to.
+func appendJSONStringBytewise(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '"' || c == '\\' || c < 0x20 {
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			start = i + 1
+		}
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// TestAppendJSONStringMatchesBytewise holds the word scan to the byte
+// loop on 200,000 random strings of 0 to 100 bytes, drawn so that the
+// escaped bytes ('"', '\\', every control byte) land at every offset of
+// a word, next to the bytes around them (0x1f/0x20, 0x21/0x23,
+// 0x5b/0x5d), and among bytes from 0x80 up (UTF-8, valid or not).
+func TestAppendJSONStringMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	pool := []byte{'"', '\\', 0x00, 0x01, '\n', '\r', '\t', 0x1f, 0x20, 0x21, 0x23, 0x5b, 0x5d, 0x7f, 0x80, 0xa2, 0xff, 'a', 'Z', '['}
+	buf := make([]byte, 100)
+	var got, want []byte
+	for trial := range 200000 {
+		n := rng.Intn(101)
+		clean := rng.Intn(3) == 0 // mostly-clean strings reach the word path
+		for i := range buf[:n] {
+			switch {
+			case clean && rng.Intn(40) > 0:
+				buf[i] = byte(0x20 + rng.Intn(0x5f))
+				if buf[i] == '"' || buf[i] == '\\' {
+					buf[i] = 'x'
+				}
+			case rng.Intn(2) == 0:
+				buf[i] = pool[rng.Intn(len(pool))]
+			default:
+				buf[i] = byte(rng.Intn(256))
+			}
+		}
+		s := string(buf[:n])
+		got = appendJSONString(got[:0], s)
+		want = appendJSONStringBytewise(want[:0], s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: appendJSONString(%q) = %s, want %s", trial, s, got, want)
+		}
+	}
+}
+
+// BenchmarkAppendJSONString escapes a rule's text (80 bytes, clean) and
+// its description (13 bytes) — what every rendered predicate costs in a
+// batch response — with the word scan and with the byte loop.
+func BenchmarkAppendJSONString(b *testing.B) {
+	texts := []string{
+		"[PP[L,H], CPN[H,L], SCN[Z,L], SCP[L,Z]] AND NOT [CST[Z,Z], CST[Z,Z], PN[-L,-H]]",
+		"negative peak",
+	}
+	buf := make([]byte, 0, 256)
+	for _, k := range []struct {
+		name   string
+		encode func([]byte, string) []byte
+	}{{"word", appendJSONString}, {"bytewise", appendJSONStringBytewise}} {
+		for _, s := range texts {
+			b.Run(fmt.Sprintf("%s/%d", k.name, len(s)), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					buf = k.encode(buf[:0], s)
+				}
+			})
+		}
 	}
 }

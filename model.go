@@ -119,14 +119,24 @@ func (m *Model) TrainingAnomalyRate() float64 {
 
 // detectMarks labels a series and sweeps the compiled engine over it in
 // one pass, returning per-window match marks — the shared back end of
-// every batch detection surface. The labels go into a pooled buffer:
-// they are garbage once the marks are out. A sampled ctx
-// (internal/trace) gets an "engine_sweep" span; the unsampled path pays
-// one context lookup.
+// every batch detection surface.
 func (m *Model) detectMarks(ctx context.Context, s *Series) (*engine.Marks, error) {
+	min, max, err := s.MinMax()
+	if err != nil {
+		return nil, fmt.Errorf("cdt: series %q: %w", s.Name, err)
+	}
+	return m.sweepValues(ctx, s.Name, s.Values, min, max)
+}
+
+// sweepValues is detectMarks past its MinMax scan: it labels readings
+// bounded by min and max as labelValues does and sweeps the engine over
+// the labels. The labels go into a pooled buffer: they are garbage once
+// the marks are out. A sampled ctx (internal/trace) gets an
+// "engine_sweep" span; the unsampled path pays one context lookup.
+func (m *Model) sweepValues(ctx context.Context, name string, values []float64, min, max float64) (*engine.Marks, error) {
 	_, span := trace.StartSpan(ctx, "engine_sweep")
 	bp := labelBufs.Get().(*[]pattern.Label)
-	labels, err := labeledSeries((*bp)[:0], s, m.pcfg, m.Opts.Omega)
+	labels, err := labelValues((*bp)[:0], name, values, min, max, m.pcfg, m.Opts.Omega)
 	var marks *engine.Marks
 	if err == nil {
 		marks = m.eng.Sweep(labels)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cdt/internal/bayesopt"
+	"cdt/internal/pattern"
 )
 
 // Objective selects what hyper-parameter optimization maximizes (§4.1
@@ -160,6 +161,9 @@ func OptimizeCorpus(train, validation *Corpus, obj Objective, opts OptimizeOptio
 	}
 	if opts.OmegaMax < opts.OmegaMin || opts.DeltaMax < opts.DeltaMin {
 		return OptimizeResult{}, fmt.Errorf("cdt: inverted hyper-parameter bounds")
+	}
+	if opts.DeltaMax > pattern.MaxDelta {
+		return OptimizeResult{}, fmt.Errorf("cdt: delta bound %d, want <= %d", opts.DeltaMax, pattern.MaxDelta)
 	}
 	space := bayesopt.Space{
 		{Name: "omega", Min: opts.OmegaMin, Max: opts.OmegaMax},

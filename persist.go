@@ -140,19 +140,20 @@ func modelFromDoc(doc modelDoc) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("cdt: options.leaf_policy: unknown leaf policy %q", doc.Options.LeafPolicy)
 	}
+	// δ past the int8 intervals' range would wrap every label; name the
+	// field before Validate rejects it in general terms.
+	if opts.Delta > pattern.MaxDelta {
+		return nil, fmt.Errorf("cdt: options.delta: implausible delta %d (max %d)", opts.Delta, pattern.MaxDelta)
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("cdt: options: %s", strings.TrimPrefix(err.Error(), "cdt: "))
 	}
-	// Bound hyper-parameters to plausible magnitudes: models are loaded
-	// from disk at serving time, and an adversarial or corrupted file
-	// must fail cleanly instead of driving huge allocations downstream
-	// (window buffers are sized by ω, interval tables by δ).
-	const maxHyper = 1 << 20
-	if opts.Omega > maxHyper {
-		return nil, fmt.Errorf("cdt: options.omega: implausible omega %d (max %d)", opts.Omega, maxHyper)
-	}
-	if opts.Delta > maxHyper {
-		return nil, fmt.Errorf("cdt: options.delta: implausible delta %d (max %d)", opts.Delta, maxHyper)
+	// Bound ω to a plausible magnitude: models are loaded from disk at
+	// serving time, and an adversarial or corrupted file must fail
+	// cleanly instead of driving huge window allocations downstream.
+	const maxOmega = 1 << 20
+	if opts.Omega > maxOmega {
+		return nil, fmt.Errorf("cdt: options.omega: implausible omega %d (max %d)", opts.Omega, maxOmega)
 	}
 	if doc.Tree == nil {
 		return nil, fmt.Errorf("cdt: tree: model has no tree")

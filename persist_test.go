@@ -131,6 +131,10 @@ func TestLoadErrorsNameOffendingField(t *testing.T) {
 			`{"version": 1, "options": {"omega": 5, "delta": 9999999}, "tree": {"normal": 1, "anomaly": 0}}`,
 			"options.delta",
 		},
+		"delta past the int8 intervals": {
+			`{"version": 1, "options": {"omega": 5, "delta": 128}, "tree": {"normal": 1, "anomaly": 0}}`,
+			"options.delta",
+		},
 		"missing tree": {
 			`{"version": 1, "options": {"omega": 5, "delta": 2}}`,
 			"tree",

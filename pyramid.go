@@ -28,15 +28,18 @@ package cdt
 // Fusion happens at the raw-point level: a point is flagged when the
 // per-scale coverage verdicts satisfy the configured Fusion policy, and
 // consecutive flagged points merge into one fused detection carrying the
-// per-scale breakdown. With a single scale and the FuseAny default the
-// fused flags equal Model.PointFlags exactly (pinned by
-// TestPyramidSingleScaleGolden).
+// per-scale breakdown. Coverage is kept as runs of points, so the
+// policy decides once per stretch of points that one set of scales
+// covers (fuseRuns), not once per point. With a single scale and the
+// FuseAny default the fused flags equal Model.PointFlags exactly
+// (pinned by TestPyramidSingleScaleGolden).
 
 import (
 	"context"
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"cdt/internal/engine"
 	"cdt/internal/evalmetrics"
@@ -266,24 +269,63 @@ func (pm *PyramidModel) classifyScales(scales []ScaleDetection) AnomalyType {
 	return TypeContextual
 }
 
+// pyramidPass is one scoring pass over a series: per scale, the
+// engine's marks and the sorted runs of original-resolution points its
+// fired windows cover, then the runs the fusion policy flags. Passes
+// are pooled (pyramidPasses); release returns one once its caller has
+// read it.
+type pyramidPass struct {
+	n     int
+	marks [maxPyramidScales]*engine.Marks
+	runs  [maxPyramidScales][]rawRange
+	fused []rawRange
+	// buckets holds the aggregated readings of the scale being swept.
+	buckets []float64
+	// dets holds every scale's fired windows while explain renders
+	// breakdowns from them.
+	dets []ScaleDetection
+}
+
+var pyramidPasses = sync.Pool{New: func() any { return new(pyramidPass) }}
+
+// release drops the pass's marks and pools its buffers, unless a huge
+// series grew them.
+func (p *pyramidPass) release() {
+	p.marks = [maxPyramidScales]*engine.Marks{}
+	// The detections' Fired slices belong to the caller's results.
+	clear(p.dets)
+	p.dets = p.dets[:0]
+	if p.n <= maxPooledLabels {
+		pyramidPasses.Put(p)
+	}
+}
+
 // sweep is the one per-scale pass every pyramid scoring surface runs
-// over a normalized series: scale i resamples ns by its factor (after
-// normalizing — mean and max keep [0,1], so the derived series is not
-// re-stretched, the same order training applies through AtResolution),
-// sweeps its model's engine, and projects each fired window onto the
-// original-resolution points it covers. It returns the per-scale
-// coverage flags and swept window counts; onFired, when non-nil, also
-// sees every fired window w of scale i with its projected range and the
-// scale's marks. Each scale's sweep gets a "scale_sweep" span on a
-// sampled ctx and is timed for the context's ScaleSweepObserver (the
-// serving layer's per-scale latency histograms); timing goes through
-// telemetry.Stopwatch, the sanctioned wall-clock boundary for this
-// detfloat-guarded package.
-func (pm *PyramidModel) sweep(ctx context.Context, ns *Series, onFired func(i, w, start, end int, marks *engine.Marks)) ([][]bool, []int, error) {
+// over a series. It keeps ensureNormalized's rule (a series already in
+// [0,1] is used as it is, any other is min-max normalized) from one
+// MinMax scan, without copying the series: the ×1 scale labels the raw
+// readings through their extremes, and each slower scale aggregates
+// its buckets of the normalized readings into a pooled buffer. That is
+// the order training applies through AtResolution, and the aggregates
+// stay in [0,1], so no scale scans for extremes again. Each scale's
+// fired windows then become coverage runs. Each scale's sweep gets a
+// "scale_sweep" span on a sampled ctx and is timed for the context's
+// ScaleSweepObserver (the serving layer's per-scale latency
+// histograms); timing goes through telemetry.Stopwatch, the sanctioned
+// wall-clock boundary for this detfloat-guarded package.
+func (pm *PyramidModel) sweep(ctx context.Context, s *Series) (*pyramidPass, error) {
+	min, max, err := s.MinMax()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := aggregatorOf(pm.Config.Aggregator); err != nil {
+		// Where ResampleTransform.Apply reports it: at the first scale.
+		return nil, fmt.Errorf("cdt: pyramid scale x%d: %w", pm.Config.Factors[0], err)
+	}
+	useMax := canonicalAggregator(pm.Config.Aggregator) == "max"
 	obs := scaleSweepObserver(ctx)
-	n := ns.Len()
-	coverage := make([][]bool, len(pm.models))
-	windows := make([]int, len(pm.models))
+	p := pyramidPasses.Get().(*pyramidPass)
+	p.n = s.Len()
 	for i, m := range pm.models {
 		f := pm.Config.Factors[i]
 		var sw telemetry.Stopwatch
@@ -291,51 +333,105 @@ func (pm *PyramidModel) sweep(ctx context.Context, ns *Series, onFired func(i, w
 			sw = telemetry.NewStopwatch()
 		}
 		sctx, span := trace.StartSpan(ctx, "scale_sweep")
-		span.SetAttr("factor", strconv.Itoa(f))
-		ds, err := ResampleTransform{Factor: f, Aggregator: pm.Config.Aggregator}.Apply([]*Series{ns})
+		if span != nil {
+			span.SetAttr("factor", strconv.Itoa(f))
+		}
 		var marks *engine.Marks
-		if err == nil {
-			marks, err = m.detectMarks(sctx, ds)
+		if f == 1 {
+			marks, err = m.sweepValues(sctx, s.Name, s.Values, min, max)
+		} else {
+			p.buckets = downsampleNormalized(p.buckets[:0], s.Values, f, useMax, timeseries.Scale{Min: min, Max: max})
+			// Aggregates of normalized readings lie in [0,1]: they are
+			// labeled as they are.
+			marks, err = m.sweepValues(sctx, s.Name, p.buckets, 0, 1)
 		}
 		if err != nil {
 			span.End()
-			return nil, nil, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
+			p.release()
+			return nil, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
 		}
-		cov := make([]bool, n)
-		windows[i] = marks.NumWindows()
-		for w := 0; w < marks.NumWindows(); w++ {
-			if !marks.Fired(w) {
-				continue
-			}
-			start := (w + 1) * f
-			end := (w+pm.Opts.Omega+1)*f - 1
-			if end >= n {
-				end = n - 1
-			}
-			for p := start; p <= end; p++ {
-				cov[p] = true
-			}
-			if onFired != nil {
-				onFired(i, w, start, end, marks)
-			}
-		}
-		coverage[i] = cov
+		p.marks[i] = marks
+		p.runs[i] = appendCoverage(p.runs[i][:0], marks, f, pm.Opts.Omega, p.n)
 		span.End()
 		if obs != nil {
 			obs(i, f, sw.Elapsed().Seconds())
 		}
 	}
-	return coverage, windows, nil
+	return p, nil
 }
 
-// fusePoints applies Config.Fusion per original-resolution point over
-// the per-scale coverage flags, under a "fusion_decide" span. The policy
-// is validated first, so one assigned after fitting fuses or errors,
-// never fuses as a policy LoadPyramid would refuse.
-func (pm *PyramidModel) fusePoints(ctx context.Context, coverage [][]bool) ([]bool, error) {
+// downsampleNormalized appends to dst the factor-f buckets that
+// ResampleTransform.Apply makes of ensureNormalized's copy of values,
+// without the copy. sc holds the readings' extremes: readings inside
+// [0,1] are aggregated as they are, any others as normalized by
+// sc.Apply. A mean bucket sums the normalized readings in order, as
+// timeseries.Mean does over the copy. A max bucket normalizes its raw
+// maximum once: normalization is monotone, so that is the maximum of
+// the normalized readings (but for the sign of a zero, when readings
+// above the minimum underflow to zero; labels compare differences,
+// which that sign does not change).
+func downsampleNormalized(dst, values []float64, f int, useMax bool, sc timeseries.Scale) []float64 {
+	scaled := !(sc.Min >= 0 && sc.Max <= 1)
+	for lo := 0; lo < len(values); lo += f {
+		bucket := values[lo:min(lo+f, len(values))]
+		var v float64
+		switch {
+		case useMax && scaled:
+			v = sc.Apply(timeseries.Max(bucket))
+		case useMax:
+			v = timeseries.Max(bucket)
+		case scaled:
+			for _, x := range bucket {
+				v += sc.Apply(x)
+			}
+			v /= float64(len(bucket))
+		default:
+			v = timeseries.Mean(bucket)
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// firedWindows yields a scale's fired windows in order; *engine.Marks
+// is one.
+type firedWindows interface {
+	// NextFired returns the first fired window at or after w, or -1.
+	NextFired(w int) int
+}
+
+// project returns the original-resolution points [start, end] that
+// window w of the scale at factor f covers in a series of n points.
+func project(w, f, omega, n int) (start, end int) {
+	return (w + 1) * f, min((w+omega+1)*f-1, n-1)
+}
+
+// appendCoverage appends to dst the runs of original-resolution points
+// that a scale's fired windows cover, in order. Windows come in order
+// and the ends of their projections never decrease, so a window that
+// overlaps or touches the last run extends it.
+func appendCoverage(dst []rawRange, fired firedWindows, f, omega, n int) []rawRange {
+	from := len(dst)
+	for w := fired.NextFired(0); w >= 0; w = fired.NextFired(w + 1) {
+		start, end := project(w, f, omega, n)
+		if k := len(dst) - 1; k >= from && start <= dst[k].end+1 {
+			dst[k].end = end
+			continue
+		}
+		dst = append(dst, rawRange{start: start, end: end})
+	}
+	return dst
+}
+
+// fuse fills p.fused with the runs Config.Fusion flags, under a
+// "fusion_decide" span. The policy is validated first, so one assigned
+// after fitting fuses or errors, never fuses as a policy LoadPyramid
+// would refuse; the error's context is formatted only on failure.
+func (pm *PyramidModel) fuse(ctx context.Context, p *pyramidPass) error {
 	fu := pm.Config.Fusion
-	if err := fu.Validate(fmt.Sprintf("pyramid scales %v", pm.Config.Factors), len(coverage)); err != nil {
-		return nil, err
+	scales := len(pm.models)
+	if fu.Validate("", scales) != nil {
+		return fu.Validate(fmt.Sprintf("pyramid scales %v", pm.Config.Factors), scales)
 	}
 	_, span := trace.StartSpan(ctx, "fusion_decide")
 	if span != nil {
@@ -343,35 +439,57 @@ func (pm *PyramidModel) fusePoints(ctx context.Context, coverage [][]bool) ([]bo
 		// when the span records.
 		span.SetAttr("policy", fu.String())
 	}
-	flags := make([]bool, len(coverage[0]))
-	for p := range flags {
-		count, weight := 0, 0.0
-		for i := range coverage {
-			if coverage[i][p] {
-				count++
-				weight += fu.weight(i)
-			}
-		}
-		flags[p] = fu.decide(count, weight, len(coverage))
-	}
+	p.fused = fuseRuns(p.fused[:0], fu, p.runs[:scales])
 	span.End()
-	return flags, nil
+	return nil
 }
 
-// nextRun returns the next maximal run [start, end] of set flags at or
-// after p, with ok false when none is left.
-func nextRun(flags []bool, p int) (start, end int, ok bool) {
-	for p < len(flags) && !flags[p] {
-		p++
+// fuseRuns appends to dst the maximal runs of points that fu flags,
+// given each scale's coverage runs (sorted, and apart by at least one
+// point). A k-way walk over the runs' boundaries cuts the covered
+// points into segments, each covered by one set of scales; fu decides
+// once per segment, from that set (decideMask), and adjacent flagged
+// segments merge. Points no scale covers stay unflagged: no valid
+// policy fires on an empty vote.
+func fuseRuns(dst []rawRange, fu Fusion, runs [][]rawRange) []rawRange {
+	from := len(dst)
+	// next[i] indexes scale i's first run that ends at or after p.
+	var next [maxPyramidScales]int
+	for p := 0; ; {
+		var mask uint
+		stop := -1 // one past the segment starting at p
+		for i, r := range runs {
+			if next[i] == len(r) {
+				continue
+			}
+			cur, edge := r[next[i]], 0
+			if cur.start <= p {
+				mask |= 1 << i
+				edge = cur.end + 1
+			} else {
+				edge = cur.start
+			}
+			if stop < 0 || edge < stop {
+				stop = edge
+			}
+		}
+		if stop < 0 {
+			return dst
+		}
+		if mask != 0 && fu.decideMask(mask, len(runs)) {
+			if k := len(dst) - 1; k >= from && dst[k].end+1 == p {
+				dst[k].end = stop - 1
+			} else {
+				dst = append(dst, rawRange{start: p, end: stop - 1})
+			}
+		}
+		for i, r := range runs {
+			if next[i] < len(r) && r[next[i]].end < stop {
+				next[i]++
+			}
+		}
+		p = stop
 	}
-	if p == len(flags) {
-		return 0, 0, false
-	}
-	start = p
-	for p < len(flags) && flags[p] {
-		p++
-	}
-	return start, p - 1, true
 }
 
 // DetectExplained runs every scale over the series and returns the
@@ -382,67 +500,120 @@ func nextRun(flags []bool, p int) (start, end int, ok bool) {
 // predicates as the headline Fired set. ctx carries request-scoped
 // instrumentation: on a sampled ctx the scoring runs under a "detect"
 // span with a "scale_sweep" child per scale and a "fusion_decide" child
-// over the point-level fusion.
+// over the fusion.
 func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]WindowDetection, error) {
-	ns, err := ensureNormalized(s)
-	if err != nil {
-		return nil, err
-	}
 	ctx, span := trace.StartSpan(ctx, "detect")
-	perScale := make([][]ScaleDetection, len(pm.models))
-	// Every scale detection's Fired is a three-index subslice of one
-	// slab; a subslice taken before the slab grows keeps the old array.
-	var slab []FiredPredicate
-	coverage, _, err := pm.sweep(ctx, ns, func(i, w, start, end int, marks *engine.Marks) {
-		from := len(slab)
-		slab = pm.models[i].appendFired(slab, marks, w)
-		perScale[i] = append(perScale[i], ScaleDetection{
-			Factor: pm.Config.Factors[i],
-			Window: w,
-			Start:  start,
-			End:    end,
-			Fired:  slab[from:len(slab):len(slab)],
-		})
-	})
+	defer span.End()
+	p, err := pm.sweep(ctx, s)
 	if err != nil {
-		span.End()
 		return nil, err
 	}
-	flags, err := pm.fusePoints(ctx, coverage)
-	if err != nil {
-		span.End()
+	defer p.release()
+	if err := pm.fuse(ctx, p); err != nil {
 		return nil, err
 	}
-	var out []WindowDetection
-	for start, end, ok := nextRun(flags, 0); ok; start, end, ok = nextRun(flags, end+1) {
-		var scales []ScaleDetection
-		for i := range perScale {
-			for _, sd := range perScale[i] {
-				if sd.Start <= end && start <= sd.End {
-					scales = append(scales, sd)
-				}
-			}
-		}
-		var fired []FiredPredicate
-		if len(scales) > 0 {
-			// The fastest overlapping scale's first firing carries the
-			// headline explanation; the full breakdown is in Scales.
-			fired = scales[0].Fired
-		}
-		out = append(out, WindowDetection{
-			Window: len(out),
-			Start:  start,
-			End:    end,
-			Fired:  fired,
-			Type:   pm.classifyScales(scales),
-			Scales: scales,
-		})
-	}
+	out := pm.explain(p)
 	if span != nil {
 		span.SetAttr("fired", strconv.Itoa(len(out)))
 	}
-	span.End()
 	return out, nil
+}
+
+// explain renders a fused pass into detections, in a fixed number of
+// allocations however many windows fire. Every scale's fired windows
+// become ScaleDetections in the pass's pooled slab, scale by scale in
+// window order, their fired predicates in one slab sized by
+// Marks.NumHits. Within a scale they are sorted by start, with ends
+// that never decrease, so for fused runs taken in order each scale's
+// detections overlapping a run are one contiguous block (overlapping).
+// A counting walk over the runs sizes one slab for every breakdown, and
+// a second walk fills it. Every Fired and Scales is a three-index
+// subslice of its slab.
+func (pm *PyramidModel) explain(p *pyramidPass) []WindowDetection {
+	if len(p.fused) == 0 {
+		return nil
+	}
+	scales := len(pm.models)
+	numFired, numHits := 0, 0
+	for _, marks := range p.marks[:scales] {
+		numFired += marks.NumFired()
+		numHits += marks.NumHits()
+	}
+	dets := slices.Grow(p.dets[:0], numFired)
+	slab := make([]FiredPredicate, 0, numHits)
+	var perScale [maxPyramidScales][]ScaleDetection
+	for i, marks := range p.marks[:scales] {
+		f := pm.Config.Factors[i]
+		from := len(dets)
+		for w := marks.NextFired(0); w >= 0; w = marks.NextFired(w + 1) {
+			start, end := project(w, f, pm.Opts.Omega, p.n)
+			k := len(slab)
+			slab = pm.models[i].appendFired(slab, marks, w)
+			dets = append(dets, ScaleDetection{
+				Factor: f,
+				Window: w,
+				Start:  start,
+				End:    end,
+				Fired:  slab[k:len(slab):len(slab)],
+			})
+		}
+		perScale[i] = dets[from:len(dets):len(dets)]
+	}
+	p.dets = dets
+
+	var cursor [maxPyramidScales]int
+	entries := 0
+	for _, r := range p.fused {
+		for i, ds := range perScale[:scales] {
+			lo, hi := overlapping(ds, cursor[i], r)
+			cursor[i] = lo
+			entries += hi - lo
+		}
+	}
+	out := make([]WindowDetection, len(p.fused))
+	breakdowns := make([]ScaleDetection, 0, entries)
+	cursor = [maxPyramidScales]int{}
+	for j, r := range p.fused {
+		from := len(breakdowns)
+		for i, ds := range perScale[:scales] {
+			lo, hi := overlapping(ds, cursor[i], r)
+			cursor[i] = lo
+			breakdowns = append(breakdowns, ds[lo:hi]...)
+		}
+		var sds []ScaleDetection
+		var fired []FiredPredicate
+		if len(breakdowns) > from {
+			sds = breakdowns[from:len(breakdowns):len(breakdowns)]
+			// The fastest overlapping scale's first firing carries the
+			// headline explanation; the full breakdown is in Scales.
+			fired = sds[0].Fired
+		}
+		out[j] = WindowDetection{
+			Window: j,
+			Start:  r.start,
+			End:    r.end,
+			Fired:  fired,
+			Type:   pm.classifyScales(sds),
+			Scales: sds,
+		}
+	}
+	return out
+}
+
+// overlapping returns the block ds[lo:hi] of one scale's detections
+// that overlap run r, given that none before ds[c] overlaps r or any
+// later run: ds is sorted by start with ends that never decrease, so
+// the ones ending before r are skipped and the overlapping ones are
+// those after them that start by r's end.
+func overlapping(ds []ScaleDetection, c int, r rawRange) (lo, hi int) {
+	for c < len(ds) && ds[c].End < r.start {
+		c++
+	}
+	hi = c
+	for hi < len(ds) && ds[hi].Start <= r.end {
+		hi++
+	}
+	return c, hi
 }
 
 // ScoreRanges reports the same fused point ranges DetectExplained would
@@ -452,24 +623,25 @@ func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]Windo
 func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats, error) {
 	ctx, span := trace.StartSpan(ctx, "score_ranges")
 	defer span.End()
-	ns, err := ensureNormalized(s)
+	p, err := pm.sweep(ctx, s)
 	if err != nil {
 		return RangeStats{}, err
 	}
-	st := RangeStats{ScaleFired: make([]int, len(pm.models))}
-	coverage, windows, err := pm.sweep(ctx, ns, func(i, _, _, _ int, _ *engine.Marks) {
-		st.ScaleFired[i]++
-	})
-	if err != nil {
+	defer p.release()
+	if err := pm.fuse(ctx, p); err != nil {
 		return RangeStats{}, err
 	}
-	st.ScaleWindows = windows
-	flags, err := pm.fusePoints(ctx, coverage)
-	if err != nil {
-		return RangeStats{}, err
+	scales := len(pm.models)
+	st := RangeStats{ScaleFired: make([]int, scales), ScaleWindows: make([]int, scales)}
+	for i, marks := range p.marks[:scales] {
+		st.ScaleFired[i] = marks.NumFired()
+		st.ScaleWindows[i] = marks.NumWindows()
 	}
-	for start, end, ok := nextRun(flags, 0); ok; start, end, ok = nextRun(flags, end+1) {
-		st.Ranges = append(st.Ranges, [2]int{start, end})
+	if len(p.fused) > 0 {
+		st.Ranges = make([][2]int, len(p.fused))
+		for j, r := range p.fused {
+			st.Ranges[j] = [2]int{r.start, r.end}
+		}
 	}
 	return st, nil
 }
@@ -477,15 +649,25 @@ func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats,
 // PointFlags returns the fused per-point anomaly flags — with a single
 // scale and the FuseAny default, exactly Model.PointFlags.
 func (pm *PyramidModel) PointFlags(s *Series) ([]bool, error) {
-	ns, err := ensureNormalized(s)
+	p, err := pm.sweep(context.Background(), s)
 	if err != nil {
 		return nil, err
 	}
-	coverage, _, err := pm.sweep(context.Background(), ns, nil)
-	if err != nil {
+	defer p.release()
+	if err := pm.fuse(context.Background(), p); err != nil {
 		return nil, err
 	}
-	return pm.fusePoints(context.Background(), coverage)
+	return paintRuns(make([]bool, p.n), p.fused), nil
+}
+
+// paintRuns sets the flags of the points runs cover.
+func paintRuns(flags []bool, runs []rawRange) []bool {
+	for _, r := range runs {
+		for q := r.start; q <= r.end; q++ {
+			flags[q] = true
+		}
+	}
+	return flags
 }
 
 // TrainFusion learns the pyramid's fusion parameters from labeled
@@ -507,7 +689,7 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 		return nil
 	}
 	// The fire matrix lives on one backing array: one row of a cell per
-	// scale for each point.
+	// scale for each point, painted from each scale's coverage runs.
 	scales := len(pm.models)
 	var cells []bool
 	var truth []bool
@@ -515,21 +697,21 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 		if s.Anomalies == nil {
 			return fmt.Errorf("cdt: series %q is unlabeled", s.Name)
 		}
-		ns, err := ensureNormalized(s)
+		p, err := pm.sweep(context.Background(), s)
 		if err != nil {
 			return err
 		}
-		coverage, _, err := pm.sweep(context.Background(), ns, nil)
-		if err != nil {
-			return err
-		}
-		cells = slices.Grow(cells, ns.Len()*scales)
-		for p := 0; p < ns.Len(); p++ {
-			for i := range coverage {
-				cells = append(cells, coverage[i][p])
+		base := len(cells)
+		cells = append(cells, make([]bool, p.n*scales)...)
+		for i, runs := range p.runs[:scales] {
+			for _, r := range runs {
+				for q := r.start; q <= r.end; q++ {
+					cells[base+q*scales+i] = true
+				}
 			}
 		}
-		truth = append(truth, s.Anomalies[:ns.Len()]...)
+		truth = append(truth, s.Anomalies[:p.n]...)
+		p.release()
 	}
 	fired := make([][]bool, len(truth))
 	for p := range fired {
