@@ -21,7 +21,7 @@ FUZZ_TARGETS := \
 	./internal/server:FuzzHandlers
 FUZZTIME ?= 10s
 
-.PHONY: all lint lint-sarif test test-hammer perfbench-test examples paper bench bench-trace fuzz-smoke fmt-check tidy-check vuln loc
+.PHONY: all lint lint-sarif test test-hammer perfbench-test examples paper bench bench-trace bench-pair fuzz-smoke fmt-check tidy-check vuln loc
 
 all: lint test
 
@@ -114,6 +114,21 @@ BENCHTIME ?= 1x
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerBatchDetect(Traced)?$$' \
 		-benchtime=$(BENCHTIME) ./internal/server
+
+# bench-pair: pair one package's benchmarks in process, the test binary
+# built at BASE (in a detached git worktree under .bench_build/, removed
+# afterwards) against the one built from the working tree. ROUNDS rounds
+# run both at -test.cpu 1 with -test.benchmem, alternating which side
+# goes first; per benchmark it prints each side's median ns/op, B/op and
+# allocs/op, the median change/base ns/op ratio and the rounds the
+# change won. See tools/bench-pair.sh. BENCH is passed unexpanded, so a
+# regex keeps its `$` anchors.
+BASE ?= HEAD
+PKG ?= .
+BENCH ?= .
+ROUNDS ?= 10
+bench-pair:
+	GO=$(GO) bash tools/bench-pair.sh '$(BASE)' '$(PKG)' '$(value BENCH)' '$(ROUNDS)'
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -25,12 +25,12 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestDetectExplainedAllocatesPerSeriesNotPerDetection: with the label
-// and sweep pools warm, a plain model's DetectExplained makes the same
-// number of allocations for a series with one detection as for one with
-// several hundred — the sweep's Marks, the detections and the slab of
-// fired predicates they share — and a series with none skips the last
-// two.
+// TestDetectExplainedAllocatesPerSeriesNotPerDetection: with the label,
+// sweep and marks pools warm, a plain model's DetectExplained makes the
+// same number of allocations for a series with one detection as for one
+// with several hundred — the detections and the slab of fired
+// predicates they share; the sweep's Marks go back to the engine — and
+// a series with none makes neither.
 func TestDetectExplainedAllocatesPerSeriesNotPerDetection(t *testing.T) {
 	skipUnderRace(t)
 	// A collection could empty the pools mid-measurement.
@@ -74,8 +74,8 @@ func TestDetectExplainedAllocatesPerSeriesNotPerDetection(t *testing.T) {
 		t.Fatalf("allocations with 0, 1 and %d detections: %v, %v, %v; want n−2, n, n",
 			detections(busy), none, single, many)
 	}
-	if want := 4.0; many != want {
-		t.Fatalf("%v allocations per detecting call, want %v (Marks header and bits, detections, slab)", many, want)
+	if want := 2.0; many != want {
+		t.Fatalf("%v allocations per detecting call, want %v (detections, slab)", many, want)
 	}
 }
 
@@ -119,11 +119,11 @@ func TestCorpusObservationsAllocatesOnlyItsPool(t *testing.T) {
 }
 
 // TestPyramidDetectExplainedAllocatesPerSeriesNotPerDetection: with the
-// pass, label and sweep pools warm, a pyramid's DetectExplained makes
-// the same number of allocations for a series with one fused detection
-// as for one with several hundred — each scale's Marks, the slab of
-// fired predicates, the slab of breakdowns and the detections — and a
-// series with none keeps only the Marks.
+// pass, label, sweep and marks pools warm, a pyramid's DetectExplained
+// makes the same number of allocations for a series with one fused
+// detection as for one with several hundred — the slab of fired
+// predicates, the slab of breakdowns and the detections; each scale's
+// Marks go back to its engine — and a series with none makes none.
 func TestPyramidDetectExplainedAllocatesPerSeriesNotPerDetection(t *testing.T) {
 	skipUnderRace(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -177,7 +177,7 @@ func TestPyramidDetectExplainedAllocatesPerSeriesNotPerDetection(t *testing.T) {
 	if single != many || none != single-3 {
 		t.Fatalf("allocations with 0, 1 and several hundred detections: %v, %v, %v; want n−3, n, n", none, single, many)
 	}
-	if want := 7.0; many != want {
-		t.Fatalf("%v allocations per detecting call, want %v (two per scale's Marks, fired slab, breakdowns, detections)", many, want)
+	if want := 3.0; many != want {
+		t.Fatalf("%v allocations per detecting call, want %v (fired slab, breakdowns, detections)", many, want)
 	}
 }

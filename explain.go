@@ -129,8 +129,9 @@ func (m *Model) appendFired(dst []FiredPredicate, marks *engine.Marks, w int) []
 // marks' fired-window count, and every detection's Fired is a
 // three-index subslice of one slab sized from their firing count, so
 // rendering makes two allocations however many windows fire (none when
-// none does). A sampled ctx (internal/trace) gets a "detect" span over
-// the scoring plus an "engine_sweep" child.
+// none does); the marks go back to the engine once rendered. A sampled
+// ctx (internal/trace) gets a "detect" span over the scoring plus an
+// "engine_sweep" child.
 func (m *Model) DetectExplained(ctx context.Context, s *Series) ([]WindowDetection, error) {
 	ctx, span := trace.StartSpan(ctx, "detect")
 	marks, err := m.detectMarks(ctx, s)
@@ -153,6 +154,7 @@ func (m *Model) DetectExplained(ctx context.Context, s *Series) ([]WindowDetecti
 			})
 		}
 	}
+	m.eng.Release(marks)
 	if span != nil {
 		span.SetAttr("fired", strconv.Itoa(len(out)))
 	}
@@ -176,6 +178,7 @@ func (m *Model) ScoreRanges(ctx context.Context, s *Series) (RangeStats, error) 
 			st.Ranges = append(st.Ranges, [2]int{w + 1, w + m.Opts.Omega})
 		}
 	}
+	m.eng.Release(marks)
 	if span != nil {
 		span.SetAttr("fired", strconv.Itoa(len(st.Ranges)))
 	}

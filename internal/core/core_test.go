@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -556,10 +557,13 @@ func TestSlidingRunSupportCountingMatchesNaive(t *testing.T) {
 	}
 }
 
-// The sliding-run partition marker must agree with per-window MatchedBy
-// on every candidate, over pure sliding input and mixed (run + isolated
-// copies) input alike.
-func TestMarkMatchesMatchesMatchedBy(t *testing.T) {
+// A split's span lists must partition a node's windows exactly as
+// per-window MatchedBy does, for every candidate in both match modes,
+// over a pure sliding pool and over one whose runs are cut by isolated
+// copies and dropped windows; the node is the whole pool or a random
+// span subset of it. Each list must be sorted, disjoint and maximal,
+// and each of its spans must lie inside one run of the pool.
+func TestSplitMatchesMatchedBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	alphabet := cfg2.Alphabet()
 	seq := make([]pattern.Label, 110)
@@ -572,31 +576,88 @@ func TestMarkMatchesMatchesMatchedBy(t *testing.T) {
 			anoms[j] = true
 		}
 	}
-	for _, omega := range []int{2, 4, 7} {
+	for _, omega := range []int{1, 2, 4, 7, 26} {
 		sliding, err := Windows(seq, anoms, omega)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed := append([]Observation(nil), sliding[:30]...)
-		for i := 30; i < 38; i++ {
-			mixed = append(mixed, Observation{
-				Labels: append([]pattern.Label(nil), sliding[i].Labels...),
-				Class:  sliding[i].Class,
-			})
+		var cut []Observation
+		for i, o := range sliding {
+			switch {
+			case i >= 30 && i < 38:
+				o.Labels = append([]pattern.Label(nil), o.Labels...)
+			case i%13 == 12:
+				continue
+			}
+			cut = append(cut, o)
 		}
-		mixed = append(mixed, sliding[38:]...)
-		for _, obs := range [][]Observation{sliding, mixed} {
-			for _, candidate := range enumerateCompositions(obs, 3) {
-				marks := make([]bool, len(obs))
-				markMatches(obs, &candidate, MatchContiguous, marks)
-				for j := range obs {
-					want := candidate.MatchedBy(obs[j].Labels, MatchContiguous)
-					if marks[j] != want {
-						t.Fatalf("omega=%d candidate %v window %d: marked %v, MatchedBy %v",
-							omega, candidate, j, marks[j], want)
+		for _, obs := range [][]Observation{sliding, cut} {
+			for _, mode := range []MatchMode{MatchContiguous, MatchSubsequence} {
+				tr := newCandidateTrie(obs, Options{Match: mode})
+				part, _ := splitSpans(rng, tr.runs)
+				for _, node := range [][]span{tr.runs, part} {
+					for n := int32(1); int(n) < len(tr.nodes); n++ {
+						c := tr.composition(n)
+						in, out := tr.split(node, n, nil, nil)
+						what := fmt.Sprintf("omega=%d %v %d-window pool, %d-span node, candidate %v", omega, mode, len(obs), len(node), c)
+						checkSplit(t, what, tr.runs, node, in, out, func(w int32) bool {
+							return c.MatchedBy(obs[w].Labels, mode)
+						})
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkSplit fails t unless in and out, the split of node (spans over a
+// pool whose sliding runs are runs), are well-formed span lists holding
+// exactly node's windows that matched and that did not.
+func checkSplit(t *testing.T, what string, runs, node, in, out []span, matched func(int32) bool) {
+	t.Helper()
+	n := runs[len(runs)-1].hi
+	runOf := make([]int, n)
+	for r, s := range runs {
+		for w := s.lo; w < s.hi; w++ {
+			runOf[w] = r
+		}
+	}
+	side := make([]int8, n) // 0 outside node, 1 matched, 2 not matched
+	for _, s := range node {
+		for w := s.lo; w < s.hi; w++ {
+			side[w] = 2
+			if matched(w) {
+				side[w] = 1
+			}
+		}
+	}
+	for _, l := range []struct {
+		name  string
+		spans []span
+		side  int8
+	}{{"in", in, 1}, {"out", out, 2}} {
+		for i, s := range l.spans {
+			switch {
+			case s.lo >= s.hi:
+				t.Fatalf("%s: %s span %d is %v, empty", what, l.name, i, s)
+			case runOf[s.lo] != runOf[s.hi-1]:
+				t.Fatalf("%s: %s span %v crosses a run boundary", what, l.name, s)
+			case i > 0 && l.spans[i-1].hi > s.lo:
+				t.Fatalf("%s: %s spans %v and %v are unsorted or overlap", what, l.name, l.spans[i-1], s)
+			case i > 0 && l.spans[i-1].hi == s.lo && runOf[s.lo-1] == runOf[s.lo]:
+				t.Fatalf("%s: %s spans %v and %v are not maximal", what, l.name, l.spans[i-1], s)
+			}
+			for w := s.lo; w < s.hi; w++ {
+				if side[w] != l.side {
+					t.Fatalf("%s: window %d is in the %s list, want side %d (0 outside the node, 1 matched, 2 not)", what, w, l.name, side[w])
+				}
+				side[w] = -1
+			}
+		}
+	}
+	for w, sd := range side {
+		if sd > 0 {
+			t.Fatalf("%s: window %d of the node is in neither list", what, w)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -141,7 +142,7 @@ func oracleBest(obs []Observation, opts Options) (*Composition, float64, ClassCo
 // as Build does at the root.
 func poolSupports(obs []Observation, opts Options) (*candidateTrie, supports) {
 	tr := newCandidateTrie(obs, opts)
-	return tr, tr.count(obs, nil)
+	return tr, tr.count(tr.runs, nil)
 }
 
 // trieCandidates lists the candidates s marks live in the candidate
@@ -184,13 +185,13 @@ func checkAgainstOracle(t *testing.T, what string, tr *candidateTrie, s supports
 			t.Fatalf("%s: candidate %v counts %+v, oracle %+v", what, want[i], gotCounts[i], wantCounts[i])
 		}
 	}
-	c, gain, in := tr.best(s, Count(obs))
+	n, gain, in := tr.best(s, Count(obs))
 	wc, wgain, win := oracleBest(obs, opts)
-	if (c == nil) != (wc == nil) {
-		t.Fatalf("%s: best %v, oracle %v", what, c, wc)
+	if (n == 0) != (wc == nil) {
+		t.Fatalf("%s: best candidate %d, oracle %v", what, n, wc)
 	}
-	if c != nil && compareCompositions(*c, *wc) != 0 {
-		t.Fatalf("%s: best %v, oracle %v", what, *c, *wc)
+	if c := tr.composition(n); n != 0 && compareCompositions(c, *wc) != 0 {
+		t.Fatalf("%s: best %v, oracle %v", what, c, *wc)
 	}
 	if math.Float64bits(gain) != math.Float64bits(wgain) || in != win {
 		t.Fatalf("%s: best gain %v counts %+v, oracle %v %+v", what, gain, in, wgain, win)
@@ -251,31 +252,52 @@ func randomObservations(rng *rand.Rand, shape string, omega int, alphabet []patt
 	return obs
 }
 
-// split partitions obs at random into two order-preserving parts, the
-// shape a tree node's share of the pool takes after partitioning.
-func split(rng *rand.Rand, obs []Observation) (part, rest []Observation) {
-	for _, o := range obs {
-		if rng.Intn(3) > 0 {
-			part = append(part, o)
-		} else {
-			rest = append(rest, o)
+// splitSpans partitions the windows of runs, a pool's sliding runs, at
+// random into two sorted lists of maximal spans, the shape a tree
+// node's windows take after a split.
+func splitSpans(rng *rand.Rand, runs []span) (part, rest []span) {
+	for _, r := range runs {
+		for i := r.lo; i < r.hi; i++ {
+			dst := &rest
+			if rng.Intn(3) > 0 {
+				dst = &part
+			}
+			if n := len(*dst); i > r.lo && n > 0 && (*dst)[n-1].hi == i {
+				(*dst)[n-1].hi++
+			} else {
+				*dst = append(*dst, span{i, i + 1})
+			}
 		}
 	}
 	return part, rest
 }
 
+// windowsOf lists the windows of spans over obs in order.
+func windowsOf(obs []Observation, spans []span) []Observation {
+	var out []Observation
+	for _, s := range spans {
+		out = append(out, obs[s.lo:s.hi]...)
+	}
+	return out
+}
+
 // The candidate trie must reproduce the string-keyed oracle exactly:
 // candidate list and order, per-candidate supports, and the chosen split.
-// As in Build, one trie over the pool scores a random part of it, counted
-// directly, and the rest, whose supports are the pool's minus the part's:
-// subtracted array from array, or tallied out of the pool's arrays.
+// As in Build, one trie over the pool scores a random span subset of it,
+// counted directly, and the rest, whose supports are the pool's minus
+// the part's: subtracted array from array, or tallied out of the pool's
+// arrays.
 func TestCandidateTrieMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 300; trial++ {
 		shape := []string{"sliding", "isolated", "mixed"}[trial%3]
 		omega := rng.Intn(12) + 1
 		obs := randomObservations(rng, shape, omega, randomAlphabet(rng))
-		part, rest := split(rng, obs)
+		if len(obs) == 0 {
+			continue
+		}
+		part, rest := splitSpans(rng, newCandidateTrie(obs, Options{}).runs)
+		partObs, restObs := windowsOf(obs, part), windowsOf(obs, rest)
 		for _, maxLen := range []int{0, 1, 3, omega + 1} {
 			for _, mode := range []MatchMode{MatchContiguous, MatchSubsequence} {
 				opts := Options{MaxCompositionLen: maxLen, Match: mode, Parallelism: 2}
@@ -283,12 +305,12 @@ func TestCandidateTrieMatchesOracle(t *testing.T) {
 				tr, pool := poolSupports(obs, opts)
 				checkAgainstOracle(t, what+" pool", tr, pool, obs, opts)
 				s := tr.count(part, &pool)
-				checkAgainstOracle(t, what+" part", tr, s, part, opts)
+				checkAgainstOracle(t, what+" part", tr, s, partObs, opts)
 				tr.subtract(pool, s)
-				checkAgainstOracle(t, what+" rest", tr, pool, rest, opts)
-				pool = tr.count(obs, nil)
+				checkAgainstOracle(t, what+" rest", tr, pool, restObs, opts)
+				pool = tr.count(tr.runs, nil)
 				tr.tally(part, &pool, pool, -1)
-				checkAgainstOracle(t, what+" rest tallied out", tr, pool, rest, opts)
+				checkAgainstOracle(t, what+" rest tallied out", tr, pool, restObs, opts)
 			}
 		}
 	}
@@ -429,12 +451,69 @@ func TestBestCompositionAllocatesPerNodeNotPerCandidate(t *testing.T) {
 	score := func(pool []Observation) func() {
 		tr := newCandidateTrie(pool, Options{})
 		return func() {
-			s := tr.count(pool, nil)
+			s := tr.count(tr.runs, nil)
 			tr.best(s, Count(pool))
 			tr.release(s)
 		}
 	}
 	check("scoring the root", score(small), score(large))
+}
+
+// trieBytesWidthRatio bounds how many times the bytes of building the
+// trie of a pool whose anomalous windows hold three times the distinct
+// labels may be of those of a pool with the same insertion bound. The
+// nodes, sized by that bound, dominate; only the rows of the nodes with
+// two or more children, sized by the start positions, follow the
+// width. Child tables of bound × width entries would make it about 2.
+const trieBytesWidthRatio = 1.25
+
+// Building the candidate trie allocates bytes by its insertion bound,
+// not by the bound times the label width: a pool drawing from three
+// times the labels costs about the same. The fewest bytes over three
+// builds count, so that an allocation elsewhere in the process cannot
+// fail the test.
+func TestCandidateTrieAllocatesBytesByBoundNotWidth(t *testing.T) {
+	alphabet := pattern.NewConfig(3).Alphabet()
+	anoms := make([]bool, 4000+2)
+	for i := 0; i < len(anoms); i += 100 {
+		anoms[i] = true
+	}
+	pool := func(labels int) []Observation {
+		rng := rand.New(rand.NewSource(53))
+		seq := make([]pattern.Label, len(anoms)-2)
+		for i := range seq {
+			seq[i] = alphabet[rng.Intn(labels)]
+		}
+		obs, err := Windows(seq, anoms, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs
+	}
+	build := func(obs []Observation) (*candidateTrie, uint64) {
+		var tr *candidateTrie
+		var fewest uint64
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tr = newCandidateTrie(obs, Options{})
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; fewest == 0 || got < fewest {
+				fewest = got
+			}
+		}
+		return tr, fewest
+	}
+	narrow, nb := build(pool(10))
+	wide, wb := build(pool(30))
+	if cap(narrow.nodes) != cap(wide.nodes) || 2*wide.width < 5*narrow.width {
+		t.Fatalf("insertion bounds %d and %d, widths %d and %d; want one bound and about 3× the width",
+			cap(narrow.nodes), cap(wide.nodes), narrow.width, wide.width)
+	}
+	if ratio := float64(wb) / float64(nb); ratio > trieBytesWidthRatio {
+		t.Fatalf("bound %d: %d bytes at width %d, %d at width %d (%.2f×), want at most %.2f×",
+			cap(narrow.nodes), nb, narrow.width, wb, wide.width, ratio, trieBytesWidthRatio)
+	}
 }
 
 // oracleTree is Algorithm 1 read directly: every node is scored by

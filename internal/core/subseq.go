@@ -132,15 +132,15 @@ func (n *SubseqNFA) LatestStart(p int) int {
 }
 
 // countSubsequenceSupports returns, per candidate, the class counts of
-// the observations containing it as a gapped subsequence — the
-// MatchSubsequence analogue of candidateTrie.countContiguous. Candidates
-// are chunked across workers; each worker makes one pass over the
-// observations with its own SubseqNFA, feeding maximal sliding runs one
+// the windows of spans (over obs) containing it as a gapped subsequence
+// — the MatchSubsequence analogue of candidateTrie.countSpan.
+// Candidates are chunked across workers; each worker makes one pass over
+// the spans with its own SubseqNFA, feeding each span's windows one
 // label at a time, so the pass costs O(windows·chunk + labels·advances)
 // instead of a per-candidate rescan's O(windows·ω·chunk).
-func countSubsequenceSupports(obs []Observation, candidates []Composition, opts Options) []ClassCounts {
+func countSubsequenceSupports(obs []Observation, spans []span, candidates []Composition, opts Options) []ClassCounts {
 	counts := make([]ClassCounts, len(candidates))
-	if len(candidates) == 0 || len(obs) == 0 {
+	if len(candidates) == 0 || len(spans) == 0 {
 		return counts
 	}
 	workers := opts.parallelism()
@@ -162,26 +162,26 @@ func countSubsequenceSupports(obs []Observation, candidates []Composition, opts 
 				pats[i] = candidates[lo+i].Labels
 			}
 			nfa := NewSubseqNFA(pats)
-			var prev []pattern.Label
-			for i := range obs {
-				ls := obs[i].Labels
-				if prev != nil && slidingAdjacent(prev, ls) {
-					// Next window of a sliding run: only its last label is new.
-					nfa.Step(ls[len(ls)-1])
-				} else {
-					for _, l := range ls {
-						nfa.Step(l)
+			for _, s := range spans {
+				for i := s.lo; i < s.hi; i++ {
+					ls := obs[i].Labels
+					if i > s.lo {
+						// Next window of the span: only its last label is new.
+						nfa.Step(ls[len(ls)-1])
+					} else {
+						for _, l := range ls {
+							nfa.Step(l)
+						}
 					}
-				}
-				prev = ls
-				ws := nfa.Pos() - len(ls)
-				anom := obs[i].Class == Anomaly
-				for ci := range pats {
-					if nfa.LatestStart(ci) >= ws {
-						if anom {
-							counts[lo+ci].Anomaly++
-						} else {
-							counts[lo+ci].Normal++
+					ws := nfa.Pos() - len(ls)
+					anom := obs[i].Class == Anomaly
+					for ci := range pats {
+						if nfa.LatestStart(ci) >= ws {
+							if anom {
+								counts[lo+ci].Anomaly++
+							} else {
+								counts[lo+ci].Normal++
+							}
 						}
 					}
 				}

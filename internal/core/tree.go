@@ -103,32 +103,36 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 	if !splits(t.Root) {
 		return t, nil
 	}
-	// The whole induction works over one private copy of the observation
-	// pool (the input — often a shared Corpus cache entry — is never
-	// mutated). Each node owns a contiguous range of work; splitting
-	// stably partitions the range in place via one scratch buffer, so
-	// tree growth allocates no per-node observation slices. Candidate
-	// occurrences index the input, which partitioning leaves in order.
-	work := make([]Observation, len(obs))
-	copy(work, obs)
-	scratch := make([]Observation, len(obs))
-	marks := make([]bool, len(obs))
+	// The induction never moves or copies an observation (the input is
+	// often a shared Corpus cache entry). The trie lays the pool out in
+	// series space once, and each pending node keeps its windows as a
+	// sorted list of spans in one arena. The node being split lies at the
+	// arena's top, and its split writes the children's spans over its
+	// own; below it lie only the spans of nodes disjoint from it (pending
+	// ones and the leaf siblings under them). A node has no more spans
+	// than windows, so neither the arena nor a split's in and out lists
+	// outgrow the pool's window count.
 	trie := newCandidateTrie(obs, opts)
-	// Nodes wait on a stack with their range and supports. The order
+	buf := make([]span, 3*len(obs))
+	arena := buf[:len(obs)]
+	ins, outs := buf[len(obs):len(obs):2*len(obs)], buf[2*len(obs):2*len(obs)]
+	copy(arena, trie.runs)
+	// Nodes wait on a stack with their spans and supports. The order
 	// nodes are split in does not change the tree, and a stack keeps at
 	// most one pending sibling, so one support array, per level.
 	type item struct {
 		node   *Node
-		lo, hi int
+		lo, hi int // the node's spans are arena[lo:hi]
 		sup    supports
 	}
-	stack := []item{{t.Root, 0, len(obs), trie.count(work, nil)}}
+	root := arena[:len(trie.runs)]
+	stack := []item{{t.Root, 0, len(root), trie.count(root, nil)}}
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		node, data := it.node, work[it.lo:it.hi]
+		node := it.node
 		best, gain, inCounts := trie.best(it.sup, node.Counts)
-		if best == nil || gain <= opts.MinGain {
+		if best == 0 || gain <= opts.MinGain {
 			trie.release(it.sup)
 			continue
 		}
@@ -138,38 +142,26 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 			Normal:  node.Counts.Normal - inCounts.Normal,
 			Anomaly: node.Counts.Anomaly - inCounts.Anomaly,
 		}
-		nIn := inCounts.Normal + inCounts.Anomaly
-		m := marks[it.lo:it.hi]
-		clear(m)
-		markMatches(data, best, opts.Match, m)
-		dst := scratch[it.lo:it.hi]
-		i, o := 0, nIn
-		for idx := range data {
-			if m[idx] {
-				dst[i] = data[idx]
-				i++
-			} else {
-				dst[o] = data[idx]
-				o++
-			}
-		}
-		copy(data, dst)
-		node.Composition = best
+		ins, outs = trie.split(arena[it.lo:it.hi], best, ins[:0], outs[:0])
+		copy(arena[it.lo:], ins)
+		copy(arena[it.lo+len(ins):], outs)
+		comp := trie.composition(best)
+		node.Composition = &comp
 		node.ChildTrue = &Node{Counts: inCounts, Depth: node.Depth + 1}
 		node.ChildFalse = &Node{Counts: outCounts, Depth: node.Depth + 1}
-		in := item{node: node.ChildTrue, lo: it.lo, hi: it.lo + nIn}
-		out := item{node: node.ChildFalse, lo: it.lo + nIn, hi: it.hi}
+		in := item{node: node.ChildTrue, lo: it.lo, hi: it.lo + len(ins)}
+		out := item{node: node.ChildFalse, lo: in.hi, hi: in.hi + len(outs)}
 		small, large := &in, &out
-		if nIn > it.hi-it.lo-nIn {
+		if inCounts.Total() > outCounts.Total() {
 			small, large = large, small
 		}
 		// Count the smaller child; the larger one inherits the parent's
 		// supports minus the smaller's. A child that does not split
 		// gets no supports, so a leaf smaller child is subtracted from
 		// the parent's arrays as it is counted.
-		smallObs := work[small.lo:small.hi]
+		smallSpans := arena[small.lo:small.hi]
 		if splits(small.node) {
-			small.sup = trie.count(smallObs, &it.sup)
+			small.sup = trie.count(smallSpans, &it.sup)
 		}
 		switch {
 		case !splits(large.node):
@@ -178,7 +170,7 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 			trie.subtract(it.sup, small.sup)
 			large.sup = it.sup
 		default:
-			trie.tally(smallObs, &it.sup, it.sup, -1)
+			trie.tally(smallSpans, &it.sup, it.sup, -1)
 			large.sup = it.sup
 		}
 		for _, c := range []item{in, out} {
@@ -188,86 +180,6 @@ func Build(obs []Observation, opts Options) (*Tree, error) {
 		}
 	}
 	return t, nil
-}
-
-// markMatches sets marks[j] for every observation obs[j] the composition
-// matches. For contiguous matching, maximal sliding runs are scanned in
-// series space like candidateTrie.countRun — each occurrence found once and
-// credited to its containing window range — instead of re-searching every
-// ω-window; isolated windows and subsequence mode fall back to MatchedBy.
-func markMatches(obs []Observation, comp *Composition, mode MatchMode, marks []bool) {
-	if mode != MatchContiguous {
-		for j := range obs {
-			marks[j] = comp.MatchedBy(obs[j].Labels, mode)
-		}
-		return
-	}
-	for lo, hi := range slidingRuns(obs) {
-		if hi-lo == 1 {
-			marks[lo] = comp.MatchedBy(obs[lo].Labels, mode)
-			continue
-		}
-		markSlidingRun(obs[lo:hi], comp.Labels, marks[lo:hi])
-	}
-}
-
-// markSlidingRun marks the windows of one maximal sliding run containing
-// an occurrence of pat. The run's windows cover a label sequence of
-// length numWin+ω-1 whose position i lives in run[0] for i < ω and as the
-// last label of run[i-ω+1] otherwise; an occurrence at position p spans
-// windows [p+len(pat)-ω, p], and a last-marked cursor keeps the total
-// marking work linear even when occurrences overlap densely.
-func markSlidingRun(run []Observation, pat []pattern.Label, marks []bool) {
-	omega := len(run[0].Labels)
-	numWin := len(run)
-	if len(pat) == 0 {
-		for j := range marks {
-			marks[j] = true
-		}
-		return
-	}
-	if len(pat) > omega {
-		return
-	}
-	seqLen := numWin + omega - 1
-	last := -1
-	for p := 0; p+len(pat) <= seqLen; p++ {
-		hit := true
-		for k := range pat {
-			i := p + k
-			var l pattern.Label
-			if i < omega {
-				l = run[0].Labels[i]
-			} else {
-				l = run[i-omega+1].Labels[omega-1]
-			}
-			if l != pat[k] {
-				hit = false
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		winLo := max(p+len(pat)-omega, 0)
-		winHi := min(p, numWin-1)
-		if winLo <= last {
-			winLo = last + 1
-		}
-		for j := winLo; j <= winHi; j++ {
-			marks[j] = true
-		}
-		if winHi > last {
-			last = winHi
-		}
-	}
-}
-
-// slidingAdjacent reports whether b is a's window slid one position
-// right over the same backing array — the shape Corpus window pooling
-// produces.
-func slidingAdjacent(a, b []pattern.Label) bool {
-	return len(a) == len(b) && len(a) > 1 && &a[1] == &b[0]
 }
 
 // Predict classifies one window of labels by routing it through the tree.

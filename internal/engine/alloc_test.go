@@ -164,3 +164,28 @@ func TestSweepAllocatesOnlyItsMarks(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepAllocatesNothingWithMarksReleased: with the scratch and marks
+// pools warm, a sweep whose caller releases its Marks allocates
+// nothing, over one run or many, for a shorter series than the released
+// marks held or for the same one.
+func TestSweepAllocatesNothingWithMarksReleased(t *testing.T) {
+	skipUnderRace(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(66))
+	long := randomLabels(rng, cfg2.Alphabet(), 4096+130)
+	for _, mode := range matchModes {
+		for _, omega := range []int{1, 5, 64, 130} {
+			e := engine.Compile(firingRules(t, rng, mode, long, omega, 1)[0], omega)
+			for _, labels := range [][]pattern.Label{long, long[:omega+10]} {
+				runs := cutRuns(labels, omega)
+				if n := testing.AllocsPerRun(10, func() { e.Release(e.Sweep(labels)) }); n != 0 {
+					t.Errorf("Sweep mode=%v ω=%d over %d labels, released: %v allocations, want 0", mode, omega, len(labels), n)
+				}
+				if n := testing.AllocsPerRun(10, func() { e.Release(e.Sweep(runs...)) }); n != 0 {
+					t.Errorf("Sweep mode=%v ω=%d over %d runs, released: %v allocations, want 0", mode, omega, len(runs), n)
+				}
+			}
+		}
+	}
+}

@@ -51,7 +51,7 @@ import (
 
 // Engine is the compiled, immutable matcher for one rule set at one
 // window size. Safe for concurrent use; per-consumer mutable state lives
-// in Cursors and in the pooled sweep scratch.
+// in Cursors, in the pooled sweep scratch and in released Marks.
 type Engine struct {
 	mode  core.MatchMode
 	omega int
@@ -78,6 +78,7 @@ type Engine struct {
 	ac *acAutomaton // contiguous mode; nil when comps is empty
 
 	sweeps sync.Pool // *sweepScratch
+	marks  sync.Pool // *Marks handed back by Release
 }
 
 // Compile builds the engine for a rule set at window size omega

@@ -8,6 +8,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -437,5 +438,60 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// sameMarks fails t unless got and want mark the same windows for every
+// predicate and the union, with the same whole-word counts.
+func sameMarks(t *testing.T, what string, numPreds int, got, want *engine.Marks) {
+	t.Helper()
+	if got.NumWindows() != want.NumWindows() || got.NumFired() != want.NumFired() || got.NumHits() != want.NumHits() {
+		t.Fatalf("%s: %d windows, %d fired, %d hits; want %d, %d, %d", what,
+			got.NumWindows(), got.NumFired(), got.NumHits(), want.NumWindows(), want.NumFired(), want.NumHits())
+	}
+	for w := range want.NumWindows() {
+		for p := range numPreds {
+			if got.Has(p, w) != want.Has(p, w) {
+				t.Fatalf("%s: predicate %d on window %d: %v, want %v", what, p, w, got.Has(p, w), want.Has(p, w))
+			}
+		}
+		if got.Fired(w) != want.Fired(w) {
+			t.Fatalf("%s: window %d fired %v, want %v", what, w, got.Fired(w), want.Fired(w))
+		}
+	}
+}
+
+// A released Marks is cleared and reused by the engine's next sweep,
+// which must then mark as a fresh engine does: two different series
+// swept back to back through one engine, releasing in between, give
+// the second series a fresh engine's marks. The first series is the
+// longer, so the second's rows fit in the released bitset and any bit
+// a reused Marks kept from the first would show. With collection off,
+// the pool keeps what is released, so the reuse is checked to happen.
+func TestReleasedMarksSweepLikeFresh(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(67))
+	alphabet := cfg2.Alphabet()
+	reused := 0
+	for _, mode := range []core.MatchMode{core.MatchContiguous, core.MatchSubsequence} {
+		for _, omega := range []int{1, 5, 64, 130} {
+			first := randomLabels(rng, alphabet, 2000)
+			second := randomLabels(rng, alphabet, 700)
+			for trial := range 10 {
+				r := drawnRule(rng, first, omega, mode)
+				e := engine.Compile(r, omega)
+				released := e.Sweep(first)
+				e.Release(released)
+				got := e.Sweep(second)
+				if got == released {
+					reused++
+				}
+				want := engine.Compile(r, omega).Sweep(second)
+				sameMarks(t, fmt.Sprintf("mode=%v omega=%d trial %d", mode, omega, trial), len(r.Predicates), got, want)
+			}
+		}
+	}
+	if !raceEnabled && reused == 0 {
+		t.Fatal("no sweep reused released marks")
 	}
 }

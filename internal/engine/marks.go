@@ -8,15 +8,43 @@ import "math/bits"
 // predicate p's row at [p·words, (p+1)·words), the union last. Fired
 // and Has read one bit; First reads one bit per predicate, in rule
 // order, and only for windows the union marks; NumFired, NumHits and
-// NextFired read whole words. Immutable once returned.
+// NextFired read whole words. Immutable once returned, until the caller
+// hands it back with Engine.Release.
 type Marks struct {
 	n, words, preds int
 	bits            []uint64
 }
 
-func newMarks(numPreds, n int) *Marks {
+// maxPooledMarkWords bounds the bitsets Release keeps, so one huge
+// series does not pin its marks for good.
+const maxPooledMarkWords = 1 << 17
+
+// newMarks returns cleared marks for n windows, reusing released marks
+// from the engine's pool when there are any.
+func (e *Engine) newMarks(n int) *Marks {
 	words := (n + 63) / 64
-	return &Marks{n: n, words: words, preds: numPreds, bits: make([]uint64, (numPreds+1)*words)}
+	size := (e.numPreds + 1) * words
+	m, _ := e.marks.Get().(*Marks)
+	if m == nil {
+		m = new(Marks)
+	}
+	if cap(m.bits) < size {
+		m.bits = make([]uint64, size)
+	} else {
+		m.bits = m.bits[:size]
+		clear(m.bits)
+	}
+	m.n, m.words, m.preds = n, words, e.numPreds
+	return m
+}
+
+// Release hands m, marks a sweep of e returned, back to e for a later
+// sweep to clear and reuse. The caller must not read m afterwards.
+// Releasing is optional: marks that are kept are never reused.
+func (e *Engine) Release(m *Marks) {
+	if m != nil && cap(m.bits) <= maxPooledMarkWords {
+		e.marks.Put(m)
+	}
 }
 
 // row returns predicate p's window bitset; row(m.preds) is the union.

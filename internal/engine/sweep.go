@@ -25,7 +25,8 @@ import (
 // A composition longer than ω gets an empty set, and a predicate with
 // such a positive composition is not live, so its row stays empty. The
 // working memory comes from a pool on the engine, so a sweep allocates
-// its Marks and nothing per run or window.
+// nothing per run or window: at most its Marks, and not even those when
+// an earlier sweep's were released (Release).
 
 // sweepScratch is one sweep's working memory, pooled on the engine.
 type sweepScratch struct {
@@ -53,7 +54,7 @@ func (e *Engine) Sweep(runs ...[]pattern.Label) *Marks {
 	for _, labels := range runs {
 		n += max(len(labels)-e.omega+1, 0)
 	}
-	m := newMarks(e.numPreds, n)
+	m := e.newMarks(n)
 	if n == 0 {
 		return m
 	}

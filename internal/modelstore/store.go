@@ -242,8 +242,7 @@ func (s *Store) Publish(name string, doc []byte, source, note string) (Version, 
 		_ = s.appendAuditLocked(Event{Event: EventRefuse, Model: name, Detail: err.Error()})
 		return Version{}, fmt.Errorf("modelstore: refusing candidate for %s: %w", name, err)
 	}
-	sum := sha256.Sum256(doc)
-	digest := "sha256-" + hex.EncodeToString(sum[:])
+	digest := digestOf(doc)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,12 +295,13 @@ func (s *Store) Publish(name string, doc []byte, source, note string) (Version, 
 	return v, nil
 }
 
-// writeBlobLocked stores a content-addressed document if absent
-// (tmp+rename, so a crashed write never leaves a partial blob under its
-// final name). Callers must hold s.mu.
+// writeBlobLocked stores a content-addressed document unless its blob
+// already holds exactly these bytes (tmp+rename, so a crashed write
+// never leaves a partial blob under its final name). A blob whose bytes
+// differ, torn or altered, is replaced. Callers must hold s.mu.
 func (s *Store) writeBlobLocked(digest string, doc []byte) error {
 	path := s.blobPath(digest)
-	if _, err := os.Stat(path); err == nil {
+	if stored, err := os.ReadFile(path); err == nil && bytes.Equal(stored, doc) {
 		return nil // identical content already stored
 	}
 	tmp := path + ".tmp"
@@ -423,7 +423,9 @@ func (s *Store) Current(name string) (Version, bool) {
 
 // LoadVersion loads and compiles one published version of name. The
 // returned artifact is a *cdt.Model or *cdt.PyramidModel depending on
-// the stored document's kind.
+// the stored document's kind. The blob's bytes must hash to its digest:
+// a torn or altered blob fails the load, naming the digest, until a
+// publish of the same document rewrites it.
 func (s *Store) LoadVersion(name string, version int) (cdt.Artifact, Version, error) {
 	s.mu.Lock()
 	entry := s.man.Models[name]
@@ -438,12 +440,14 @@ func (s *Store) LoadVersion(name string, version int) (cdt.Artifact, Version, er
 	if !ok {
 		return nil, Version{}, fmt.Errorf("modelstore: model %q has no version %d", name, version)
 	}
-	f, err := os.Open(s.blobPath(v.Digest))
+	doc, err := os.ReadFile(s.blobPath(v.Digest))
 	if err != nil {
 		return nil, Version{}, fmt.Errorf("modelstore: %w", err)
 	}
-	defer f.Close()
-	m, err := cdt.LoadAny(f)
+	if digestOf(doc) != v.Digest {
+		return nil, Version{}, fmt.Errorf("modelstore: loading %s v%d: blob %s does not match its digest", name, version, shortDigest(v.Digest))
+	}
+	m, err := cdt.LoadAny(bytes.NewReader(doc))
 	if err != nil {
 		return nil, Version{}, fmt.Errorf("modelstore: loading %s v%d (%s): %w", name, version, shortDigest(v.Digest), err)
 	}
@@ -578,6 +582,12 @@ func (s *Store) saveManifestLocked() error {
 		return fmt.Errorf("modelstore: %w", err)
 	}
 	return nil
+}
+
+// digestOf returns the content address of doc.
+func digestOf(doc []byte) string {
+	sum := sha256.Sum256(doc)
+	return "sha256-" + hex.EncodeToString(sum[:])
 }
 
 // shortDigest abbreviates a content address for human-facing output.

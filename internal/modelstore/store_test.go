@@ -143,6 +143,56 @@ func TestIdenticalContentSharesBlob(t *testing.T) {
 	}
 }
 
+// TestAlteredBlobIsRefusedThenRepaired: a blob whose bytes no longer
+// hash to its name (one byte changed, as a torn write or bit rot would
+// leave it) fails LoadVersion and CurrentModels, naming the digest, so
+// a registry reload is refused whole; publishing the same document
+// again rewrites the blob, and loading then succeeds. The changed byte
+// turns an indenting space into a tab, so the altered document still
+// parses and only the digest check can refuse it.
+func TestAlteredBlobIsRefusedThenRepaired(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := modelDoc(t, 5)
+	v, err := st.Publish("m", doc, "publish", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Promote("m", v.Version); err != nil {
+		t.Fatal(err)
+	}
+	path := st.blobPath(v.Digest)
+	altered := bytes.Clone(doc)
+	altered[bytes.IndexByte(altered, ' ')] = '\t'
+	if err := os.WriteFile(path, altered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short := shortDigest(v.Digest)
+	if _, err := cdt.LoadAny(bytes.NewReader(altered)); err != nil {
+		t.Fatalf("the altered document no longer parses: %v", err)
+	}
+	if _, _, err := st.LoadVersion("m", v.Version); err == nil || !strings.Contains(err.Error(), short) || !strings.Contains(err.Error(), "m v1") {
+		t.Fatalf("LoadVersion of an altered blob: %v, want an error naming m v1 and %s", err, short)
+	}
+	if models, _, err := st.CurrentModels(); err == nil || !strings.Contains(err.Error(), short) {
+		t.Fatalf("CurrentModels over an altered blob: %d models, %v; want an error naming %s", len(models), err, short)
+	}
+	if _, err := st.Publish("m", doc, "publish", "repair"); err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := os.ReadFile(path); err != nil || !bytes.Equal(stored, doc) {
+		t.Fatalf("blob after republishing: err %v, repaired %v", err, bytes.Equal(stored, doc))
+	}
+	if _, _, err := st.LoadVersion("m", v.Version); err != nil {
+		t.Fatalf("LoadVersion after the repair: %v", err)
+	}
+	if models, _, err := st.CurrentModels(); err != nil || models["m"] == nil {
+		t.Fatalf("CurrentModels after the repair: %v, %v", models, err)
+	}
+}
+
 // TestAuditAppendOnlyGolden pins the audit trail for a fixed lifecycle:
 // the event sequence, ordering, and strictly increasing sequence
 // numbers are a contract — and earlier records must be byte-identical

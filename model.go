@@ -173,6 +173,7 @@ func (m *Model) DetectWindows(s *Series) ([]bool, error) {
 	for w := range flags {
 		flags[w] = marks.Fired(w)
 	}
+	m.eng.Release(marks)
 	return flags, nil
 }
 

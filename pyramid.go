@@ -272,8 +272,8 @@ func (pm *PyramidModel) classifyScales(scales []ScaleDetection) AnomalyType {
 // pyramidPass is one scoring pass over a series: per scale, the
 // engine's marks and the sorted runs of original-resolution points its
 // fired windows cover, then the runs the fusion policy flags. Passes
-// are pooled (pyramidPasses); release returns one once its caller has
-// read it.
+// are pooled (pyramidPasses); release returns one, and its marks to
+// their engines, once its caller has read it.
 type pyramidPass struct {
 	n     int
 	marks [maxPyramidScales]*engine.Marks
@@ -288,9 +288,12 @@ type pyramidPass struct {
 
 var pyramidPasses = sync.Pool{New: func() any { return new(pyramidPass) }}
 
-// release drops the pass's marks and pools its buffers, unless a huge
-// series grew them.
-func (p *pyramidPass) release() {
+// release hands the pass's marks back to the engines of pm, whose pass
+// it is, and pools its buffers, unless a huge series grew them.
+func (p *pyramidPass) release(pm *PyramidModel) {
+	for i, m := range pm.models {
+		m.eng.Release(p.marks[i])
+	}
 	p.marks = [maxPyramidScales]*engine.Marks{}
 	// The detections' Fired slices belong to the caller's results.
 	clear(p.dets)
@@ -347,7 +350,7 @@ func (pm *PyramidModel) sweep(ctx context.Context, s *Series) (*pyramidPass, err
 		}
 		if err != nil {
 			span.End()
-			p.release()
+			p.release(pm)
 			return nil, fmt.Errorf("cdt: pyramid scale x%d: %w", f, err)
 		}
 		p.marks[i] = marks
@@ -508,7 +511,7 @@ func (pm *PyramidModel) DetectExplained(ctx context.Context, s *Series) ([]Windo
 	if err != nil {
 		return nil, err
 	}
-	defer p.release()
+	defer p.release(pm)
 	if err := pm.fuse(ctx, p); err != nil {
 		return nil, err
 	}
@@ -627,7 +630,7 @@ func (pm *PyramidModel) ScoreRanges(ctx context.Context, s *Series) (RangeStats,
 	if err != nil {
 		return RangeStats{}, err
 	}
-	defer p.release()
+	defer p.release(pm)
 	if err := pm.fuse(ctx, p); err != nil {
 		return RangeStats{}, err
 	}
@@ -653,7 +656,7 @@ func (pm *PyramidModel) PointFlags(s *Series) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer p.release()
+	defer p.release(pm)
 	if err := pm.fuse(context.Background(), p); err != nil {
 		return nil, err
 	}
@@ -711,7 +714,7 @@ func (pm *PyramidModel) TrainFusion(train []*Series) error {
 			}
 		}
 		truth = append(truth, s.Anomalies[:p.n]...)
-		p.release()
+		p.release(pm)
 	}
 	fired := make([][]bool, len(truth))
 	for p := range fired {
