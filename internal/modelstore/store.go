@@ -20,9 +20,10 @@
 //	manifest.json             versions + promotion pointers (atomic rename)
 //	audit.log                 append-only JSONL event trail
 //
-// Crash safety: the manifest is written to manifest.json.tmp and
-// renamed, so a torn write can never corrupt the published manifest and
-// leftover .tmp files are ignored on Open. Blobs are immutable once
+// Crash safety: the manifest is written to manifest.json.tmp, synced and
+// renamed, and the directory synced, so neither a torn write nor a power
+// cut can corrupt the published manifest, and leftover .tmp files are
+// ignored on Open. Blobs are written the same way and are immutable once
 // renamed into place. The audit log is append-only by construction
 // (O_APPEND) and by contract: nothing in this package rewrites it. A
 // record torn by a crash mid-append is skipped on read, and Open ends
@@ -296,22 +297,53 @@ func (s *Store) Publish(name string, doc []byte, source, note string) (Version, 
 }
 
 // writeBlobLocked stores a content-addressed document unless its blob
-// already holds exactly these bytes (tmp+rename, so a crashed write
-// never leaves a partial blob under its final name). A blob whose bytes
-// differ, torn or altered, is replaced. Callers must hold s.mu.
+// already holds exactly these bytes (writeFileDurable, so a crashed
+// write never leaves a partial blob under its final name). A blob whose
+// bytes differ, torn or altered, is replaced. Callers must hold s.mu.
 func (s *Store) writeBlobLocked(digest string, doc []byte) error {
 	path := s.blobPath(digest)
 	if stored, err := os.ReadFile(path); err == nil && bytes.Equal(stored, doc) {
 		return nil // identical content already stored
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, doc, 0o644); err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeFileDurable(path, doc); err != nil {
 		return fmt.Errorf("modelstore: %w", err)
 	}
 	return nil
+}
+
+// writeFileDurable replaces path with data so that a crash or power cut
+// at any step leaves either the old file or the new one under path:
+// the bytes go to path+".tmp", which is synced and closed before the
+// rename, and the parent directory is synced after it, so the rename
+// cannot outlive the bytes it names.
+func writeFileDurable(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Promote makes version the current (serving) pointer for name,
@@ -567,18 +599,14 @@ func (s *Store) CheckReady() error {
 	return nil
 }
 
-// saveManifestLocked writes the manifest atomically (tmp+rename).
-// Callers must hold s.mu.
+// saveManifestLocked writes the manifest atomically and durably
+// (writeFileDurable). Callers must hold s.mu.
 func (s *Store) saveManifestLocked() error {
 	raw, err := json.MarshalIndent(s.man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("modelstore: encoding manifest: %w", err)
 	}
-	tmp := s.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	if err := os.Rename(tmp, s.manifestPath()); err != nil {
+	if err := writeFileDurable(s.manifestPath(), append(raw, '\n')); err != nil {
 		return fmt.Errorf("modelstore: %w", err)
 	}
 	return nil

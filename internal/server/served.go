@@ -10,13 +10,13 @@ package server
 // cardinality metrics. The paper's detections are human-interpretable
 // rules, so serving observability should say *which* rule is firing
 // (and, for pyramids, which scale is slow), not just that detections
-// happened. The metriclabel contract shapes it: rule labels are stable
-// indices ("r3", or "x4.r2" for scale-qualified pyramid rules), never
-// rendered rule text — text is unbounded, re-renders on retrain, and
-// would mint a fresh child per wording. The scoring hot path indexes a
-// slice and does lock-free atomic adds. A cap on the label space
-// (maxRuleLabels) keeps cardinality bounded even for absurdly large
-// rule sets — flat indices past the cap fold into one "other" child.
+// happened. Rule labels are stable indices ("r3", or "x4.r2" for
+// scale-qualified pyramid rules), never rendered rule text — text is
+// unbounded, re-renders on retrain, and would mint a fresh child per
+// wording. The scoring hot path indexes a slice and does lock-free
+// atomic adds. A cap on the label space (maxRuleLabels) keeps
+// cardinality bounded even for absurdly large rule sets — flat indices
+// past the cap fold into one "other" child.
 
 import (
 	"strconv"
@@ -89,7 +89,6 @@ func newServedModel(tel *serverMetrics, name string, art cdt.Artifact, version i
 		for r := 0; r < info.NumRules && r < maxRuleLabels; r++ {
 			label := "r" + strconv.Itoa(r+1)
 			m.labels = append(m.labels, label)
-			//cdtlint:ignore metriclabel resolved once per loaded artifact; labels are stable bounded indices capped at maxRuleLabels, and the scoring path only Adds to the resolved children
 			m.ruleFired = append(m.ruleFired, tel.ruleFired.With(name, label))
 		}
 		return m
@@ -112,12 +111,10 @@ func newServedModel(tel *serverMetrics, name string, art cdt.Artifact, version i
 		}
 		off += rules
 		scale := "x" + strconv.Itoa(f)
-		//cdtlint:ignore metriclabel resolved once per loaded artifact, bounded by maxPyramidScales; scoring only Observes the resolved child
 		m.scaleSweep[i] = tel.scaleSweep.With(name, scale)
 		for r := 0; r < rules && len(m.labels) < maxRuleLabels; r++ {
 			label := scale + ".r" + strconv.Itoa(r+1)
 			m.labels = append(m.labels, label)
-			//cdtlint:ignore metriclabel resolved once per loaded artifact; labels are stable bounded indices capped at maxRuleLabels, and the scoring path only Adds to the resolved children
 			m.ruleFired = append(m.ruleFired, tel.ruleFired.With(name, label))
 		}
 	}

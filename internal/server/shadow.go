@@ -193,7 +193,6 @@ func (s *Shadows) Start(name string, version int, candidate cdt.Artifact) *Shado
 	if info.Kind == cdt.KindPyramid {
 		sh.hScaleRate = make([]*telemetry.Histogram, len(info.Scales))
 		for i, f := range info.Scales {
-			//cdtlint:ignore metriclabel resolved once per shadow start (a rare operator lifecycle request), bounded by maxPyramidScales; scoring workers only Observe
 			sh.hScaleRate[i] = s.tel.shadowScaleRate.With(name, fmt.Sprintf("x%d", f))
 		}
 	}

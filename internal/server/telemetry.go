@@ -142,10 +142,7 @@ type endpointMetrics struct {
 	codes   [len(codeClasses)]*telemetry.Counter
 }
 
-// endpoint resolves the request instruments of the named endpoint. The
-// metriclabel analyzer sees from the call graph that endpoint is only
-// reached at registration frequency (route registration and
-// newServerMetrics), so the With-in-loop below needs no suppression.
+// endpoint resolves the request instruments of the named endpoint.
 func (m *serverMetrics) endpoint(name string) *endpointMetrics {
 	e := &endpointMetrics{name: name, latency: m.latency.With(name)}
 	for i, class := range codeClasses {

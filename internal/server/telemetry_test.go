@@ -2,10 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -175,4 +181,247 @@ func TestDebugHandler(t *testing.T) {
 	if code, _, _ := fetch(t, ts.URL+"/debug/pprof/"); code == 200 {
 		t.Error("public handler serves /debug/pprof/")
 	}
+}
+
+// discardWriter keeps a response's status and nothing else, so an
+// allocation count does not depend on how large the response is.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// serveAllocs is the mean allocation count of one POST of body to path.
+// The collector is off while it counts: a collection empties the
+// sync.Pools the serving path draws from (request bodies, response
+// buffers, engine marks), and their refills would land on whichever
+// request follows it, more often the more garbage a body makes.
+func serveAllocs(t *testing.T, h http.Handler, path string, body []byte) float64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(10, func() {
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+		// A fixed ID: generated IDs of one hex digit skip an allocation.
+		req.Header.Set("X-Request-ID", "alloc-probe")
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("POST %s = %d", path, w.code)
+		}
+	})
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServingAllocatesPerRequestAndSeriesNotPerDetection pins what
+// cdtserve resolves once per served model rather than once per
+// detection. A two-series batch body allocates the same whether its
+// series are short and yield a few detections or four times as long
+// with several hundred, on a plain model and on a pyramid; a stream
+// push allocates a fixed count, however many readings it carries, plus
+// what Stream.Push itself makes per detection. A telemetry child
+// resolved on the scoring path (Vec.With renders its label values into
+// fresh strings), or any other allocation per detection or per reading,
+// fails it.
+func TestServingAllocatesPerRequestAndSeriesNotPerDetection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	s, ts, dir := newTestServer(t, Config{})
+	writePyramid(t, dir, "multi", trainPyramid(t))
+	if _, err := s.Registry().Reload(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	for _, tc := range []struct {
+		model string
+		n     int // readings per series
+		every int // spike spacing of the dense body
+	}{
+		{"spikes", 2000, 7},
+		// Pyramid spikes 40 readings apart keep their fused runs apart,
+		// so the dense body yields hundreds of detections, not one run
+		// spanning each series.
+		{"multi", 8000, 40},
+	} {
+		t.Run("batch "+tc.model, func(t *testing.T) {
+			path := "/models/" + tc.model + "/detect"
+			body := func(n int, spikes []int) ([]byte, int) {
+				req := batchRequest{}
+				for i := 0; i < 2; i++ {
+					req.Series = append(req.Series, seriesPayload{
+						Name:   fmt.Sprintf("s%d", i),
+						Values: spiky("s", n, spikes, int64(i)).Values,
+					})
+				}
+				var out wireBatch
+				if code := doJSON(t, "POST", ts.URL+path, req, &out); code != http.StatusOK {
+					t.Fatalf("POST %s = %d", path, code)
+				}
+				dets := 0
+				for _, r := range out.Results {
+					dets += len(r.Detections)
+				}
+				return mustMarshal(t, req), dets
+			}
+			var spikes []int
+			for at := tc.every; at < tc.n-tc.every; at += tc.every {
+				spikes = append(spikes, at)
+			}
+			sparse, few := body(tc.n/4, []int{tc.n / 8})
+			dense, many := body(tc.n, spikes)
+			if few == 0 || few > 20 || many < 300 {
+				t.Fatalf("bodies yield %d and %d detections, want a few and several hundred", few, many)
+			}
+			if a, b := serveAllocs(t, h, path, sparse), serveAllocs(t, h, path, dense); a != b {
+				t.Errorf("%d detections: %v allocations per request; %d detections: %v", few, a, many, b)
+			}
+		})
+	}
+
+	t.Run("stream push", func(t *testing.T) {
+		push := func(n int, spikes []int) (allocs float64, dets int) {
+			var created createStreamResponse
+			doJSON(t, "POST", ts.URL+"/streams", createStreamRequest{Model: "spikes", Min: 60, Max: 420}, &created)
+			path := "/streams/" + created.ID + "/points"
+			req := pushPointsRequest{Points: spiky("p", n, spikes, 5).Values}
+			var out wirePush
+			for i := 0; i < 3; i++ { // past the warm-up, each push fires alike
+				if code := doJSON(t, "POST", ts.URL+path, req, &out); code != http.StatusOK {
+					t.Fatalf("POST %s = %d", path, code)
+				}
+			}
+			return serveAllocs(t, h, path, mustMarshal(t, req)), len(out.Detections)
+		}
+		quiet, none := push(32, nil)
+		quietLong, noneLong := push(128, nil)
+		busy, k := push(128, []int{8, 24, 40, 56, 72, 88, 104, 120})
+		if none != 0 || noneLong != 0 || k < 20 {
+			t.Fatalf("pushes yield %d, %d and %d detections, want none, none and several", none, noneLong, k)
+		}
+		if quietLong != quiet {
+			t.Errorf("push of 32 readings: %v allocations; of 128: %v", quiet, quietLong)
+		}
+		// Stream.Push makes two per detection (the detection and its fired
+		// predicates), the push's detections slice grows by doubling, and
+		// tallying takes one rule-count array.
+		if limit := quiet + float64(2*k+bits.Len(uint(k))+2); busy > limit {
+			t.Errorf("push of %d detections: %v allocations, want at most %v (%v with none)", k, busy, limit, quiet)
+		}
+	})
+}
+
+// TestMetricsSeriesIgnoreRequestValues pins the series on /metrics to
+// what the server resolves when it loads a model or starts a shadow.
+// A store-backed server with drift on and a shadow running takes a
+// round of traffic over every route; a second round changes every value
+// a request controls (series names, lengths and readings, malformed
+// bodies, unknown models, routes and session ids), and /metrics must
+// list exactly the same series after it. A label made from request
+// data (an error message, a formatted number, a name) fails it.
+func TestMetricsSeriesIgnoreRequestValues(t *testing.T) {
+	_, ts, _ := newStoreServer(t, Config{DriftWindow: 64, DriftBound: 0.02})
+	if code := doJSON(t, "POST", ts.URL+"/models/spikes/shadow", versionRequest{Version: 2}, nil); code != http.StatusCreated {
+		t.Fatalf("shadow start = %d", code)
+	}
+
+	send := func(method, path, body string, want int) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s = %d, want %d: %s", method, path, resp.StatusCode, want, out)
+		}
+		return out
+	}
+	traffic := func(round int) {
+		batch := batchRequest{}
+		for i := 0; i < 3; i++ {
+			n := 200 + 97*round + 13*i
+			batch.Series = append(batch.Series, seriesPayload{
+				Name:   fmt.Sprintf("round%d-series%d", round, i),
+				Values: spiky("s", n, []int{n/3 + round, 2*n/3 - i}, int64(10*round+i)).Values,
+			})
+		}
+		// Too short to score: the series' error names it.
+		batch.Series = append(batch.Series, seriesPayload{Name: fmt.Sprintf("short%d", round), Values: make([]float64, round+1)})
+		send("POST", "/models/spikes/detect", string(mustMarshal(t, batch)), http.StatusOK)
+		send("POST", fmt.Sprintf("/models/nope%d/detect", round), string(mustMarshal(t, batch)), http.StatusNotFound)
+		send("POST", "/models/spikes/detect", fmt.Sprintf(`{"series":[{"name":"x","values":[1,%d,`, round), http.StatusBadRequest)
+		send("POST", "/models/spikes/detect", fmt.Sprintf(`{"series%d":[]}`, round), http.StatusBadRequest)
+		send("POST", "/models/spikes/detect", `{"series":[]}`, http.StatusBadRequest)
+		send("GET", "/models/spikes/detect", "", http.StatusMethodNotAllowed)
+
+		var created createStreamResponse
+		if err := json.Unmarshal(send("POST", "/streams",
+			fmt.Sprintf(`{"model":"spikes","min":%d,"max":%d}`, 50+round, 400+round), http.StatusCreated), &created); err != nil {
+			t.Fatal(err)
+		}
+		points := string(mustMarshal(t, pushPointsRequest{Points: spiky("p", 64+round, []int{20 + round, 40}, int64(round)).Values}))
+		send("POST", "/streams/"+created.ID+"/points", points, http.StatusOK)
+		send("POST", "/streams/"+created.ID+"/points", fmt.Sprintf(`{"points":[%d,`, round), http.StatusBadRequest)
+		send("POST", "/streams/"+created.ID+"/reset", "", http.StatusNoContent)
+		send("DELETE", "/streams/"+created.ID, "", http.StatusNoContent)
+		missing := fmt.Sprintf("/streams/missing%d", round)
+		send("POST", missing+"/points", points, http.StatusNotFound)
+		send("POST", missing+"/reset", "", http.StatusNotFound)
+		send("DELETE", missing, "", http.StatusNotFound)
+		send("POST", "/streams", fmt.Sprintf(`{"model":"nope%d"}`, round), http.StatusNotFound)
+		send("POST", "/streams", fmt.Sprintf(`{"model":%d}`, round), http.StatusBadRequest)
+
+		send("POST", "/models/spikes/shadow", fmt.Sprintf(`{"version":%d}`, 40+round), http.StatusNotFound)
+		send("POST", "/models/spikes/promote", fmt.Sprintf(`{"version":%d}`, 40+round), http.StatusNotFound)
+		send("GET", "/models/spikes/shadow", "", http.StatusOK)
+		send("GET", fmt.Sprintf("/models/nope%d/shadow", round), "", http.StatusNotFound)
+		send("GET", fmt.Sprintf("/no/such/route/%d", round), "", http.StatusNotFound)
+		for _, path := range []string{"/healthz", "/models", "/debug/traces", "/metrics"} {
+			send("GET", path, "", http.StatusOK)
+		}
+	}
+	series := func() []string {
+		var out []string
+		for _, line := range strings.Split(metricsText(t, ts), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				out = append(out, line[:strings.LastIndexByte(line, ' ')])
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	traffic(1)
+	first := series()
+	traffic(2)
+	if second := series(); !slices.Equal(first, second) {
+		var added []string
+		for _, s := range second {
+			if _, found := slices.BinarySearch(first, s); !found {
+				added = append(added, s)
+			}
+		}
+		t.Fatalf("/metrics lists %d series after round 1 and %d after round 2, new: %v", len(first), len(second), added)
+	}
+	t.Logf("%d series after each round", len(first))
 }

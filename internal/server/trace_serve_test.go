@@ -236,14 +236,87 @@ func TestRuleAttributionMetrics(t *testing.T) {
 	if strings.Contains(metrics, `cdtserve_scale_sweep_seconds_bucket{model="spikes"`) {
 		t.Error("plain model grew scale-sweep histograms")
 	}
-	// metriclabel's substance: every rule label is a bounded index, never
-	// rendered predicate text.
+	// Every rule label is a bounded index, never rendered predicate text
+	// (TestMetricsSeriesIgnoreRequestValues pins the series set at large).
 	ruleLabel := regexp.MustCompile(`cdtserve_rule_fired_total\{model="[^"]*",rule="([^"]*)"\}`)
 	validLabel := regexp.MustCompile(`^(r\d+|x\d+\.r\d+|other)$`)
 	for _, m := range ruleLabel.FindAllStringSubmatch(metrics, -1) {
 		if !validLabel.MatchString(m[1]) {
 			t.Errorf("rule label %q is not a bounded index", m[1])
 		}
+	}
+}
+
+// inflatedInfo serves an artifact under an Info reporting more rules
+// than a test model trains.
+type inflatedInfo struct {
+	cdt.Artifact
+	info cdt.ArtifactInfo
+}
+
+func (a inflatedInfo) Info() cdt.ArtifactInfo { return a.info }
+
+// TestRuleLabelsCapAtMaxRuleLabels: a served record resolves exactly
+// maxRuleLabels rule children plus "other" when its artifact has more
+// rules, for a plain model and for a pyramid whose scales' rules add up
+// past the cap, and tally counts every index past the cap as "other".
+func TestRuleLabelsCapAtMaxRuleLabels(t *testing.T) {
+	plain := trainModel(t)
+	plainInfo := plain.Info()
+	plainInfo.NumRules = maxRuleLabels + 72
+	pyramid := trainPyramid(t)
+	pyramidInfo := pyramid.Info()
+	if !reflect.DeepEqual(pyramidInfo.Scales, []int{1, 4}) {
+		t.Fatalf("pyramid scales = %v, want [1 4]", pyramidInfo.Scales)
+	}
+	pyramidInfo.ScaleRules = []int{100, 100}
+	pyramidInfo.NumRules = 200
+
+	for _, tc := range []struct {
+		name   string
+		art    cdt.Artifact
+		factor int    // the tallied predicates' scale
+		off    int    // that scale's first flat label index
+		last   string // the last label under the cap
+	}{
+		{"plain", inflatedInfo{plain, plainInfo}, 0, 0, "r128"},
+		{"pyramid", inflatedInfo{pyramid, pyramidInfo}, 4, 100, "x4.r28"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := newServerMetrics()
+			m := newServedModel(tel, "big", tc.art, 0)
+			if len(m.labels) != maxRuleLabels || len(m.ruleFired) != maxRuleLabels || m.labels[maxRuleLabels-1] != tc.last {
+				t.Fatalf("resolved %d labels and %d children, last %q; want %d, last %q",
+					len(m.labels), len(m.ruleFired), m.ruleLabel(len(m.labels)-1), maxRuleLabels, tc.last)
+			}
+			// The last index under the cap counts under its own label; the
+			// next one and any higher count as "other".
+			lastIdx := maxRuleLabels - tc.off
+			counts := m.newCounts()
+			m.tally(counts, tc.factor, []cdt.FiredPredicate{{Index: lastIdx}, {Index: lastIdx + 1}, {Index: 1000}})
+			if counts[maxRuleLabels-1] != 1 || counts[maxRuleLabels] != 2 {
+				t.Fatalf("counts at the cap = %v, want [1 2]", counts[maxRuleLabels-1:])
+			}
+			m.apply(counts)
+
+			exposition := tel.reg.Render()
+			children := regexp.MustCompile(`(?m)^cdtserve_rule_fired_total\{model="big",rule="([^"]+)"\} (\d+)$`).FindAllStringSubmatch(exposition, -1)
+			if len(children) != maxRuleLabels+1 {
+				t.Fatalf("%d rule_fired children for the model, want %d plus other", len(children), maxRuleLabels)
+			}
+			for _, c := range children {
+				want := "0"
+				switch c[1] {
+				case tc.last:
+					want = "1"
+				case "other":
+					want = "2"
+				}
+				if c[2] != want {
+					t.Errorf("rule %q counted %s, want %s", c[1], c[2], want)
+				}
+			}
+		})
 	}
 }
 

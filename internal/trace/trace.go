@@ -44,16 +44,14 @@ type Config struct {
 	// run at least this long: Retain records each as a root-only span
 	// under a fresh trace ID. <= 0 keeps sampled requests only.
 	SlowThreshold time.Duration
-	// RingSize bounds the in-memory span ring (default 256).
-	RingSize int
 	// Export, when non-nil, receives one JSON line per finished span —
 	// the offline-analysis feed (cdtserve -trace-export).
 	Export io.Writer
 }
 
-// defaultRingSize keeps roughly the last few dozen multi-span requests
-// without the ring becoming a request log.
-const defaultRingSize = 256
+// ringSize bounds the in-memory span ring: roughly the last few dozen
+// multi-span requests, without the ring becoming a request log.
+const ringSize = 256
 
 // Tracer owns the sampling decision, the span ring, and the exporter.
 // All methods are safe for concurrent use; a nil *Tracer is a valid
@@ -85,14 +83,10 @@ func New(cfg Config) *Tracer {
 	if rate > 1 {
 		rate = 1
 	}
-	size := cfg.RingSize
-	if size <= 0 {
-		size = defaultRingSize
-	}
 	return &Tracer{
 		step:   uint64(rate * (1 << 32)),
 		slow:   cfg.SlowThreshold,
-		ring:   make([]atomic.Pointer[SpanData], size),
+		ring:   make([]atomic.Pointer[SpanData], ringSize),
 		export: cfg.Export,
 	}
 }

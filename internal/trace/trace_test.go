@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -84,7 +85,7 @@ func TestInboundTraceparentOverridesSampling(t *testing.T) {
 }
 
 func TestSpanParentLinksAndRing(t *testing.T) {
-	tr := New(Config{SampleRate: 1, RingSize: 8})
+	tr := New(Config{SampleRate: 1})
 	ctx, root := tr.StartRequest(context.Background(), "request", "")
 	ctx, child := StartSpan(ctx, "detect")
 	_, grand := StartSpan(ctx, "engine_sweep")
@@ -116,19 +117,20 @@ func TestSpanParentLinksAndRing(t *testing.T) {
 }
 
 func TestRingBoundedNewestFirst(t *testing.T) {
-	tr := New(Config{SampleRate: 1, RingSize: 4})
-	for i := 0; i < 10; i++ {
+	tr := New(Config{SampleRate: 1})
+	const written = ringSize + 4
+	for i := 0; i < written; i++ {
 		_, s := tr.StartRequest(context.Background(), "request", "")
-		s.SetAttr("i", string(rune('a'+i)))
+		s.SetAttr("i", strconv.Itoa(i))
 		s.End()
 	}
 	spans := tr.Snapshot()
-	if len(spans) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(spans))
+	if len(spans) != ringSize {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), ringSize)
 	}
-	for k, want := range []string{"j", "i", "h", "g"} {
-		if got := spans[k].Attrs["i"]; got != want {
-			t.Fatalf("snapshot[%d] = %q, want %q (newest first)", k, got, want)
+	for k, sd := range spans {
+		if want := strconv.Itoa(written - 1 - k); sd.Attrs["i"] != want {
+			t.Fatalf("snapshot[%d] = %q, want %q (newest first)", k, sd.Attrs["i"], want)
 		}
 	}
 }
@@ -199,7 +201,7 @@ func TestJSONLExport(t *testing.T) {
 // lock-free ring (make test-hammer).
 func TestSpanRingHammer(t *testing.T) {
 	var buf syncDiscard
-	tr := New(Config{SampleRate: 1, RingSize: 32, Export: &buf})
+	tr := New(Config{SampleRate: 1, Export: &buf})
 	const (
 		writers = 8
 		readers = 2

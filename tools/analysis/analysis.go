@@ -53,14 +53,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Report delivers one diagnostic. The driver filters diagnostics to
 	// the unit's reportable files (a merged test unit re-checks library
-	// files for type information but must not double-report into them),
-	// and diverts findings matching a //cdtlint:ignore directive into
-	// the run's suppressed list.
+	// files for type information but must not double-report into them).
 	Report func(Diagnostic)
-	// Prog is the whole load: every unit of the run plus lazily-built
-	// cross-function facts (the call graph). Analyzers that only need
-	// the current unit ignore it.
-	Prog *Program
 }
 
 // Reportf reports a formatted diagnostic at pos.

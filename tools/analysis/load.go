@@ -128,6 +128,16 @@ func Load(dir string, patterns []string) (*token.FileSet, []*Unit, error) {
 	return fset, units, nil
 }
 
+// LoadFiles type-checks files as the library unit of package path, the
+// way Load checks each listed package; the golden-test harness
+// (analysistest) loads its testdata packages through it.
+func LoadFiles(path string, files []string) (*token.FileSet, *Unit, error) {
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	u, err := check(fset, importer.ForCompiler(fset, "source", nil), path, Lib, files, files)
+	return fset, u, err
+}
+
 // check parses and type-checks one unit. reportable lists the files
 // diagnostics may target (a subset of files).
 func check(fset *token.FileSet, imp types.Importer, path string, kind UnitKind, files, reportable []string) (*Unit, error) {
@@ -176,28 +186,11 @@ type Finding struct {
 
 // Run applies every analyzer to every unit (subject to filter; a nil
 // filter applies everything everywhere) and returns the findings sorted
-// by position, with findings matching a //cdtlint:ignore directive
-// diverted to the suppressed list (also sorted). Malformed directives
-// are findings under the reserved "cdtlint" analyzer name. Analyzer
-// errors abort the run — they indicate a broken analyzer or
-// unanalyzable input, not a finding.
-func Run(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, filter func(*Analyzer, *Unit) bool) ([]Finding, []SuppressedFinding, error) {
-	prog := NewProgram(fset, units)
+// by position. Analyzer errors abort the run — they indicate a broken
+// analyzer or unanalyzable input, not a finding.
+func Run(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, filter func(*Analyzer, *Unit) bool) ([]Finding, error) {
 	var findings []Finding
-	var suppressed []SuppressedFinding
-	seenMalformed := make(map[string]bool)
 	for _, u := range units {
-		sups, malformed := CollectSuppressions(fset, u.Files)
-		for _, m := range malformed {
-			// A Test unit re-parses library files; report each bad
-			// directive once, from whichever unit sees it first.
-			key := posKey(m.Position.Filename, m.Position.Line)
-			if seenMalformed[key] || !u.reportable[m.Position.Filename] {
-				continue
-			}
-			seenMalformed[key] = true
-			findings = append(findings, m)
-		}
 		for _, a := range analyzers {
 			if filter != nil && !filter(a, u) {
 				continue
@@ -208,48 +201,34 @@ func Run(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, filter func(
 				Files:     u.Files,
 				Pkg:       u.Pkg,
 				TypesInfo: u.Info,
-				Prog:      prog,
 			}
-			unit := u
 			pass.Report = func(d Diagnostic) {
-				if !unit.Reportable(fset, d.Pos) {
+				if !u.Reportable(fset, d.Pos) {
 					return
 				}
-				f := Finding{
+				findings = append(findings, Finding{
 					Analyzer: a.Name,
 					Position: fset.Position(d.Pos),
 					Message:  d.Message,
-				}
-				if sup, ok := sups.Match(a.Name, f.Position); ok {
-					suppressed = append(suppressed, SuppressedFinding{Finding: f, Reason: sup.Reason})
-					return
-				}
-				findings = append(findings, f)
+				})
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s on %s: %v", a.Name, u.ImportPath, err)
+				return nil, fmt.Errorf("%s on %s: %v", a.Name, u.ImportPath, err)
 			}
 		}
 	}
-	sortFindings(findings)
-	sort.Slice(suppressed, func(i, j int) bool { return findingLess(suppressed[i].Finding, suppressed[j].Finding) })
-	return findings, suppressed, nil
-}
-
-func sortFindings(findings []Finding) {
-	sort.Slice(findings, func(i, j int) bool { return findingLess(findings[i], findings[j]) })
-}
-
-func findingLess(a, b Finding) bool {
-	pa, pb := a.Position, b.Position
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
-	}
-	if pa.Line != pb.Line {
-		return pa.Line < pb.Line
-	}
-	if pa.Column != pb.Column {
-		return pa.Column < pb.Column
-	}
-	return a.Analyzer < b.Analyzer
+	sort.Slice(findings, func(i, j int) bool {
+		pa, pb := findings[i].Position, findings[j].Position
+		if pa.Filename != pb.Filename {
+			return pa.Filename < pb.Filename
+		}
+		if pa.Line != pb.Line {
+			return pa.Line < pb.Line
+		}
+		if pa.Column != pb.Column {
+			return pa.Column < pb.Column
+		}
+		return findings[i].Analyzer < findings[j].Analyzer
+	})
+	return findings, nil
 }

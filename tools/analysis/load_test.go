@@ -83,7 +83,7 @@ func TestRunFilter(t *testing.T) {
 			return nil
 		},
 	}
-	findings, _, err := analysis.Run(fset, units, []*analysis.Analyzer{a}, func(_ *analysis.Analyzer, u *analysis.Unit) bool {
+	findings, err := analysis.Run(fset, units, []*analysis.Analyzer{a}, func(_ *analysis.Analyzer, u *analysis.Unit) bool {
 		return u.Kind == analysis.Lib
 	})
 	if err != nil {

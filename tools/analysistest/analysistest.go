@@ -20,11 +20,7 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -40,7 +36,6 @@ import (
 // reports mismatches between its diagnostics and the // want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	build.Default.CgoEnabled = false
 	for _, pkg := range pkgs {
 		runPackage(t, filepath.Join(dir, "src", pkg), pkg, a)
 	}
@@ -68,74 +63,26 @@ func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
+	var files []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, filepath.Join(dir, e.Name()))
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		files = append(files, f)
 	}
 	if len(files) == 0 {
 		t.Fatalf("%s: no Go files in %s", a.Name, dir)
 	}
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("%s: type-checking %s: %v", a.Name, dir, err)
-	}
-
-	wants, err := collectWants(fset, files)
+	fset, unit, err := analysis.LoadFiles(pkgPath, files)
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
-
-	// Suppression directives apply in golden packages exactly as in a
-	// real run: a suppressed diagnostic is dropped before want-matching,
-	// so a testdata line carrying //cdtlint:ignore and no want comment
-	// asserts that suppression works. Malformed directives fail the
-	// test outright.
-	sups, malformed := analysis.CollectSuppressions(fset, files)
-	for _, m := range malformed {
-		t.Errorf("%s: %s: %s", a.Name, m.Position, m.Message)
+	wants, err := collectWants(fset, unit.Files)
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
 	}
-
-	var diags []analysis.Finding
-	unit := &analysis.Unit{ImportPath: pkgPath, Kind: analysis.Lib, Files: files, Pkg: pkg, Info: info}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Prog:      analysis.NewProgram(fset, []*analysis.Unit{unit}),
-		Report: func(d analysis.Diagnostic) {
-			f := analysis.Finding{
-				Analyzer: a.Name,
-				Position: fset.Position(d.Pos),
-				Message:  d.Message,
-			}
-			if _, ok := sups.Match(a.Name, f.Position); ok {
-				return
-			}
-			diags = append(diags, f)
-		},
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: Run: %v", a.Name, err)
+	diags, err := analysis.Run(fset, []*analysis.Unit{unit}, []*analysis.Analyzer{a}, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
 	}
 
 	for _, d := range diags {

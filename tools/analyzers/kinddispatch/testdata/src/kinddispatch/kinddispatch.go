@@ -41,12 +41,6 @@ func missingKind(k string) {
 	}
 }
 
-func missingKindSuppressed(k string) {
-	switch k { //cdtlint:ignore kinddispatch test fixture proves suppression works
-	case KindModel:
-	}
-}
-
 func exhaustiveKinds(k string) {
 	switch k {
 	case KindModel:

@@ -8,28 +8,21 @@
 //	detfloat      nondeterminism in the training hot path
 //	lockdoc       undocumented locking on mutex-guarded state mutators
 //	kinddispatch  non-exhaustive switches over artifact kinds
-//	metriclabel   Vec.With in loops, unbounded metric label values
 //
-// Two contracts are enforced elsewhere: go vet's copylocks rejects every
-// copy of a Corpus (it holds a sync.RWMutex), and allocation tests
-// (named *Allocates*, run without -race) pin the engine's cursor and
-// sweep and the fastjson response appenders.
+// Other contracts are enforced by the toolchain and by tests: go vet's
+// copylocks rejects every copy of a Corpus (it holds a sync.RWMutex);
+// allocation tests (named *Allocates*, run without -race) pin the
+// engine's cursor and sweep, the fastjson codec, and cdtserve's batch
+// detect and stream push per request; and a cdtserve test pins the set
+// of /metrics series against traffic that varies every request-controlled
+// value.
 //
 // Test files are analyzed by the view/lock analyzers too — a test that
 // corrupts a cached view poisons every later test sharing the corpus.
 // The invariant-specific analyzers are scoped: detfloat to the training
 // hot path (cdt, internal/core, internal/pattern, internal/quality,
 // internal/bayesopt), lockdoc to internal/modelstore, and kinddispatch
-// and metriclabel to library code, where the contracts they check
-// actually bind.
-//
-// A finding can be suppressed in source with a justified directive:
-//
-//	//cdtlint:ignore <analyzer> <reason>
-//
-// trailing the offending line, or standing alone on the line above it.
-// Suppressed findings do not fail the run but are carried (with their
-// justifications) in the -format sarif output.
+// to library code, where the contracts they check actually bind.
 //
 // Usage, from the repository root:
 //
@@ -54,7 +47,6 @@ import (
 	"cdt/tools/analyzers/kinddispatch"
 	"cdt/tools/analyzers/lockdoc"
 	"cdt/tools/analyzers/locksafe"
-	"cdt/tools/analyzers/metriclabel"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -63,7 +55,6 @@ var analyzers = []*analysis.Analyzer{
 	detfloat.Analyzer,
 	lockdoc.Analyzer,
 	kinddispatch.Analyzer,
-	metriclabel.Analyzer,
 }
 
 // detfloatScope is the training hot path: the packages whose results the
@@ -82,21 +73,15 @@ var lockdocScope = map[string]bool{
 	"cdt/internal/modelstore": true,
 }
 
-// libOnly marks the analyzers that check library contracts: tests may
-// switch over the kinds they exercise and mint throwaway metric labels
-// without weakening the shipped binaries' invariants.
-var libOnly = map[*analysis.Analyzer]bool{
-	kinddispatch.Analyzer: true,
-	metriclabel.Analyzer:  true,
-}
-
 func scope(a *analysis.Analyzer, u *analysis.Unit) bool {
 	switch {
 	case a == detfloat.Analyzer:
 		return u.Kind == analysis.Lib && detfloatScope[u.ImportPath]
 	case a == lockdoc.Analyzer:
 		return u.Kind == analysis.Lib && lockdocScope[u.ImportPath]
-	case libOnly[a]:
+	case a == kinddispatch.Analyzer:
+		// Tests may switch over just the kinds they exercise without
+		// weakening the shipped binaries' invariant.
 		return u.Kind == analysis.Lib
 	}
 	return true
@@ -132,7 +117,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cdtlint: %v\n", err)
 		os.Exit(2)
 	}
-	findings, suppressed, err := analysis.Run(fset, units, analyzers, scope)
+	findings, err := analysis.Run(fset, units, analyzers, scope)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cdtlint: %v\n", err)
 		os.Exit(2)
@@ -140,7 +125,7 @@ func main() {
 
 	cwd, _ := os.Getwd()
 	if *format == "sarif" {
-		out, err := renderSARIF(findings, suppressed, analyzers, cwd)
+		out, err := renderSARIF(findings, analyzers, cwd)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cdtlint: %v\n", err)
 			os.Exit(2)

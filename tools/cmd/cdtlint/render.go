@@ -2,10 +2,7 @@ package main
 
 // The SARIF renderer: the 2.1.0 interchange subset GitHub code scanning
 // consumes — one run, one driver carrying a rule per analyzer, one
-// result per finding. Suppressed findings are emitted as results
-// carrying an inSource suppression with the directive's justification —
-// code scanning shows them as dismissed instead of open, and suppression
-// growth stays reviewable.
+// result per finding.
 
 import (
 	"encoding/json"
@@ -47,12 +44,11 @@ type sarifText struct {
 }
 
 type sarifResult struct {
-	RuleID       string             `json:"ruleId"`
-	RuleIndex    int                `json:"ruleIndex"`
-	Level        string             `json:"level"`
-	Message      sarifText          `json:"message"`
-	Locations    []sarifLocation    `json:"locations"`
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
+	RuleID    string          `json:"ruleId"`
+	RuleIndex int             `json:"ruleIndex"`
+	Level     string          `json:"level"`
+	Message   sarifText       `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifLocation struct {
@@ -74,31 +70,19 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-type sarifSuppression struct {
-	Kind          string `json:"kind"`
-	Justification string `json:"justification,omitempty"`
-}
-
 const sarifSchema = "https://json.schemastore.org/sarif-2.1.0.json"
 
-func renderSARIF(findings []analysis.Finding, suppressed []analysis.SuppressedFinding, analyzers []*analysis.Analyzer, root string) ([]byte, error) {
-	rules := make([]sarifRule, 0, len(analyzers)+1)
-	index := make(map[string]int, len(analyzers)+1)
-	addRule := func(id, doc string) {
-		if _, ok := index[id]; ok {
-			return
-		}
-		index[id] = len(rules)
-		rules = append(rules, sarifRule{ID: id, ShortDescription: sarifText{Text: doc}})
+func renderSARIF(findings []analysis.Finding, analyzers []*analysis.Analyzer, root string) ([]byte, error) {
+	rules := make([]sarifRule, len(analyzers))
+	index := make(map[string]int, len(analyzers))
+	for i, a := range analyzers {
+		index[a.Name] = i
+		rules[i] = sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}}
 	}
-	for _, a := range analyzers {
-		addRule(a.Name, a.Doc)
-	}
-	// The reserved rule for malformed //cdtlint:ignore directives.
-	addRule(analysis.DirectiveAnalyzer, "malformed cdtlint suppression directive")
 
-	toResult := func(f analysis.Finding, sup []sarifSuppression) sarifResult {
-		return sarifResult{
+	results := make([]sarifResult, len(findings))
+	for i, f := range findings {
+		results[i] = sarifResult{
 			RuleID:    f.Analyzer,
 			RuleIndex: index[f.Analyzer],
 			Level:     "error",
@@ -112,16 +96,7 @@ func renderSARIF(findings []analysis.Finding, suppressed []analysis.SuppressedFi
 					Region: sarifRegion{StartLine: f.Position.Line, StartColumn: f.Position.Column},
 				},
 			}},
-			Suppressions: sup,
 		}
-	}
-
-	results := make([]sarifResult, 0, len(findings)+len(suppressed))
-	for _, f := range findings {
-		results = append(results, toResult(f, nil))
-	}
-	for _, s := range suppressed {
-		results = append(results, toResult(s.Finding, []sarifSuppression{{Kind: "inSource", Justification: s.Reason}}))
 	}
 
 	log := sarifLog{

@@ -9,35 +9,25 @@ import (
 	"cdt/tools/analysis"
 )
 
-func fixtureFindings(root string) ([]analysis.Finding, []analysis.SuppressedFinding) {
-	findings := []analysis.Finding{{
+func fixtureFindings(root string) []analysis.Finding {
+	return []analysis.Finding{{
 		Analyzer: "locksafe",
 		Position: token.Position{Filename: filepath.Join(root, "internal", "engine", "engine.go"), Line: 42, Column: 7},
 		Message:  "e.mu.Lock() is released neither by defer nor later in the same block",
 	}, {
-		Analyzer: "cdtlint",
-		Position: token.Position{Filename: filepath.Join(root, "corpus.go"), Line: 3, Column: 1},
-		Message:  "malformed //cdtlint:ignore directive",
+		Analyzer: "kinddispatch",
+		Position: token.Position{Filename: filepath.Join(root, "artifact.go"), Line: 9, Column: 2},
+		Message:  `switch on artifact kind does not handle registered kind "pyramid" and has no default`,
 	}}
-	suppressed := []analysis.SuppressedFinding{{
-		Finding: analysis.Finding{
-			Analyzer: "metriclabel",
-			Position: token.Position{Filename: filepath.Join(root, "internal", "server", "drift.go"), Line: 9, Column: 2},
-			Message:  "GaugeVec.With inside a loop re-resolves the child per iteration",
-		},
-		Reason: "cold path: runs once per manifest reload",
-	}}
-	return findings, suppressed
 }
 
 // TestRenderSARIFShape checks the exact envelope GitHub code scanning
 // requires: schema/version, a driver with rules, results pointing at
-// in-bounds rule indices, %SRCROOT%-relative slash URIs, and inSource
-// suppressions carrying the directive's justification.
+// in-bounds rule indices, and %SRCROOT%-relative slash URIs.
 func TestRenderSARIFShape(t *testing.T) {
 	root := string(filepath.Separator) + "repo"
-	findings, suppressed := fixtureFindings(root)
-	out, err := renderSARIF(findings, suppressed, analyzers, root)
+	findings := fixtureFindings(root)
+	out, err := renderSARIF(findings, analyzers, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +66,6 @@ func TestRenderSARIFShape(t *testing.T) {
 						} `json:"region"`
 					} `json:"physicalLocation"`
 				} `json:"locations"`
-				Suppressions []struct {
-					Kind          string `json:"kind"`
-					Justification string `json:"justification"`
-				} `json:"suppressions"`
 			} `json:"results"`
 		} `json:"runs"`
 	}
@@ -100,8 +86,8 @@ func TestRenderSARIFShape(t *testing.T) {
 	if run.Tool.Driver.Name != "cdtlint" {
 		t.Errorf("driver name = %q, want cdtlint", run.Tool.Driver.Name)
 	}
-	// One rule per registered analyzer plus the reserved directive rule.
-	if want := len(analyzers) + 1; len(run.Tool.Driver.Rules) != want {
+	// One rule per registered analyzer.
+	if want := len(analyzers); len(run.Tool.Driver.Rules) != want {
 		t.Errorf("rules = %d, want %d", len(run.Tool.Driver.Rules), want)
 	}
 	ruleAt := map[int]string{}
@@ -112,7 +98,7 @@ func TestRenderSARIFShape(t *testing.T) {
 		ruleAt[i] = r.ID
 	}
 
-	if want := len(findings) + len(suppressed); len(run.Results) != want {
+	if want := len(findings); len(run.Results) != want {
 		t.Fatalf("results = %d, want %d", len(run.Results), want)
 	}
 	for _, res := range run.Results {
@@ -143,15 +129,5 @@ func TestRenderSARIFShape(t *testing.T) {
 	first := run.Results[0]
 	if got := first.Locations[0].PhysicalLocation.ArtifactLocation.URI; got != "internal/engine/engine.go" {
 		t.Errorf("URI = %q, want internal/engine/engine.go (slash-separated, relative)", got)
-	}
-	if len(first.Suppressions) != 0 {
-		t.Errorf("active finding carries suppressions: %v", first.Suppressions)
-	}
-	last := run.Results[len(run.Results)-1]
-	if len(last.Suppressions) != 1 || last.Suppressions[0].Kind != "inSource" {
-		t.Fatalf("suppressed finding: suppressions = %+v, want one inSource", last.Suppressions)
-	}
-	if last.Suppressions[0].Justification != "cold path: runs once per manifest reload" {
-		t.Errorf("justification = %q", last.Suppressions[0].Justification)
 	}
 }
